@@ -6,7 +6,7 @@ a stochastic vehicular channel; a statistics harness compares algorithms
 across independent runs.
 """
 
-from .space import DEFAULT_BOUNDS, Bounds, VdtpConfig, clamp, quantize_for_protocol, sample_uniform
+from .space import DEFAULT_BOUNDS, Bounds, VdtpConfig, quantize_for_protocol
 
 __version__ = "0.1.0"
 
@@ -14,8 +14,6 @@ __all__ = [
     "Bounds",
     "DEFAULT_BOUNDS",
     "VdtpConfig",
-    "clamp",
     "quantize_for_protocol",
-    "sample_uniform",
     "__version__",
 ]

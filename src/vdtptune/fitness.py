@@ -41,7 +41,6 @@ class FitnessReport:
     replications: tuple
     config: VdtpConfig
     n: int = DEFAULT_REPLICATIONS
-    c_constant: float = C_CONSTANT
 
 
 def _outcome_term(outcome: TransferOutcome) -> float:

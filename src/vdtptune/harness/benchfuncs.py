@@ -8,11 +8,10 @@ at the all-ones point).
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
-from ..optimizers import BudgetExhausted, ObjectiveHandle, RunRecord
+from ..optimizers import RunRecord, _recorded_run
 from ..space import Bounds
 
 __all__ = ["BENCH_FUNCTIONS", "bench_bounds", "get_function", "random_search"]
@@ -57,22 +56,9 @@ def bench_bounds(dims: int) -> Bounds:
 
 def random_search(objective, bounds: Bounds, seed: int = 0, max_evaluations: int = 1000) -> RunRecord:
     """Uniform sampling over the box, same budget accounting as the optimizers."""
-    handle = ObjectiveHandle(objective, bounds, max_evaluations)
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(0,)))
-    t_start = time.perf_counter()
-    try:
+
+    def search(handle, rng):
         while True:
             handle.evaluate(rng.random(bounds.dim))
-    except BudgetExhausted:
-        pass
-    return RunRecord(
-        algorithm="random",
-        seed=int(seed),
-        best_position=handle.best_position,
-        best_fitness=handle.best_fitness,
-        trace=tuple(handle.trace),
-        evaluations=handle.evaluations_used,
-        best_eval_index=handle.best_eval_index,
-        wall_time_s=time.perf_counter() - t_start,
-        time_to_best_s=handle.time_to_best_s,
-    )
+
+    return _recorded_run("random", search, objective, bounds, seed, max_evaluations)

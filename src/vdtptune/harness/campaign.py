@@ -3,12 +3,15 @@
 Run i of every algorithm shares one derived seed, which is what makes the
 paired signed-rank comparison by run index legitimate. Completed runs are
 written as JSON checkpoints; re-running the same campaign picks up where it
-stopped.
+stopped. Each checkpoint carries a fingerprint of the run's inputs, and a
+checkpoint written under different inputs is refused, not resumed.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import hashlib
 import json
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -187,11 +190,34 @@ def _checkpoint_path(ckpt_dir: Path, algorithm: str, run_index: int) -> Path:
     return ckpt_dir / f"run_{algorithm}_{run_index}.json"
 
 
-def _save_checkpoint(path: Path, rec: RunRecord) -> None:
+def _run_fingerprint(scenario: Scenario, params: OptimizerParams, config: ExperimentConfig, seed: int) -> str:
+    """sha256 over the inputs a run's record depends on."""
+    inputs = {
+        "scenario": dataclasses.asdict(scenario),
+        "params": dataclasses.asdict(params),
+        "max_evaluations": config.max_evaluations,
+        "replications": config.replications,
+        "seed": seed,
+    }
+    return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
+
+
+def _save_checkpoint(path: Path, rec: RunRecord, fingerprint: str) -> None:
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w") as fh:
-        json.dump(record_to_dict(rec), fh, sort_keys=True)
+        json.dump(dict(record_to_dict(rec), fingerprint=fingerprint), fh, sort_keys=True)
     os.replace(tmp, path)
+
+
+def _load_checkpoint(path: Path, fingerprint: str) -> RunRecord:
+    with open(path) as fh:
+        data = json.load(fh)
+    if data.get("fingerprint") != fingerprint:
+        raise ValueError(
+            f"checkpoint {path} was not written by this campaign's scenario, optimizer "
+            "settings, budget, replications and seed; use another output directory"
+        )
+    return record_from_dict(data)
 
 
 # --- execution ---------------------------------------------------------------
@@ -272,42 +298,42 @@ def run_campaign(config: ExperimentConfig, objective_factory=None, progress=None
     pending = []
     for params in config.algorithms:
         for i in range(config.runs):
+            seed = run_seed(config.master_seed, i)
+            fingerprint = _run_fingerprint(scenario, params, config, seed)
             path = _checkpoint_path(ckpt_dir, params.algorithm, i)
             if path.exists():
-                with open(path) as fh:
-                    records[params.algorithm][i] = record_from_dict(json.load(fh))
+                records[params.algorithm][i] = _load_checkpoint(path, fingerprint)
             else:
-                pending.append((params, i))
+                pending.append((params, i, seed, fingerprint))
 
-    def _land(params, run_index, rec):
+    def _land(params, run_index, rec, fingerprint):
         records[params.algorithm][run_index] = rec
-        _save_checkpoint(_checkpoint_path(ckpt_dir, params.algorithm, run_index), rec)
+        _save_checkpoint(_checkpoint_path(ckpt_dir, params.algorithm, run_index), rec, fingerprint)
         if progress is not None:
             progress(params.algorithm, run_index, rec)
 
     if config.workers == 1 or len(pending) <= 1:
-        for params, i in pending:
+        for params, i, seed, fingerprint in pending:
             _, rec = execute_run(
-                params, scenario, config.replications, i,
-                run_seed(config.master_seed, i), config.max_evaluations,
+                params, scenario, config.replications, i, seed, config.max_evaluations,
                 objective_factory,
             )
-            _land(params, i, rec)
+            _land(params, i, rec, fingerprint)
     else:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             futures = {
                 pool.submit(
-                    execute_run, params, scenario, config.replications, i,
-                    run_seed(config.master_seed, i), config.max_evaluations,
-                    objective_factory,
-                ): params
-                for params, i in pending
+                    execute_run, params, scenario, config.replications, i, seed,
+                    config.max_evaluations, objective_factory,
+                ): (params, fingerprint)
+                for params, i, seed, fingerprint in pending
             }
             remaining = set(futures)
             while remaining:
                 done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
                 for fut in done:
                     run_index, rec = fut.result()
-                    _land(futures[fut], run_index, rec)
+                    params, fingerprint = futures[fut]
+                    _land(params, run_index, rec, fingerprint)
 
     return _assemble(config, scenario, {a: records[a] for a in config.algorithm_names})

@@ -149,15 +149,11 @@ def _campaign_config(args) -> ExperimentConfig:
         "workers": args.workers,
     }
     overrides = {k: v for k, v in overrides.items() if v is not None}
+    if args.algorithms is not None:
+        names = [t.strip().lower() for t in args.algorithms.split(",") if t.strip()]
+        overrides["algorithms"] = tuple(default_params(n) for n in names)
     if args.config:
-        if args.algorithms is not None:
-            names = [t.strip().lower() for t in args.algorithms.split(",") if t.strip()]
-            overrides["algorithms"] = tuple(default_params(n) for n in names)
         return load_experiment_config(args.config, **overrides)
-    names = [t.strip().lower() for t in (args.algorithms or ",".join(ALGORITHMS)).split(",") if t.strip()]
-    if len(names) < 2:
-        raise UsageError("compare needs at least 2 algorithms")
-    overrides["algorithms"] = tuple(default_params(n) for n in names)
     return ExperimentConfig(**overrides)
 
 

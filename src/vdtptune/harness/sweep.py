@@ -18,8 +18,9 @@ from ..fitness import make_objective
 from ..optimizers import OptimizerParams
 from ..space import DEFAULT_BOUNDS
 from .campaign import parse_knob, resolve_scenario, run_seed
+from .reports import _render_table
 
-__all__ = ["GridLine", "SweepResult", "parse_grid", "render_sweep", "run_sweep", "sweep_rows"]
+__all__ = ["SweepResult", "parse_grid", "render_sweep", "run_sweep", "sweep_rows"]
 
 
 @dataclass(frozen=True)
@@ -122,16 +123,8 @@ def render_sweep(result: SweepResult) -> str:
         by_param.setdefault(param, []).append((value, fitness))
     width = max(len(vals) for vals in by_param.values())
     headers = ["parameter"] + [f"value_{i + 1}" for i in range(width)]
-    lines = []
-    for param, vals in by_param.items():
-        row = [param] + [f"{v}:{f:.4f}" for v, f in vals]
-        row += [""] * (width - len(vals))
-        lines.append(row)
-    cells = [headers] + lines
-    widths = [max(len(str(r[i])) for r in cells) for i in range(len(headers))]
-    out = []
-    for r, row in enumerate(cells):
-        out.append("  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip())
-        if r == 0:
-            out.append("-" * len(out[0]))
-    return "\n".join(out)
+    rows = [
+        [param] + [f"{v}:{f:.4f}" for v, f in vals] + [""] * (width - len(vals))
+        for param, vals in by_param.items()
+    ]
+    return _render_table(headers, rows)

@@ -69,18 +69,26 @@ def run(
     if params.generations is not None:
         budget = min(budget, params.generation_size() * params.generations)
 
+    def search(handle, rng):
+        _RUNNERS[params.algorithm](handle, params, rng, bounds.dim)
+
+    return _recorded_run(params.algorithm, search, objective, bounds, seed, budget)
+
+
+def _recorded_run(algorithm: str, search, objective, bounds: Bounds, seed, budget: int) -> RunRecord:
+    """Runs search(handle, rng) until the budget is spent; the one place a RunRecord is built."""
     handle = ObjectiveHandle(objective, bounds, budget)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(0,)))
 
     t_start = time.perf_counter()
     try:
-        _RUNNERS[params.algorithm](handle, params, rng, bounds.dim)
+        search(handle, rng)
     except BudgetExhausted:
         pass
     wall = time.perf_counter() - t_start
 
     return RunRecord(
-        algorithm=params.algorithm,
+        algorithm=algorithm,
         seed=int(seed),
         best_position=handle.best_position,
         best_fitness=handle.best_fitness,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import BudgetExhausted, ObjectiveHandle, OptimizerParams
+from .common import ObjectiveHandle, OptimizerParams
 
 __all__ = ["velocity_update", "run_pso"]
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 from ..space import VdtpConfig
@@ -64,9 +64,6 @@ class Scenario:
         """
         cap = max(0.95, self.base_loss_prob)
         return min(cap, self.base_loss_prob * (1.0 + self.density_scale))
-
-    def scaled(self, density_scale: float) -> "Scenario":
-        return replace(self, density_scale=density_scale)
 
 
 _PRESET_FILES = {

@@ -8,14 +8,13 @@ timeout; exhausting the attempt budget on any one request refuses the session.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from ..space import VdtpConfig, quantize_for_protocol
-from .kernels import _mix64, _u01, run_sessions, session_kernel
+from .kernels import EVENT_KINDS, PACKET_TYPES, run_sessions, session_kernel
 from .scenario import Scenario
 
 __all__ = [
@@ -97,7 +96,7 @@ def simulate_session(config, scenario: Scenario, seed) -> SessionResult:
     (chunk_bytes, attempts, timeout_s) triple.
     """
     args = _kernel_args(config, scenario)
-    t, lost, delivered, refused = session_kernel(*args, _as_kernel_seed(seed))
+    t, lost, delivered, refused, _ = session_kernel(*args, _as_kernel_seed(seed), np.empty((0, 4)))
     return SessionResult(float(t), int(lost), int(delivered), bool(refused))
 
 
@@ -129,123 +128,26 @@ def effective_throughput(outcome: TransferOutcome) -> float:
     return per_session_kb / outcome.transmission_time_s
 
 
-# --- instrumented replay -----------------------------------------------------
-#
-# Same event discipline and random stream as session_kernel, but slow and
-# observable: every packet send/deliver/drop, timeout and terminal event is
-# recorded. Tests assert that its outcome matches the kernel exactly.
-
-
-class _Channel:
-    """Mirror of the kernel's link process; consumes the same draws."""
-
-    def __init__(self, up_mean, down_mean, state):
-        self.up_mean = up_mean
-        self.down_mean = down_mean
-        self.state = state
-        if math.isinf(up_mean):
-            self.link_up = True
-            self.t_switch = math.inf
-        else:
-            self.link_up = self._draw() < up_mean / (up_mean + down_mean)
-            mean0 = up_mean if self.link_up else down_mean
-            self.t_switch = -mean0 * math.log(1.0 - self._draw())
-
-    def _draw(self) -> float:
-        # compiled _mix64 hands uint64 results back as Python ints; re-wrap
-        # before the next call or the dispatcher overflows converting to int64
-        self.state, z = _mix64(np.uint64(self.state))
-        return _u01(np.uint64(z))
-
-    def up_at(self, t) -> bool:
-        while self.t_switch <= t:
-            self.link_up = not self.link_up
-            mean_d = self.up_mean if self.link_up else self.down_mean
-            self.t_switch += -mean_d * math.log(1.0 - self._draw())
-        return self.link_up
-
-    def loss_draw(self) -> float:
-        return self._draw()
-
-
 def simulate_session_events(config, scenario: Scenario, seed, session_id=0):
-    """Replay one session recording its event log.
+    """Replay one session through session_kernel, recording its event log.
 
     Returns (events, SessionResult) where each event is a tuple
     (virtual_time, session_id, event_kind, packet_type, attempt_no).
     """
-    (
-        chunk_bytes,
-        attempts,
-        timeout_s,
-        file_size,
-        header_bytes,
-        bandwidth,
-        prop_delay,
-        eff_loss,
-        up_mean,
-        down_mean,
-    ) = _kernel_args(config, scenario)
-
-    ch = _Channel(up_mean, down_mean, _as_kernel_seed(seed))
-    succ_p = 1.0 - eff_loss
-    n = n_chunks(file_size, chunk_bytes)
-    tx_req = header_bytes * 8.0 / bandwidth
-
-    events = []
-    t = 0.0
-    lost = 0
-    delivered = 0
-    refused = False
-
-    for req in range(n + 1):
-        if req == 0:
-            payload = 0
-            req_type, rep_type = "FIRQ", "FIRP"
-        else:
-            payload = chunk_bytes if req < n else file_size - (n - 1) * chunk_bytes
-            req_type, rep_type = "DRQ", "DRP"
-        tx_rep = (header_bytes + payload) * 8.0 / bandwidth
-
-        ok = False
-        for attempt in range(1, attempts + 1):
-            t0 = t
-            events.append((t0, session_id, "send", req_type, attempt))
-            req_arr = t0 + tx_req + prop_delay
-            # the kernel draws even when the link is down; mirror that (no
-            # short-circuit) or the streams diverge
-            req_up = ch.up_at(req_arr)
-            req_ok = (ch.loss_draw() < succ_p) and req_up
-            if req_ok:
-                events.append((req_arr, session_id, "deliver", req_type, attempt))
-                events.append((req_arr, session_id, "send", rep_type, attempt))
-                rep_arr = req_arr + tx_rep + prop_delay
-                rep_up = ch.up_at(rep_arr)
-                rep_ok = (ch.loss_draw() < succ_p) and rep_up
-                if rep_ok:
-                    events.append((rep_arr, session_id, "deliver", rep_type, attempt))
-                    if rep_arr - t0 <= timeout_s:
-                        t = rep_arr
-                        ok = True
-                        break
-                else:
-                    events.append((rep_arr, session_id, "drop", rep_type, attempt))
-                    lost += 1
-            else:
-                events.append((req_arr, session_id, "drop", req_type, attempt))
-                lost += 1
-            t = t0 + timeout_s
-            events.append((t, session_id, "timeout", req_type, attempt))
-        if not ok:
-            refused = True
-            events.append((t, session_id, "refused", req_type, attempts))
-            break
-        if req > 0:
-            delivered += payload
-
-    if not refused:
-        events.append((t, session_id, "complete", "", 0))
-    return events, SessionResult(t, lost, delivered, refused)
+    args = _kernel_args(config, scenario)
+    kernel_seed = _as_kernel_seed(seed)
+    # about 4-5 events per request when lossy; the stream is deterministic, so
+    # a log that overflows the guess is recorded again at its exact length
+    buf = np.empty((8 * (n_chunks(scenario.file_size_bytes, args[0]) + 1) + 1, 4))
+    t, lost, delivered, refused, k = session_kernel(*args, kernel_seed, buf)
+    if k > len(buf):
+        buf = np.empty((k, 4))
+        session_kernel(*args, kernel_seed, buf)
+    events = [
+        (t_ev, session_id, EVENT_KINDS[int(kind)], PACKET_TYPES[int(packet)], int(attempt))
+        for t_ev, kind, packet, attempt in buf[:k].tolist()
+    ]
+    return events, SessionResult(float(t), int(lost), int(delivered), bool(refused))
 
 
 def write_event_trace(path, events) -> None:

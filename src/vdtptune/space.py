@@ -16,8 +16,6 @@ __all__ = [
     "VdtpConfig",
     "Bounds",
     "DEFAULT_BOUNDS",
-    "sample_uniform",
-    "clamp",
     "quantize_for_protocol",
     "bound_violations",
 ]
@@ -88,20 +86,6 @@ class Bounds:
 
 #: chunk_size 128..524288 bytes, total_attempts 1..250, retransmission_time 1..10 s
 DEFAULT_BOUNDS = Bounds(lower=(128.0, 1.0, 1.0), upper=(524288.0, 250.0, 10.0))
-
-
-def sample_uniform(bounds: Bounds, rng: np.random.Generator) -> VdtpConfig:
-    """Draw a configuration uniformly within the bounds."""
-    if bounds.dim != 3:
-        raise ValueError("sample_uniform produces VdtpConfig and needs 3-dim bounds")
-    x = bounds.from_unit(rng.random(3))
-    return VdtpConfig.from_array(x)
-
-
-def clamp(config: VdtpConfig, bounds: Bounds) -> VdtpConfig:
-    """Clamp each coordinate into its bound. Idempotent; in-bounds input is unchanged."""
-    x = np.minimum(bounds.upper_array(), np.maximum(bounds.lower_array(), config.as_array()))
-    return VdtpConfig.from_array(x)
 
 
 def _round_half_up(v: float) -> int:

@@ -259,6 +259,27 @@ def test_campaign_resumes_from_checkpoints(tmp_path):
             assert x.trace == y.trace
 
 
+def test_campaign_refuses_checkpoints_of_another_config(tmp_path):
+    urban = tiny_config(tmp_path, runs=2, max_evaluations=50)
+    run_campaign(urban, objective_factory=cheap_factory)
+    highway = tiny_config(tmp_path, scenario="highway", runs=2, max_evaluations=400)
+    with pytest.raises(ValueError, match="run_pso_0.json"):
+        run_campaign(highway, objective_factory=cheap_factory)
+
+
+def test_cli_refuses_checkpoint_without_fingerprint(tmp_path, capsys):
+    ckpt_dir = tmp_path / "out" / "checkpoints"
+    ckpt_dir.mkdir(parents=True)
+    _, rec = execute_run(OptimizerParams("pso"), preset("urban"), 1, 0, 7, 5, cheap_factory)
+    (ckpt_dir / "run_pso_0.json").write_text(json.dumps(record_to_dict(rec)))
+    rc = cli.main([
+        "compare", "--algorithms", "pso,ga", "--runs", "1", "--budget", "5",
+        "--replications", "1", "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    assert "run_pso_0.json" in capsys.readouterr().err
+
+
 def test_campaign_parallel_matches_sequential(tmp_path):
     seq = tiny_config(tmp_path / "seq", runs=2, max_evaluations=20)
     par = tiny_config(tmp_path / "par", runs=2, max_evaluations=20, workers=2)

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vdtptune.sim.kernels import run_sessions
 from vdtptune.sim.scenario import (
     Scenario,
     human_expert_config,
@@ -15,6 +18,7 @@ from vdtptune.sim.scenario import (
     preset_names,
 )
 from vdtptune.sim.transfer import (
+    _kernel_args,
     effective_throughput,
     n_chunks,
     simulate_replication,
@@ -213,9 +217,8 @@ def test_density_scaling_increases_losses():
     sc = preset("urban")
     cfg = VdtpConfig(25600, 8, 8.0)
     plain = np.mean([simulate_session(cfg, sc, seed=s).lost_packets for s in range(60)])
-    dense = np.mean(
-        [simulate_session(cfg, sc.scaled(3.0), seed=s).lost_packets for s in range(60)]
-    )
+    dense_sc = dataclasses.replace(sc, density_scale=3.0)
+    dense = np.mean([simulate_session(cfg, dense_sc, seed=s).lost_packets for s in range(60)])
     assert dense > plain
 
 
@@ -245,6 +248,54 @@ def test_event_trace_file_round_trips(tmp_path):
     assert lines[0] == "virtual_time,session_id,event_kind,packet_type,attempt_no"
     assert len(lines) == len(events) + 1
     assert float(lines[1].split(",")[0]) == events[0][0]
+
+
+# --- golden stream pins ------------------------------------------------------
+#
+# sha256 digests of exact renderings of the random stream's products. Any
+# change in how draws are consumed, on either kernel path, moves a digest.
+
+GOLDEN_SESSIONS = {
+    "urban_expert": (("urban", None), "a75570c32f684aad17250da08a3e32060a7b2a3fb7f198807d9398f437f833b0"),
+    "highway_expert": (("highway", None), "df1cf74ac2fab92f111bc7b3f1c780dac25916ab40f17115dd0d8c1be412f07d"),
+    "urban_2048_250": (("urban", (2048, 250, 10.0)), "7c4940c771c9f12aca0afe69470aa4ceeacf503dd524c9549c9e1316c1fd39ca"),
+}
+
+
+@pytest.mark.parametrize("lane", sorted(GOLDEN_SESSIONS))
+def test_golden_run_sessions_digest(lane):
+    (name, config), digest = GOLDEN_SESSIONS[lane]
+    sc = preset(name)
+    times, lost, delivered, refused = run_sessions(
+        40, *_kernel_args(config or human_expert_config(sc), sc), np.uint64(777)
+    )
+    rows = [
+        f"{float(t)!r} {int(l)} {int(d)} {int(r)}"
+        for t, l, d, r in zip(times, lost, delivered, refused)
+    ]
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
+
+
+def test_golden_event_trace_digest(tmp_path):
+    urban, highway = preset("urban"), preset("highway")
+    sessions = [
+        (human_expert_config(urban), urban, 0),  # completes, nothing lost
+        (human_expert_config(highway), highway, 1),  # completes after losses
+        ((65536, 2, 2.0), highway, 5),  # refused part-way
+    ]
+    events, results = [], []
+    for sid, (cfg, sc, seed) in enumerate(sessions):
+        ev, res = simulate_session_events(cfg, sc, seed=seed, session_id=sid)
+        events += ev
+        results.append(res)
+    assert [(r.lost_packets > 0, r.refused) for r in results] == [
+        (False, False),
+        (True, False),
+        (True, True),
+    ]
+    path = tmp_path / "events.csv"
+    write_event_trace(path, events)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == "45cc747a7c5700443ee40f5612394e1298c010b473048c5daa2f9981df33d194"
 
 
 # --- scenario plumbing -------------------------------------------------------

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from vdtptune.space import (
     DEFAULT_BOUNDS,
     Bounds,
     VdtpConfig,
     bound_violations,
-    clamp,
     quantize_for_protocol,
-    sample_uniform,
 )
 
 
@@ -47,30 +44,6 @@ def test_unit_mapping_round_trip():
 def test_unit_mapping_corners():
     assert tuple(DEFAULT_BOUNDS.from_unit([0, 0, 0])) == DEFAULT_BOUNDS.lower
     assert tuple(DEFAULT_BOUNDS.from_unit([1, 1, 1])) == DEFAULT_BOUNDS.upper
-
-
-def test_sample_uniform_in_bounds():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        cfg = sample_uniform(DEFAULT_BOUNDS, rng)
-        assert bound_violations(cfg) == []
-
-
-@given(
-    st.floats(min_value=-1e7, max_value=1e7),
-    st.floats(min_value=-1e4, max_value=1e4),
-    st.floats(min_value=-1e3, max_value=1e3),
-)
-def test_clamp_idempotent_and_in_bounds(a, b, c):
-    cfg = VdtpConfig(a, b, c)
-    once = clamp(cfg, DEFAULT_BOUNDS)
-    assert bound_violations(once) == []
-    assert clamp(once, DEFAULT_BOUNDS) == once
-
-
-def test_clamp_leaves_interior_point_alone():
-    cfg = VdtpConfig(25600.0, 8.0, 8.0)
-    assert clamp(cfg, DEFAULT_BOUNDS) == cfg
 
 
 def test_quantize_rounds_half_up():
