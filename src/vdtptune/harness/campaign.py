@@ -9,7 +9,6 @@ checkpoint written under different inputs is refused, not resumed.
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import hashlib
 import json
@@ -21,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import optimizers
+from ..cfgfile import field_values, read_cfg
 from ..fitness import make_objective
 from ..optimizers import ALGORITHMS, OptimizerParams, RunRecord
 from ..sim.scenario import Scenario, load_scenario, preset
@@ -31,6 +31,7 @@ __all__ = [
     "CampaignResult",
     "ExperimentConfig",
     "load_experiment_config",
+    "parse_algorithms",
     "resolve_scenario",
     "run_campaign",
     "run_seed",
@@ -97,60 +98,33 @@ class ExperimentConfig:
         return tuple(p.algorithm for p in self.algorithms)
 
 
-_INT_KNOBS = {
-    "population_size",
-    "generations",
-    "markov_chain_length",
-    "temp_probes",
-    "mu_es",
-    "lambda_es",
-}
-_FLOAT_KNOBS = {"w", "cr", "mu_de", "p_cross", "p_mut", "alpha_temp", "target_accept"}
-_STR_KNOBS = {"ga_variant", "es_selection"}
+def parse_algorithms(text: str) -> tuple:
+    """Algorithm names from a comma-separated list."""
+    return tuple(t.strip().lower() for t in text.split(",") if t.strip())
 
 
-def parse_knob(name: str, raw: str):
-    if name in _INT_KNOBS:
-        return int(raw)
-    if name in _FLOAT_KNOBS:
-        return float(raw)
-    if name in _STR_KNOBS:
-        return raw.strip()
-    raise ValueError(f"unknown optimizer knob {name!r}")
+def load_experiment_config(path, algorithms=None, **overrides) -> ExperimentConfig:
+    """Experiment description from a .cfg file.
 
-
-def load_experiment_config(path, **overrides) -> ExperimentConfig:
-    """Experiment description from a flat key-value .cfg file.
-
-    The [campaign] section holds scalars; an optional section per algorithm
-    holds its knob overrides. Keyword overrides win over file values.
+    [campaign] holds ExperimentConfig fields, `algorithms` as a comma list; a
+    section per algorithm holds its OptimizerParams knobs; other sections and
+    keys are refused. `algorithms` names replace the file's list but keep its
+    knob sections. Keyword overrides win over file values.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = cp.read(str(path))
-    if not read:
-        raise ValueError(f"cannot read experiment config {path!r}")
+    cp = read_cfg(path)
     if not cp.has_section("campaign"):
         raise ValueError(f"{path}: missing [campaign] section")
-
-    camp = cp["campaign"]
-    kwargs = {
-        "scenario": camp.get("scenario", "urban"),
-        "runs": camp.getint("runs", 30),
-        "max_evaluations": camp.getint("max_evaluations", 1000),
-        "replications": camp.getint("replications", 10),
-        "master_seed": camp.getint("master_seed", 1),
-        "output_dir": camp.get("output_dir", "results"),
-        "workers": camp.getint("workers", 1),
-    }
-    names = [t.strip().lower() for t in camp.get("algorithms", ",".join(ALGORITHMS)).split(",") if t.strip()]
-    algs = []
-    for name in names:
-        knobs = {}
-        if cp.has_section(name):
-            for key, raw in cp.items(name):
-                knobs[key] = parse_knob(key, raw)
-        algs.append(OptimizerParams(name, **knobs))
-    kwargs["algorithms"] = tuple(algs)
+    knobs = {}
+    for section in cp.sections():
+        if section in ALGORITHMS:
+            knobs[section] = field_values(OptimizerParams, cp[section], f"{path} [{section}]", exclude=("algorithm",))
+        elif section != "campaign":
+            raise ValueError(f"{path}: unknown section [{section}]; known: campaign, {', '.join(ALGORITHMS)}")
+    campaign = dict(cp["campaign"])
+    listed = parse_algorithms(campaign.pop("algorithms", ",".join(ALGORITHMS)))
+    kwargs = field_values(ExperimentConfig, campaign, f"{path} [campaign]")
+    names = listed if algorithms is None else algorithms
+    kwargs["algorithms"] = tuple(OptimizerParams(name, **knobs.get(name, {})) for name in names)
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
 

@@ -24,6 +24,7 @@ from .benchfuncs import BENCH_FUNCTIONS, bench_bounds, get_function, random_sear
 from .campaign import (
     ExperimentConfig,
     load_experiment_config,
+    parse_algorithms,
     qos_seed,
     resolve_scenario,
     run_campaign,
@@ -44,17 +45,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p: _Parser, runs_default=None, defer=False):
-    # defer=True leaves everything None so a config file's values are only
-    # overridden by flags the user actually typed
-    d = (lambda v: None) if defer else (lambda v: v)
-    p.add_argument("--scenario", default=d("urban"), help=f"preset ({', '.join(preset_names())}) or a scenario .cfg path (default urban)")
-    p.add_argument("--seed", type=int, default=d(1), help="master seed (default 1)")
-    p.add_argument("--budget", type=int, default=d(1000), help="objective evaluations per run (default 1000)")
-    p.add_argument("--runs", type=int, default=None if defer else runs_default, help=f"independent runs (default {runs_default})")
-    p.add_argument("--workers", type=int, default=d(1), help="parallel worker processes (default 1)")
-    p.add_argument("--out", default=d("results"), help="output directory (default ./results)")
-    p.add_argument("--replications", type=int, default=d(10), help="simulation replications per evaluation (default 10)")
+# Flags that set an ExperimentConfig field: flag -> (field, help). Each flag
+# takes its type and default from the field's default.
+_FLAGS = {
+    "scenario": ("scenario", f"preset ({', '.join(preset_names())}) or a scenario .cfg path"),
+    "seed": ("master_seed", "master seed"),
+    "budget": ("max_evaluations", "objective evaluations per run"),
+    "runs": ("runs", "independent runs"),
+    "workers": ("workers", "parallel worker processes"),
+    "out": ("output_dir", "output directory"),
+    "replications": ("replications", "simulation replications per evaluation"),
+}
+
+
+def _add_flags(p: _Parser, flags, defer=False, **defaults):
+    # `defaults` replace the field defaults by flag name; defer=True leaves every
+    # default None so a config file's values are only overridden by flags typed
+    for flag in flags:
+        name, text = _FLAGS[flag]
+        default = defaults.get(flag, getattr(ExperimentConfig, name))
+        p.add_argument(f"--{flag}", type=type(default), default=None if defer else default,
+                       help=f"{text} (default {default})")
 
 
 def build_parser() -> _Parser:
@@ -63,33 +74,33 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("tune", help="one optimizer run; writes trace and best-config files")
     p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
-    _add_common(p)
+    _add_flags(p, ("scenario", "seed", "budget", "replications", "out"))
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("compare", help="multi-run campaign over several algorithms with statistics")
     p.add_argument("--algorithms", default=None, help="comma-separated algorithm list (default all)")
     p.add_argument("--config", default=None, help="experiment .cfg file; explicit flags override its values")
-    _add_common(p, runs_default=30, defer=True)
+    _add_flags(p, _FLAGS, defer=True)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("simulate", help="score one explicit configuration")
     p.add_argument("--chunk", type=float, required=True, help="chunk size in bytes")
     p.add_argument("--attempts", type=float, required=True, help="transmission attempts per request")
     p.add_argument("--timeout", type=float, required=True, help="retransmission timeout in seconds")
-    _add_common(p)
+    _add_flags(p, ("scenario", "seed", "replications"))
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="one-at-a-time parameter sweep from a grid file")
     p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     p.add_argument("--grid", required=True, help="grid file: 'param = v1 v2 ...' per line")
-    _add_common(p, runs_default=5)
+    _add_flags(p, ("scenario", "seed", "budget", "runs", "out", "replications"), runs=5)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", help="optimizer check on an analytic function")
     p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     p.add_argument("--function", default="sphere", help=f"one of {', '.join(sorted(BENCH_FUNCTIONS))}")
     p.add_argument("--dims", type=int, default=3)
-    _add_common(p, runs_default=20)
+    _add_flags(p, ("seed", "budget", "runs"), runs=20)
     p.set_defaults(func=cmd_bench)
 
     return parser
@@ -139,21 +150,13 @@ def cmd_tune(args) -> int:
 
 
 def _campaign_config(args) -> ExperimentConfig:
-    overrides = {
-        "scenario": args.scenario,
-        "runs": args.runs,
-        "max_evaluations": args.budget,
-        "replications": args.replications,
-        "master_seed": args.seed,
-        "output_dir": args.out,
-        "workers": args.workers,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    if args.algorithms is not None:
-        names = [t.strip().lower() for t in args.algorithms.split(",") if t.strip()]
-        overrides["algorithms"] = tuple(default_params(n) for n in names)
+    overrides = {name: getattr(args, flag) for flag, (name, _) in _FLAGS.items()}
+    overrides = {name: value for name, value in overrides.items() if value is not None}
+    names = None if args.algorithms is None else parse_algorithms(args.algorithms)
     if args.config:
-        return load_experiment_config(args.config, **overrides)
+        return load_experiment_config(args.config, names, **overrides)
+    if names is not None:
+        overrides["algorithms"] = tuple(default_params(n) for n in names)
     return ExperimentConfig(**overrides)
 
 

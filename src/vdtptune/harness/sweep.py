@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .. import optimizers
+from ..cfgfile import field_value
 from ..fitness import make_objective
 from ..optimizers import OptimizerParams
 from ..space import DEFAULT_BOUNDS
-from .campaign import parse_knob, resolve_scenario, run_seed
+from .campaign import ExperimentConfig, resolve_scenario, run_seed
 from .reports import _render_table
 
 __all__ = ["SweepResult", "parse_grid", "render_sweep", "run_sweep", "sweep_rows"]
@@ -47,7 +48,7 @@ def parse_grid(text: str):
         values = []
         for tok in tokens:
             try:
-                values.append(parse_knob(name, tok))
+                values.append(field_value(OptimizerParams, name, tok, exclude=("algorithm",)))
             except ValueError as exc:
                 raise ValueError(f"grid line {lineno}: {exc}") from exc
         grid.append(GridLine(lineno, name, tuple(values)))
@@ -79,9 +80,9 @@ def run_sweep(
     grid,
     scenario,
     runs: int = 5,
-    master_seed: int = 1,
-    max_evaluations: int = 1000,
-    replications: int = 10,
+    master_seed: int = ExperimentConfig.master_seed,
+    max_evaluations: int = ExperimentConfig.max_evaluations,
+    replications: int = ExperimentConfig.replications,
     objective_factory=None,
 ) -> SweepResult:
     """All grid combinations, each scored by the mean best fitness of

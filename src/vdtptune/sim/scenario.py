@@ -8,11 +8,11 @@ for the constants.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass
 from importlib import resources
 
+from ..cfgfile import field_values, read_cfg
 from ..space import VdtpConfig
 
 __all__ = [
@@ -88,38 +88,13 @@ def preset_names():
     return sorted(_PRESET_FILES)
 
 
-def _scenario_from_parser(cp: configparser.ConfigParser, source: str) -> Scenario:
-    if not cp.has_section("scenario"):
-        raise ValueError(f"{source}: missing [scenario] section")
-    sec = cp["scenario"]
-
-    def fval(key, default):
-        raw = sec.get(key, None)
-        if raw is None:
-            return default
-        return math.inf if raw.strip().lower() in ("inf", "infinity") else float(raw)
-
-    return Scenario(
-        name=sec.get("name", "custom"),
-        bandwidth_bps=fval("bandwidth_bps", 5.5e6),
-        header_bytes=int(sec.get("header_bytes", 64)),
-        propagation_delay_s=fval("propagation_delay_s", 0.002),
-        base_loss_prob=fval("base_loss_prob", 0.0),
-        link_up_mean_s=fval("link_up_mean_s", math.inf),
-        link_down_mean_s=fval("link_down_mean_s", 1.0),
-        sessions=int(sec.get("sessions", 20)),
-        file_size_bytes=int(sec.get("file_size_bytes", 1_048_576)),
-        density_scale=fval("density_scale", 0.0),
-    )
-
-
 def load_scenario(path) -> Scenario:
-    """Load a scenario from a structured-text (.cfg) file."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = cp.read(str(path))
-    if not read:
-        raise ValueError(f"scenario file not found: {path}")
-    return _scenario_from_parser(cp, str(path))
+    """Load a scenario from a structured-text (.cfg) file; unknown keys are refused."""
+    cp = read_cfg(path)
+    if not cp.has_section("scenario"):
+        raise ValueError(f"{path}: missing [scenario] section")
+    values = field_values(Scenario, cp["scenario"], f"{path} [scenario]")
+    return Scenario(**{"name": "custom", **values})
 
 
 def preset(name: str) -> Scenario:
@@ -130,9 +105,8 @@ def preset(name: str) -> Scenario:
             f"unknown scenario preset {name!r}; known: {', '.join(preset_names())}"
         )
     ref = resources.files(__package__).joinpath("scenarios", _PRESET_FILES[key])
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    cp.read_string(ref.read_text(), source=_PRESET_FILES[key])
-    return _scenario_from_parser(cp, _PRESET_FILES[key])
+    with resources.as_file(ref) as path:
+        return load_scenario(path)
 
 
 def human_expert_config(scenario) -> VdtpConfig:

@@ -156,7 +156,10 @@ def friedman_ranks(results, iman_davenport: bool = False) -> FriedmanTable:
 
     Within each block algorithms are ranked 1 = best with ties averaged.
     The statistic is the Friedman chi-square, or the Iman-Davenport F
-    transform of it when the flag is set.
+    transform of it when the flag is set. The chi-square carries no tie
+    correction: on blocks with tied values it is smaller than
+    scipy.stats.friedmanchisquare by the factor
+    1 - sum(t^3 - t) / (b k (k^2 - 1)) over the tied groups.
     """
     rows = [list(map(float, row)) for row in results]
     if len(rows) < 2:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -188,6 +189,32 @@ def test_load_experiment_config_errors(tmp_path):
     unknown.write_text("[campaign]\nalgorithms = pso\n[pso]\nwarp = 3\n")
     with pytest.raises(ValueError):
         load_experiment_config(unknown)
+
+
+@pytest.mark.parametrize(
+    "text,named",
+    [
+        ("[campaign]\nmax_evaluation = 50\n", "[campaign]: unknown key 'max_evaluation'"),
+        ("[campaign]\nalgorithms = pso\n[psoo]\nw = 0.3\n", "unknown section [psoo]"),
+        ("[campaign]\nalgorithms = pso\n[pso]\nalgorithm = de\n", "[pso]: unknown key 'algorithm'"),
+        ("[campaign]\nruns = many\n", "[campaign]: runs = 'many' is not a valid int"),
+    ],
+    ids=["campaign_key", "section", "knob_key", "value"],
+)
+def test_load_experiment_config_refuses_misspelt_input(tmp_path, text, named):
+    path = tmp_path / "typo.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_experiment_config(path)
+    assert str(err.value).startswith(str(path))
+    assert named in str(err.value)
+
+
+def test_load_experiment_config_algorithm_names_keep_file_knobs(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("[campaign]\nalgorithms = ga, sa\n[pso]\npopulation_size = 8\nw = 0.3\n[es]\nmu_es = 2\n")
+    cfg = load_experiment_config(path, ("pso", "de"))
+    assert cfg.algorithms == (OptimizerParams("pso", population_size=8, w=0.3), OptimizerParams("de"))
 
 
 def test_resolve_scenario_paths_and_presets(tmp_path):
@@ -450,6 +477,15 @@ def run_cli(args):
     return cli.main(args)
 
 
+def csv_digest(out):
+    """sha256 over a campaign's CSVs in name order; timing.txt holds wall clock."""
+    h = hashlib.sha256()
+    for path in sorted(out.glob("*.csv")):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 def test_cli_help_and_usage_errors(capsys):
     assert run_cli(["--help"]) == 0
     capsys.readouterr()
@@ -459,6 +495,14 @@ def test_cli_help_and_usage_errors(capsys):
     assert run_cli(["compare", "--algorithms", "pso"]) == 1
     err = capsys.readouterr().err
     assert "at least 2 algorithms" in err
+    # each subcommand registers only the flags it reads
+    simulate = ["simulate", "--chunk", "25600", "--attempts", "8", "--timeout", "8"]
+    assert run_cli(simulate + ["--workers", "3"]) == 1
+    assert run_cli(simulate + ["--out", "x"]) == 1
+    assert run_cli(["tune", "--algorithm", "pso", "--runs", "3"]) == 1
+    assert run_cli(["bench", "--algorithm", "pso", "--scenario", "urban"]) == 1
+    assert run_cli(["sweep", "--algorithm", "pso", "--grid", "g.txt", "--workers", "2"]) == 1
+    assert capsys.readouterr().err.count("unrecognized arguments") == 5
 
 
 def test_cli_tune_writes_trace_and_best(tmp_path, capsys):
@@ -524,6 +568,7 @@ def test_cli_compare_small_campaign(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "algorithm" in stdout
     assert "experts" in stdout
+    assert csv_digest(out) == "28b435c2eabdac5b3360b49e24c5749fca40e530ba8260e40e10a8137941e1d7"
 
 
 def test_cli_compare_reads_config_file(tmp_path, capsys):
@@ -536,6 +581,8 @@ def test_cli_compare_reads_config_file(tmp_path, capsys):
         "max_evaluations = 20\n"
         "replications = 1\n"
         f"output_dir = {out}\n"
+        "[pso]\n"
+        "population_size = 8\n"
     )
     rc = run_cli(["compare", "--config", str(cfgfile)])
     assert rc == 0
@@ -543,6 +590,45 @@ def test_cli_compare_reads_config_file(tmp_path, capsys):
     header, rows = read_csv(out / "summary.csv")
     assert [r[0] for r in rows] == ["pso", "ga"]
     capsys.readouterr()
+    assert csv_digest(out) == "ac007181b66b282eb3ead65268c1137069ace8dafefeac69311748cbcafffff0"
+
+
+def test_cli_compare_algorithms_flag_keeps_file_knobs(tmp_path, monkeypatch, capsys):
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(
+        "[campaign]\nalgorithms = pso, ga\nruns = 2\nmax_evaluations = 20\nreplications = 1\n"
+        f"output_dir = {tmp_path / 'out'}\n"
+        "[pso]\npopulation_size = 8\nw = 0.3\n"
+    )
+    seen = []
+
+    def cheap_campaign(config, progress=None):
+        seen.append(config)
+        return run_campaign(config, objective_factory=cheap_factory, progress=progress)
+
+    monkeypatch.setattr(cli, "run_campaign", cheap_campaign)
+    assert run_cli(["compare", "--config", str(cfgfile), "--algorithms", "pso,de"]) == 0
+    capsys.readouterr()
+    assert seen[0].algorithms == (OptimizerParams("pso", population_size=8, w=0.3), OptimizerParams("de"))
+
+
+def test_cli_refuses_misspelt_config_files(tmp_path, capsys):
+    scenario = tmp_path / "typo_scenario.cfg"
+    scenario.write_text("[scenario]\nbase_loss_probability = 0.3\n")
+    rc = run_cli(["simulate", "--chunk", "25600", "--attempts", "8", "--timeout", "8", "--scenario", str(scenario)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(scenario) in err and "'base_loss_probability'" in err
+    small = ["--algorithms", "pso,de", "--runs", "2", "--budget", "5", "--replications", "1", "--out", str(tmp_path / "o")]
+    for text, named in (
+        ("[campaign]\nmax_evaluation = 50\n", "'max_evaluation'"),
+        ("[campaign]\n[psoo]\nw = 0.3\n", "[psoo]"),
+    ):
+        experiment = tmp_path / "typo.cfg"
+        experiment.write_text(text)
+        assert run_cli(["compare", "--config", str(experiment)] + small) == 1
+        err = capsys.readouterr().err
+        assert str(experiment) in err and named in err
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vdtptune.sim import kernels
 from vdtptune.sim.kernels import run_sessions
 from vdtptune.sim.scenario import (
     Scenario,
@@ -298,6 +299,22 @@ def test_golden_event_trace_digest(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == "45cc747a7c5700443ee40f5612394e1298c010b473048c5daa2f9981df33d194"
 
 
+# Reference outputs of Vigna's splitmix64.c for seeds 0 and 1234567.
+SPLITMIX64_KNOWN_ANSWERS = {
+    0: (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F),
+    1234567: (0x599ED017FB08FC85,),
+}
+
+
+def test_splitmix64_known_answers():
+    for seed, words in SPLITMIX64_KNOWN_ANSWERS.items():
+        state = kernels.U64(seed)
+        for word in words:
+            state, z = kernels._mix64(state)
+            assert int(z) == word
+            assert kernels._u01(z) == (word >> 11) * 2**-53
+
+
 # --- scenario plumbing -------------------------------------------------------
 
 
@@ -353,6 +370,13 @@ def test_load_scenario_round_trip(tmp_path):
     assert sc.sessions == 5
     with pytest.raises(ValueError):
         load_scenario(tmp_path / "missing.cfg")
+
+
+def test_load_scenario_refuses_unknown_key(tmp_path):
+    path = tmp_path / "typo.cfg"
+    path.write_text("[scenario]\nbase_loss_probability = 0.3\nlink_up_mean = 5\n")
+    with pytest.raises(ValueError, match=r"typo\.cfg \[scenario\]: unknown key 'base_loss_probability'"):
+        load_scenario(path)
 
 
 def test_human_expert_configs():

@@ -178,6 +178,26 @@ def test_wilcoxon_balanced_large_sample_is_p1():
     assert not res.significant_at_05
 
 
+def test_wilcoxon_normal_branch_matches_scipy():
+    # scipy's normal approximation with tie and continuity corrections is the
+    # oracle for the branch paper-scale campaigns (runs > EXACT_LIMIT) take;
+    # the two agree to about 4e-15 in p.
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(11)
+    for case in range(300):
+        n = int(rng.integers(EXACT_LIMIT + 1, 41))
+        if case % 2:  # integer-valued pairs: tied magnitudes, no zero differences
+            a = rng.integers(0, 10, n).astype(float)
+            b = a + rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0], size=n)
+        else:
+            a, b = rng.normal(size=n), rng.normal(0.3, 1.0, size=n)
+        ours = wilcoxon_signed_rank(a, b)
+        ref = scipy_stats.wilcoxon(a, b, method="approx", correction=True)
+        assert not ours.exact
+        assert ours.statistic == ref.statistic
+        assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-14)
+
+
 # --- friedman ----------------------------------------------------------------
 
 
@@ -232,3 +252,23 @@ def test_friedman_input_validation():
         friedman_ranks([[1.0], [2.0]])
     with pytest.raises(ValueError):
         friedman_ranks([[1.0, 2.0], [1.0, 2.0, 3.0]])
+
+
+def test_friedman_matches_scipy():
+    # friedmanchisquare divides by the tie correction 1 - sum(t^3 - t) / (b k (k^2 - 1));
+    # friedman_ranks does not, so on tied blocks scipy's value times that factor is ours.
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(12)
+    for case in range(300):
+        b, k = int(rng.integers(2, 31)), int(rng.integers(3, 7))
+        if case % 2:
+            m = rng.integers(0, 3, size=(b, k)).astype(float)
+        else:
+            m = rng.normal(size=(b, k))
+        counts = [np.unique(row, return_counts=True)[1] for row in m]  # tied group sizes per block
+        ties = sum(int(np.sum(c**3 - c)) for c in counts)
+        factor = 1.0 - ties / (b * k * (k * k - 1))
+        if factor == 0.0:  # every block constant: scipy's statistic is undefined
+            continue
+        ref = scipy_stats.friedmanchisquare(*m.T).statistic
+        assert friedman_ranks(m).statistic == pytest.approx(ref * factor, rel=1e-14)
