@@ -13,7 +13,11 @@ __all__ = ["field_value", "field_values", "read_cfg"]
 
 def read_cfg(path) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if not cp.read(str(path)):
+    try:
+        found = cp.read(str(path))
+    except configparser.Error as exc:  # no section header, a repeated key, ...
+        raise ValueError(f"{path}: {exc}") from None
+    if not found:
         raise ValueError(f"cannot read config file {path}")
     return cp
 

@@ -58,7 +58,6 @@ def random_search(objective, bounds: Bounds, seed: int = 0, max_evaluations: int
     """Uniform sampling over the box, same budget accounting as the optimizers."""
 
     def search(handle, rng):
-        while True:
-            handle.evaluate(rng.random(bounds.dim))
+        handle.evaluate_batch(rng.random((max_evaluations, bounds.dim)))
 
     return _recorded_run("random", search, objective, bounds, seed, max_evaluations)

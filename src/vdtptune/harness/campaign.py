@@ -107,24 +107,30 @@ def load_experiment_config(path, algorithms=None, **overrides) -> ExperimentConf
     """Experiment description from a .cfg file.
 
     [campaign] holds ExperimentConfig fields, `algorithms` as a comma list; a
-    section per algorithm holds its OptimizerParams knobs; other sections and
-    keys are refused. `algorithms` names replace the file's list but keep its
-    knob sections. Keyword overrides win over file values.
+    section per algorithm holds the OptimizerParams knobs it reads; other
+    sections, keys and knobs are refused, listed algorithms or not.
+    `algorithms` names replace the file's list but keep its knob sections.
+    Keyword overrides win over file values.
     """
     cp = read_cfg(path)
     if not cp.has_section("campaign"):
         raise ValueError(f"{path}: missing [campaign] section")
-    knobs = {}
+    tuned = {}
     for section in cp.sections():
         if section in ALGORITHMS:
-            knobs[section] = field_values(OptimizerParams, cp[section], f"{path} [{section}]", exclude=("algorithm",))
+            source = f"{path} [{section}]"
+            knobs = field_values(OptimizerParams, cp[section], source, exclude=("algorithm",))
+            try:
+                tuned[section] = OptimizerParams(section, **knobs)
+            except ValueError as exc:
+                raise ValueError(f"{source}: {exc}") from exc
         elif section != "campaign":
             raise ValueError(f"{path}: unknown section [{section}]; known: campaign, {', '.join(ALGORITHMS)}")
     campaign = dict(cp["campaign"])
     listed = parse_algorithms(campaign.pop("algorithms", ",".join(ALGORITHMS)))
     kwargs = field_values(ExperimentConfig, campaign, f"{path} [campaign]")
     names = listed if algorithms is None else algorithms
-    kwargs["algorithms"] = tuple(OptimizerParams(name, **knobs.get(name, {})) for name in names)
+    kwargs["algorithms"] = tuple(tuned[name] if name in tuned else OptimizerParams(name) for name in names)
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .. import optimizers
 from ..fitness import evaluate, make_objective
-from ..optimizers import ALGORITHMS, default_params
+from ..optimizers import ALGORITHMS, OptimizerParams
 from ..sim.scenario import preset_names
 from ..sim.transfer import effective_throughput
 from ..space import DEFAULT_BOUNDS, VdtpConfig, bound_violations, quantize_for_protocol
@@ -108,7 +108,7 @@ def build_parser() -> _Parser:
 
 def cmd_tune(args) -> int:
     scenario = resolve_scenario(args.scenario)
-    params = default_params(args.algorithm)
+    params = OptimizerParams(args.algorithm)
     objective = make_objective(scenario, args.replications, args.seed)
     rec = optimizers.run(params, objective, DEFAULT_BOUNDS, seed=args.seed, max_evaluations=args.budget)
 
@@ -156,7 +156,7 @@ def _campaign_config(args) -> ExperimentConfig:
     if args.config:
         return load_experiment_config(args.config, names, **overrides)
     if names is not None:
-        overrides["algorithms"] = tuple(default_params(n) for n in names)
+        overrides["algorithms"] = tuple(OptimizerParams(n) for n in names)
     return ExperimentConfig(**overrides)
 
 
@@ -232,7 +232,7 @@ def cmd_sweep(args) -> int:
 def cmd_bench(args) -> int:
     fn = get_function(args.function)
     bounds = bench_bounds(args.dims)
-    params = default_params(args.algorithm)
+    params = OptimizerParams(args.algorithm)
     bests = []
     baseline = []
     for r in range(args.runs):

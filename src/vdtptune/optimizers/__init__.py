@@ -30,7 +30,6 @@ __all__ = [
     "OptimizerParams",
     "RunRecord",
     "blend_crossover",
-    "default_params",
     "reset_one_gene",
     "run",
     "tournament_pick",
@@ -43,11 +42,6 @@ _RUNNERS = {
     "es": run_es,
     "sa": run_sa,
 }
-
-
-def default_params(algorithm: str, **overrides) -> OptimizerParams:
-    """OptimizerParams with the stock defaults for the given algorithm."""
-    return OptimizerParams(algorithm, **overrides)
 
 
 def run(

@@ -1,7 +1,8 @@
 """Shared machinery for the optimizers.
 
-All algorithms search the unit cube [0, 1]^d; the ObjectiveHandle maps points
-to physical coordinates, enforces the evaluation budget and records the
+All algorithms search the unit cube [0, 1]^d and hand whole generations, as
+(k, d) arrays, to the ObjectiveHandle, which maps them to physical coordinates,
+scores them row by row within the evaluation budget and records the
 best-so-far trace. Variation operators shared between GA, ES and SA live here.
 """
 
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,10 +37,12 @@ class BudgetExhausted(Exception):
 class ObjectiveHandle:
     """Budget-accounted objective over the unit cube.
 
-    evaluate() maps the unit-cube point into the physical bounds, calls the
-    wrapped function, and appends (evaluation_index, best_so_far) to the
-    trace. Once max_evaluations calls have been made it raises
-    BudgetExhausted, which the run loop treats as clean termination.
+    evaluate_batch() maps each row of a (k, dim) unit-cube array into the
+    physical bounds, calls the wrapped function on the rows in order, and
+    appends (evaluation_index, best_so_far) to the trace per row. A batch that
+    overruns max_evaluations is scored up to the budget, then BudgetExhausted
+    is raised, which the run loop treats as clean termination; so the trace
+    does not depend on how a run cuts its candidates into batches.
     """
 
     def __init__(self, fn, bounds: Bounds, max_evaluations: int = 1000):
@@ -56,24 +59,42 @@ class ObjectiveHandle:
         self.time_to_best_s = 0.0
         self._t_start = time.perf_counter()
 
-    def evaluate(self, u) -> float:
-        if self.evaluations_used >= self.max_evaluations:
+    def evaluate_batch(self, points) -> np.ndarray:
+        """Fitness of each row of `points`, a (k, dim) unit-cube array."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.bounds.dim:
+            raise ValueError(f"evaluate_batch needs a (k, {self.bounds.dim}) array, got shape {points.shape}")
+        room = self.max_evaluations - self.evaluations_used
+        fits = np.empty(min(len(points), room))
+        for k, x in enumerate(self.bounds.from_unit(points[: len(fits)])):
+            f = float(self.fn(x))
+            self.evaluations_used += 1
+            if f < self.best_fitness:
+                self.best_fitness = f
+                self.best_position = np.array(x, dtype=float)
+                self.best_eval_index = self.evaluations_used
+                self.time_to_best_s = time.perf_counter() - self._t_start
+            self.trace.append((self.evaluations_used, self.best_fitness))
+            fits[k] = f
+        if len(points) > room:
             raise BudgetExhausted
-        x = self.bounds.from_unit(u)
-        f = float(self.fn(x))
-        self.evaluations_used += 1
-        if f < self.best_fitness:
-            self.best_fitness = f
-            self.best_position = np.array(x, dtype=float)
-            self.best_eval_index = self.evaluations_used
-            self.time_to_best_s = time.perf_counter() - self._t_start
-        self.trace.append((self.evaluations_used, self.best_fitness))
-        return f
+        return fits
+
+
+#: Knobs each algorithm reads besides `generations`; every other knob must
+#: keep its default, so a setting the run would ignore is refused.
+KNOBS = {
+    "pso": ("population_size", "w"),
+    "de": ("population_size", "cr", "mu_de"),
+    "ga": ("population_size", "p_cross", "p_mut", "ga_variant"),
+    "es": ("p_cross", "p_mut", "mu_es", "lambda_es", "es_selection"),
+    "sa": ("alpha_temp", "markov_chain_length", "temp_probes", "target_accept"),
+}
 
 
 @dataclass(frozen=True)
 class OptimizerParams:
-    """Algorithm tag plus tuning knobs. Unused knobs are ignored per algorithm.
+    """Algorithm tag plus the tuning knobs that algorithm reads (see KNOBS).
 
     p_cross / p_mut default differently for GA (0.8 / 0.2) and ES (0.9 / 0.1);
     leave them None to get the per-algorithm default.
@@ -101,6 +122,9 @@ class OptimizerParams:
         if alg not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; known: {ALGORITHMS}")
         object.__setattr__(self, "algorithm", alg)
+        for f in fields(self):
+            if f.name not in ("algorithm", "generations", *KNOBS[alg]) and getattr(self, f.name) != f.default:
+                raise ValueError(f"{alg} does not read {f.name}; its knobs are {', '.join(KNOBS[alg])}")
         if self.p_cross is None:
             object.__setattr__(self, "p_cross", 0.9 if alg == "es" else 0.8)
         if self.p_mut is None:

@@ -41,13 +41,10 @@ def run_de(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> N
     """
     pop = params.population_size
     pos = rng.random((pop, dim))
-    fit = np.empty(pop)
-    for i in range(pop):
-        fit[i] = handle.evaluate(pos[i])
+    fit = handle.evaluate_batch(pos)
 
     while True:
-        new_pos = pos.copy()
-        new_fit = fit.copy()
+        trials = np.empty((pop, dim))
         for i in range(pop):
             picks = rng.choice(pop - 1, size=3, replace=False)
             # skip-index trick keeps the three donors distinct from target i
@@ -55,11 +52,9 @@ def run_de(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> N
             trial_src = mutant_vector(pos[r1], pos[r2], pos[r3], params.mu_de)
             forced = int(rng.integers(dim))
             mask = binomial_mask(rng.random(dim), forced, params.cr)
-            trial = np.where(mask, trial_src, pos[i])
-            np.clip(trial, 0.0, 1.0, out=trial)
-            f = handle.evaluate(trial)
-            if accept_trial(f, fit[i]):
-                new_pos[i] = trial
-                new_fit[i] = f
-        pos = new_pos
-        fit = new_fit
+            trials[i] = np.where(mask, trial_src, pos[i])
+        np.clip(trials, 0.0, 1.0, out=trials)
+        trial_fit = handle.evaluate_batch(trials)
+        accepted = np.array([accept_trial(t, f) for t, f in zip(trial_fit, fit)])
+        pos[accepted] = trials[accepted]
+        fit[accepted] = trial_fit[accepted]

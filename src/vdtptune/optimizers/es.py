@@ -38,13 +38,10 @@ def run_es(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> N
     mu = params.mu_es
     lam = params.lambda_es
     parents = rng.random((mu, dim))
-    parent_fit = np.empty(mu)
-    for i in range(mu):
-        parent_fit[i] = handle.evaluate(parents[i])
+    parent_fit = handle.evaluate_batch(parents)
 
     while True:
         off = np.empty((lam, dim))
-        off_fit = np.empty(lam)
         for k in range(lam):
             do_cross = rng.random() < params.p_cross
             if do_cross and mu >= 2:
@@ -54,9 +51,9 @@ def run_es(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> N
                 child = np.array(parents[int(rng.integers(mu))], dtype=float)
             if rng.random() < params.p_mut:
                 child = reset_one_gene(child, rng)
-            np.clip(child, 0.0, 1.0, out=child)
             off[k] = child
-            off_fit[k] = handle.evaluate(child)
+        np.clip(off, 0.0, 1.0, out=off)
+        off_fit = handle.evaluate_batch(off)
 
         parents, parent_fit = select_survivors(
             parents, parent_fit, off, off_fit, mu, params.es_selection

@@ -34,14 +34,13 @@ def run_ga(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> N
     """Runs until the handle raises BudgetExhausted."""
     pop = params.population_size
     pos = rng.random((pop, dim))
-    fit = np.empty(pop)
-    for i in range(pop):
-        fit[i] = handle.evaluate(pos[i])
+    fit = handle.evaluate_batch(pos)
 
     if params.ga_variant == "steady":
+        # one child per call: each proposal reads the population the last one updated
         while True:
             child = make_offspring(pos, fit, params.p_cross, params.p_mut, rng)
-            f = handle.evaluate(child)
+            (f,) = handle.evaluate_batch(child[None])
             worst = int(np.argmax(fit))
             if f < fit[worst]:
                 pos[worst] = child
@@ -49,11 +48,8 @@ def run_ga(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> N
 
     # generational with one elite carried over
     while True:
-        off = np.empty((pop, dim))
-        off_fit = np.empty(pop)
-        for k in range(pop):
-            off[k] = make_offspring(pos, fit, params.p_cross, params.p_mut, rng)
-            off_fit[k] = handle.evaluate(off[k])
+        off = np.array([make_offspring(pos, fit, params.p_cross, params.p_mut, rng) for _ in range(pop)])
+        off_fit = handle.evaluate_batch(off)
         elite = int(np.argmin(fit))
         if fit[elite] < off_fit.min():
             worst_child = int(np.argmax(off_fit))

@@ -29,38 +29,31 @@ def run_pso(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> 
 
     Coefficients are 2 * U(0,1) drawn per particle per dimension. Velocities
     are clamped to [-1, 1]; positions are clamped to the cube and the
-    velocity coordinate is zeroed on boundary contact.
+    velocity coordinate is zeroed on boundary contact. The leader moves once
+    per generation, after the whole swarm has been scored.
     """
     pop = params.population_size
     pos = rng.random((pop, dim))
     vel = rng.uniform(-1.0, 1.0, (pop, dim))
-
-    fit = np.empty(pop)
-    for i in range(pop):
-        fit[i] = handle.evaluate(pos[i])
-
     pbest = pos.copy()
-    pbest_fit = fit.copy()
+    pbest_fit = handle.evaluate_batch(pos)
     leader_idx = int(np.argmin(pbest_fit))
     leader = pbest[leader_idx].copy()
     leader_fit = float(pbest_fit[leader_idx])
 
     while True:
-        for i in range(pop):
-            phi1 = 2.0 * rng.random(dim)
-            phi2 = 2.0 * rng.random(dim)
-            v = velocity_update(vel[i], pos[i], pbest[i], leader, params.w, phi1, phi2)
-            np.clip(v, -1.0, 1.0, out=v)
-            x = pos[i] + v
-            hit = (x < 0.0) | (x > 1.0)
-            np.clip(x, 0.0, 1.0, out=x)
-            v[hit] = 0.0
-            pos[i] = x
-            vel[i] = v
-            f = handle.evaluate(x)
-            if f < pbest_fit[i]:
-                pbest_fit[i] = f
-                pbest[i] = x.copy()
+        # per particle: dim phi1 draws, then dim phi2 draws
+        phi = 2.0 * rng.random((pop, 2, dim))
+        vel = velocity_update(vel, pos, pbest, leader, params.w, phi[:, 0], phi[:, 1])
+        np.clip(vel, -1.0, 1.0, out=vel)
+        pos = pos + vel
+        hit = (pos < 0.0) | (pos > 1.0)
+        np.clip(pos, 0.0, 1.0, out=pos)
+        vel[hit] = 0.0
+        fit = handle.evaluate_batch(pos)
+        improved = fit < pbest_fit
+        pbest_fit[improved] = fit[improved]
+        pbest[improved] = pos[improved]
         best = int(np.argmin(pbest_fit))
         if pbest_fit[best] < leader_fit:
             leader_fit = float(pbest_fit[best])

@@ -48,18 +48,16 @@ def run_sa(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> N
     holds for markov_chain_length proposals, then cools by alpha_temp.
     """
     current = rng.random(dim)
-    current_fit = handle.evaluate(current)
+    current_fit = float(handle.evaluate_batch(current[None])[0])
 
-    deltas = []
-    for _ in range(params.temp_probes):
-        probe = reset_one_gene(current, rng)
-        deltas.append(handle.evaluate(probe) - current_fit)
-    temperature = initial_temperature(deltas, params.target_accept)
+    probes = np.array([reset_one_gene(current, rng) for _ in range(params.temp_probes)])
+    temperature = initial_temperature(handle.evaluate_batch(probes) - current_fit, params.target_accept)
 
+    # one candidate per call: each proposal starts from the state the last one left
     while True:
         for _ in range(params.markov_chain_length):
             candidate = reset_one_gene(current, rng)
-            f = handle.evaluate(candidate)
+            f = float(handle.evaluate_batch(candidate[None])[0])
             delta = f - current_fit
             if delta <= 0.0:
                 current, current_fit = candidate, f

@@ -22,7 +22,7 @@ from vdtptune.harness.campaign import (
     run_seed,
 )
 from vdtptune.harness.reports import write_campaign_outputs
-from vdtptune.optimizers import ALGORITHMS, OptimizerParams, default_params, run
+from vdtptune.optimizers import ALGORITHMS, OptimizerParams, run
 from vdtptune.optimizers.de import accept_trial, binomial_mask, mutant_vector
 from vdtptune.optimizers.pso import velocity_update
 from vdtptune.optimizers.sa import acceptance_probability
@@ -268,12 +268,12 @@ def test_criterion_5_optimizers_beat_random_search():
     # DE is judged at the Storn & Price (1997) starting step scale: the stock
     # mu_de lies below the critical value, where DE promises no progress, and
     # that stall is asserted below instead.
-    tuned_de = default_params("de", mu_de=0.5)
+    tuned_de = OptimizerParams("de", mu_de=0.5)
     wins = {
-        alg: wins_over_random(tuned_de if alg == "de" else default_params(alg))
+        alg: wins_over_random(tuned_de if alg == "de" else OptimizerParams(alg))
         for alg in ALGORITHMS
     }
-    stock_de = default_params("de")
+    stock_de = OptimizerParams("de")
     f_crit = de_critical_step(stock_de, bounds.dim)
     stock_wins = wins_over_random(stock_de)
     stock_ratio = de_variance_ratio(stock_de, bounds, seeds)

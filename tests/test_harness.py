@@ -450,6 +450,9 @@ def test_run_sweep_validates_knob_values():
     grid = parse_grid("p_cross = 0.5 1.5\n")
     with pytest.raises(ValueError, match="grid line 1: p_cross=1.5"):
         run_sweep("ga", grid, "urban", runs=1, objective_factory=cheap_factory)
+    unread = parse_grid("w = 0.5\nmu_es = 2 3\n")
+    with pytest.raises(ValueError, match="grid line 2: mu_es=2: pso does not read mu_es"):
+        run_sweep("pso", unread, "urban", runs=1, objective_factory=cheap_factory)
 
 
 def test_run_sweep_rows_and_rendering():
@@ -623,6 +626,9 @@ def test_cli_refuses_misspelt_config_files(tmp_path, capsys):
     for text, named in (
         ("[campaign]\nmax_evaluation = 50\n", "'max_evaluation'"),
         ("[campaign]\n[psoo]\nw = 0.3\n", "[psoo]"),
+        ("runs = 3\n[campaign]\n", "no section headers"),
+        ("[campaign]\nruns = 3\nruns = 4\n", "'runs'"),
+        ("[campaign]\n[pso]\nmu_es = 3\n", "[pso]: pso does not read mu_es"),
     ):
         experiment = tmp_path / "typo.cfg"
         experiment.write_text(text)
@@ -643,6 +649,9 @@ def test_cli_sweep(tmp_path, capsys):
     assert (out / "sweep.csv").exists()
     assert "0.4:" in capsys.readouterr().out
     assert run_cli(["sweep", "--algorithm", "pso", "--grid", str(tmp_path / "missing.txt")]) == 1
+    grid.write_text("mu_es = 2 3\n")
+    assert run_cli(["sweep", "--algorithm", "pso", "--grid", str(grid), "--out", str(out)]) == 1
+    assert "grid line 1: mu_es=2: pso does not read mu_es" in capsys.readouterr().err
 
 
 def test_cli_bench(capsys):

@@ -1,16 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from vdtptune.harness.benchfuncs import bench_bounds, sphere
+from vdtptune.harness.benchfuncs import bench_bounds, random_search, sphere
 from vdtptune.optimizers import (
     ALGORITHMS,
     BudgetExhausted,
     ObjectiveHandle,
     OptimizerParams,
     blend_crossover,
-    default_params,
     reset_one_gene,
     run,
     tournament_pick,
@@ -51,6 +51,12 @@ BOUNDS3 = bench_bounds(3)
         dict(algorithm="es", es_selection="elitist"),
         dict(algorithm="ga", ga_variant="island"),
         dict(algorithm="ga", generations=0),
+        dict(algorithm="pso", mu_es=3),
+        dict(algorithm="pso", p_cross=0.8),
+        dict(algorithm="de", w=0.7),
+        dict(algorithm="ga", es_selection="plus"),
+        dict(algorithm="es", population_size=30),
+        dict(algorithm="sa", p_mut=0.1),
     ],
 )
 def test_params_rejected(kwargs):
@@ -93,9 +99,7 @@ def test_handle_maps_unit_cube_to_physical():
     seen = []
     bounds = Bounds(lower=(10.0, -2.0), upper=(20.0, 2.0))
     h = ObjectiveHandle(lambda x: seen.append(np.array(x)) or 0.0, bounds, 10)
-    h.evaluate(np.zeros(2))
-    h.evaluate(np.ones(2))
-    h.evaluate(np.array([0.5, 0.25]))
+    h.evaluate_batch(np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.25]]))
     assert np.allclose(seen[0], [10.0, -2.0])
     assert np.allclose(seen[1], [20.0, 2.0])
     assert np.allclose(seen[2], [15.0, -1.0])
@@ -103,15 +107,35 @@ def test_handle_maps_unit_cube_to_physical():
 
 def test_handle_budget_and_trace():
     h = ObjectiveHandle(lambda x: float(x[0]), Bounds(lower=(0.0,), upper=(1.0,)), 3)
-    assert h.evaluate(np.array([0.5])) == 0.5
-    assert h.evaluate(np.array([0.9])) == 0.9
-    assert h.evaluate(np.array([0.1])) == pytest.approx(0.1)
+    assert h.evaluate_batch(np.array([[0.5], [0.9]])).tolist() == [0.5, 0.9]
+    assert h.evaluate_batch(np.array([[0.1]]))[0] == pytest.approx(0.1)
     with pytest.raises(BudgetExhausted):
-        h.evaluate(np.array([0.2]))
+        h.evaluate_batch(np.array([[0.2]]))
     assert h.evaluations_used == 3
     assert [i for i, _ in h.trace] == [1, 2, 3]
     assert [b for _, b in h.trace] == [0.5, 0.5, pytest.approx(0.1)]
     assert h.best_eval_index == 3
+
+
+def test_handle_batch_straddling_budget_scores_the_rows_that_fit():
+    seen = []
+    h = ObjectiveHandle(lambda x: seen.append(float(x[0])) or float(x[0]), Bounds(lower=(0.0,), upper=(1.0,)), 3)
+    h.evaluate_batch(np.array([[0.5]]))
+    with pytest.raises(BudgetExhausted):
+        h.evaluate_batch(np.array([[0.9], [0.1], [0.05], [0.0]]))
+    assert seen == [0.5, 0.9, pytest.approx(0.1)]
+    assert h.evaluations_used == 3
+    assert [b for _, b in h.trace] == [0.5, 0.5, pytest.approx(0.1)]
+    assert h.best_eval_index == 3
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2), (1, 1, 3)])
+def test_handle_refuses_points_not_shaped_k_by_dim(shape):
+    seen = []
+    h = ObjectiveHandle(lambda x: seen.append(x) or 0.0, BOUNDS3, 10)
+    with pytest.raises(ValueError, match="evaluate_batch needs a"):
+        h.evaluate_batch(np.zeros(shape))
+    assert seen == [] and h.evaluations_used == 0
 
 
 def test_handle_rejects_empty_budget():
@@ -256,7 +280,7 @@ def test_sa_initial_temperature_inverts_target():
 
 @pytest.mark.parametrize("alg", ALGORITHMS)
 def test_run_spends_exact_budget(alg):
-    rec = run(default_params(alg), sphere, BOUNDS3, seed=1, max_evaluations=200)
+    rec = run(OptimizerParams(alg), sphere, BOUNDS3, seed=1, max_evaluations=200)
     assert rec.evaluations == 200
     assert len(rec.trace) == 200
     assert [i for i, _ in rec.trace] == list(range(1, 201))
@@ -271,16 +295,16 @@ def test_run_spends_exact_budget(alg):
 @pytest.mark.parametrize("alg", ALGORITHMS)
 @pytest.mark.parametrize("budget", [20, 30])
 def test_run_handles_partial_generations(alg, budget):
-    rec = run(default_params(alg), sphere, BOUNDS3, seed=2, max_evaluations=budget)
+    rec = run(OptimizerParams(alg), sphere, BOUNDS3, seed=2, max_evaluations=budget)
     assert rec.evaluations == budget
     assert len(rec.trace) == budget
 
 
 @pytest.mark.parametrize("alg", ALGORITHMS)
 def test_run_deterministic_per_seed(alg):
-    a = run(default_params(alg), sphere, BOUNDS3, seed=9, max_evaluations=150)
-    b = run(default_params(alg), sphere, BOUNDS3, seed=9, max_evaluations=150)
-    c = run(default_params(alg), sphere, BOUNDS3, seed=10, max_evaluations=150)
+    a = run(OptimizerParams(alg), sphere, BOUNDS3, seed=9, max_evaluations=150)
+    b = run(OptimizerParams(alg), sphere, BOUNDS3, seed=9, max_evaluations=150)
+    c = run(OptimizerParams(alg), sphere, BOUNDS3, seed=10, max_evaluations=150)
     assert a.trace == b.trace
     assert np.array_equal(a.best_position, b.best_position)
     assert a.best_fitness == b.best_fitness
@@ -290,7 +314,7 @@ def test_run_deterministic_per_seed(alg):
 
 @pytest.mark.parametrize("alg", ALGORITHMS)
 def test_run_improves_on_initial_sample(alg):
-    rec = run(default_params(alg), sphere, BOUNDS3, seed=3, max_evaluations=1000)
+    rec = run(OptimizerParams(alg), sphere, BOUNDS3, seed=3, max_evaluations=1000)
     first = rec.trace[0][1]
     assert rec.best_fitness < first
     assert rec.best_fitness < 1.0  # 3-d sphere over [-5, 5]^3 with 1000 evals
@@ -310,13 +334,32 @@ def test_run_generations_cap_must_fit_budget():
 
 def test_run_positions_respect_bounds():
     for alg in ALGORITHMS:
-        rec = run(default_params(alg), sphere, BOUNDS3, seed=4, max_evaluations=100)
+        rec = run(OptimizerParams(alg), sphere, BOUNDS3, seed=4, max_evaluations=100)
         assert np.all(rec.best_position >= -5.0)
         assert np.all(rec.best_position <= 5.0)
 
 
 def test_best_config_requires_three_dimensions():
-    rec = run(default_params("pso"), sphere, bench_bounds(2), seed=0, max_evaluations=50)
+    rec = run(OptimizerParams("pso"), sphere, bench_bounds(2), seed=0, max_evaluations=50)
     assert rec.best_config is None
-    rec3 = run(default_params("pso"), sphere, BOUNDS3, seed=0, max_evaluations=50)
+    rec3 = run(OptimizerParams("pso"), sphere, BOUNDS3, seed=0, max_evaluations=50)
     assert rec3.best_config is not None
+
+
+# Digest of (trace, best position, best index) over the stock algorithms, steady
+# GA, plus-selection ES and random search; budgets 37 and 200 stop mid-generation.
+GOLDEN_TRACES_SHA256 = "e08bd3921084c171ad74f6ff52a6d9097b69535e140d0f39b469eeed2aa6caae"
+
+
+def test_golden_run_traces():
+    cases = [OptimizerParams(alg) for alg in ALGORITHMS] + [
+        OptimizerParams("ga", ga_variant="steady"),
+        OptimizerParams("es", mu_es=4, lambda_es=20, es_selection="plus"),
+    ]
+    digest = hashlib.sha256()
+    for budget in (37, 200):
+        records = [run(p, sphere, BOUNDS3, seed=7, max_evaluations=budget) for p in cases]
+        records.append(random_search(sphere, BOUNDS3, seed=7, max_evaluations=budget))
+        for rec in records:
+            digest.update(repr((rec.trace, rec.best_position.tolist(), rec.best_eval_index)).encode())
+    assert digest.hexdigest() == GOLDEN_TRACES_SHA256
