@@ -7,8 +7,11 @@ with numba when available; set VDTPTUNE_DISABLE_NUMBA=1 to force the
 pure-Python path (same source, same random stream, bit-identical results;
 `python3 vdtpbench/run.py` compares the two paths when numba is installed).
 
-Randomness is a splitmix64 stream driven by explicit uint64 state, so compiled
-and interpreted execution consume identical draws.
+Randomness is a splitmix64 stream driven by explicit 64-bit state, so compiled
+and interpreted execution consume identical draws. Besides `_njit`, `U64` is
+the one binding that differs between the paths: the compiled path works in
+np.uint64, which numba turns into machine words; the pure path works in Python
+ints masked to 64 bits, which wrap the same way without numpy scalar overhead.
 """
 
 from __future__ import annotations
@@ -31,25 +34,29 @@ if not _DISABLED:
         from numba import njit as _njit
 
         NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # numba is the optional `jit` extra
         NUMBA_ENABLED = False
 else:
     NUMBA_ENABLED = False
 
-if not NUMBA_ENABLED:
+
+def _masked_int(x):
+    """Python-int stand-in for np.uint64: reduce modulo 2^64."""
+    return int(x) & 0xFFFF_FFFF_FFFF_FFFF
+
+
+if NUMBA_ENABLED:
+    U64 = np.uint64
+else:
 
     def _njit(*args, **kwargs):
-        # numpy scalar uint64 arithmetic wraps like the compiled path but
-        # raises RuntimeWarning on overflow; silence it for the fallback.
-        def wrap(fn):
-            return np.errstate(over="ignore")(fn)
-
         if args and callable(args[0]):
-            return wrap(args[0])
-        return wrap
+            return args[0]
+        return lambda fn: fn
+
+    U64 = _masked_int
 
 
-U64 = np.uint64
 _GOLDEN = U64(0x9E3779B97F4A7C15)
 _MIX1 = U64(0xBF58476D1CE4E5B9)
 _MIX2 = U64(0x94D049BB133111EB)

@@ -49,7 +49,6 @@ class FriedmanTable:
     mean_ranks: tuple
     blocks: int
     statistic: float
-    iman_davenport: bool
 
 
 def summarize(sample) -> SampleSummary:
@@ -151,12 +150,11 @@ def wilcoxon_signed_rank(a, b) -> PairedTestResult:
     return PairedTestResult(statistic, p, n, p < 0.05, False)
 
 
-def friedman_ranks(results, iman_davenport: bool = False) -> FriedmanTable:
+def friedman_ranks(results) -> FriedmanTable:
     """Friedman mean ranks over a blocks x algorithms matrix (lower = better).
 
     Within each block algorithms are ranked 1 = best with ties averaged.
-    The statistic is the Friedman chi-square, or the Iman-Davenport F
-    transform of it when the flag is set. The chi-square carries no tie
+    The statistic is the Friedman chi-square. It carries no tie
     correction: on blocks with tied values it is smaller than
     scipy.stats.friedmanchisquare by the factor
     1 - sum(t^3 - t) / (b k (k^2 - 1)) over the tied groups.
@@ -177,9 +175,4 @@ def friedman_ranks(results, iman_davenport: bool = False) -> FriedmanTable:
 
     rank_sums = rank_rows.sum(axis=0)
     chi2 = 12.0 / (b * k * (k + 1)) * float(np.sum(rank_sums**2)) - 3.0 * b * (k + 1)
-    if not iman_davenport:
-        return FriedmanTable(tuple(float(r) for r in mean_ranks), b, chi2, False)
-
-    denom = b * (k - 1) - chi2
-    stat = math.inf if denom <= 0.0 else (b - 1) * chi2 / denom
-    return FriedmanTable(tuple(float(r) for r in mean_ranks), b, stat, True)
+    return FriedmanTable(tuple(float(r) for r in mean_ranks), b, chi2)

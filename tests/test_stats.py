@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -209,7 +208,6 @@ def test_friedman_hand_table():
     assert table.blocks == 4
     # chi2 = 12/(4*3*4) * (4^2 + 8^2 + 12^2) - 3*4*4 = 56 - 48 = 8
     assert table.statistic == pytest.approx(8.0)
-    assert not table.iman_davenport
 
 
 def test_friedman_no_difference():
@@ -217,23 +215,6 @@ def test_friedman_no_difference():
     table = friedman_ranks(m)
     assert table.mean_ranks == (1.5, 1.5)
     assert table.statistic == pytest.approx(0.0)
-
-
-def test_friedman_iman_davenport_transform():
-    # one dissenting block keeps chi2 below its ceiling: chi2 = 6.5, F = 13
-    m = [[1.0, 2.0, 3.0]] * 3 + [[2.0, 1.0, 3.0]]
-    plain = friedman_ranks(m).statistic
-    assert plain == pytest.approx(6.5)
-    table = friedman_ranks(m, iman_davenport=True)
-    assert table.iman_davenport
-    assert table.statistic == pytest.approx(13.0)
-
-
-def test_friedman_iman_davenport_saturated():
-    # chi2 hits its maximum b(k-1); the F transform degenerates to inf
-    m = [[1.0, 2.0]] * 3
-    table = friedman_ranks(m, iman_davenport=True)
-    assert math.isinf(table.statistic)
 
 
 def test_friedman_mean_rank_sum_identity():
