@@ -61,9 +61,7 @@ def evaluate(config: VdtpConfig, scenario: Scenario, n: int = DEFAULT_REPLICATIO
     if n < 1:
         raise ValueError("n must be >= 1")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
-    outcomes = tuple(
-        simulate_replication(config, scenario, child) for child in ss.spawn(n)
-    )
+    outcomes = tuple(simulate_replication(config, scenario, ss.spawn(n)))
     fit = aggregate_fitness(_outcome_term(o) for o in outcomes)
     return FitnessReport(fitness=fit, replications=outcomes, config=config, n=n)
 

@@ -1,11 +1,16 @@
 """Hot inner loops of the transfer simulator.
 
 The session kernel is a plain event loop over request/reply exchanges with a
-two-state (up/down) channel process, and the only implementation of the
-session protocol: it can also record the session's event log. It is compiled
-with numba when available; set VDTPTUNE_DISABLE_NUMBA=1 to force the
-pure-Python path (same source, same random stream, bit-identical results;
-`python3 vdtpbench/run.py` compares the two paths when numba is installed).
+two-state (up/down) channel process; it can also record the session's event
+log. It is compiled with numba when available; set VDTPTUNE_DISABLE_NUMBA=1 to
+force the pure-Python path (same source, same random stream, bit-identical
+results; `python3 vdtpbench/run.py` compares the two paths when numba is
+installed).
+
+The lane kernel, `run_lanes`, is the protocol's one other implementation: the
+sessions of many replications as lanes of numpy arrays, one attempt per lane
+per loop iteration, bit-identical to `run_sessions` seed by seed. Without
+numba it runs every replicated simulation; numba never compiles it.
 
 Randomness is a splitmix64 stream driven by explicit 64-bit state, so compiled
 and interpreted execution consume identical draws. Besides `_njit`, `U64` is
@@ -21,7 +26,14 @@ import os
 
 import numpy as np
 
-__all__ = ["EVENT_KINDS", "NUMBA_ENABLED", "PACKET_TYPES", "run_sessions", "session_kernel"]
+__all__ = [
+    "EVENT_KINDS",
+    "NUMBA_ENABLED",
+    "PACKET_TYPES",
+    "run_lanes",
+    "run_sessions",
+    "session_kernel",
+]
 
 _DISABLED = os.environ.get("VDTPTUNE_DISABLE_NUMBA", "").strip().lower() in (
     "1",
@@ -257,3 +269,192 @@ def run_sessions(
         delivered[s] = d
         refused[s] = r
     return times, lost, delivered, refused
+
+
+# --- lane kernel -------------------------------------------------------------
+#
+# The session protocol once more, vectorised over lanes: every lane is one
+# session, and each loop iteration makes one attempt (request, and the reply
+# if the request got through) on every lane still running. It reproduces
+# session_kernel bit for bit, which fixes three rules: float additions keep
+# the scalar order, dwell times use math.log (np.log differs from it in the
+# last bit on about 0.3 % of inputs), and 64-bit integer arithmetic is done
+# on arrays only, which wrap silently where numpy scalars warn. A step costs
+# a fixed number of numpy calls whatever the width, so the operands are 0-d
+# arrays, which numpy combines with arrays faster than it does scalars.
+
+_GOLDEN_A, _MIX1_A, _MIX2_A = (np.array(int(c), np.uint64) for c in (_GOLDEN, _MIX1, _MIX2))
+_R11, _R27, _R30, _R31 = (np.array(k, np.uint64) for k in (11, 27, 30, 31))
+_ONE = np.array(1, np.int64)
+# states of the request and reply draws of an attempt in which the link
+# does not switch: one and two gammas on
+_STEPS = np.array([[1], [2]], np.uint64) * _GOLDEN_A
+
+
+def _mix_lanes(state):
+    """splitmix64's output word for every state of a uint64 array: the z that
+    _mix64 returns once it has added the gamma that reaches that state."""
+    z = state >> _R30
+    z ^= state
+    z *= _MIX1_A
+    z ^= z >> _R27
+    z *= _MIX2_A
+    z ^= z >> _R31
+    return z
+
+
+def _u01_lanes(z):
+    return (z >> _R11) * _INV53
+
+
+def _pass_threshold(succ_p):
+    """k such that (z >> 11) < k exactly when _u01(z) < succ_p: _u01(z) is
+    (z >> 11) / 2^53 without rounding, so k = ceil(succ_p * 2^53)."""
+    return np.array(math.ceil(succ_p * 2.0**53), np.uint64)
+
+
+def _session_seeds(seeds, n_sessions):
+    """The seed run_sessions hands session s of replication r: draw s + 1 of
+    r's stream, mix(seeds[r] + (s + 1) * gamma), since splitmix64 is a Weyl
+    sequence fed through a mixer. Shape (len(seeds), n_sessions)."""
+    steps = _GOLDEN_A * np.arange(1, n_sessions + 1, dtype=np.uint64)
+    return _mix_lanes(np.asarray(seeds, np.uint64).reshape(-1, 1) + steps)
+
+
+def _dwells(up, u, up_mean, down_mean):
+    """Exponential dwell times of the new link states `up` from uniforms `u`."""
+    return [
+        -(up_mean if lu else down_mean) * math.log(1.0 - x)
+        for lu, x in zip(up.tolist(), u.tolist())
+    ]
+
+
+def _cross_switches(mask, arrival, state, up, t_switch, up_mean, down_mean):
+    """session_kernel's `while t_switch <= arrival` loop for the lanes in
+    `mask`, one switch of every such lane per round."""
+    idx = np.flatnonzero(mask)
+    while idx.size:
+        lu = ~up[idx]
+        up[idx] = lu
+        s = state[idx] + _GOLDEN_A
+        state[idx] = s
+        t_switch[idx] += _dwells(lu, _u01_lanes(_mix_lanes(s)), up_mean, down_mean)
+        idx = idx[t_switch[idx] <= arrival[idx]]
+
+
+def _attempt_switching(state, up, t_switch, req_arr, rep_arr, k_pass, up_mean, down_mean):
+    """One attempt of every lane in the scalar kernel's order: switches,
+    request draw, switches, reply draw. Updates the arrays in place and
+    returns which replies got through."""
+    _cross_switches(t_switch <= req_arr, req_arr, state, up, t_switch, up_mean, down_mean)
+    state += _GOLDEN_A
+    req_ok = (_mix_lanes(state) >> _R11) < k_pass
+    req_ok &= up
+    _cross_switches(req_ok & (t_switch <= rep_arr), rep_arr, state, up, t_switch, up_mean, down_mean)
+    np.add(state, _GOLDEN_A, out=state, where=req_ok)
+    rep_ok = (_mix_lanes(state) >> _R11) < k_pass
+    rep_ok &= up
+    rep_ok &= req_ok
+    return rep_ok
+
+
+def run_lanes(
+    n_sessions,
+    chunk_bytes,
+    attempts,
+    timeout_s,
+    file_size,
+    header_bytes,
+    bandwidth,
+    prop_delay,
+    eff_loss,
+    up_mean,
+    down_mean,
+    seeds,
+):
+    """run_sessions for every seed in `seeds` at once, each session a lane.
+
+    Returns (times, lost, delivered, refused), each of shape
+    (len(seeds), n_sessions); row r equals run_sessions(n_sessions, ...,
+    seeds[r]) bit for bit and dtype for dtype. A lane's splitmix64 state
+    lives in a uint64 array and its seed comes by counter (_session_seeds).
+    An iteration in which no link switches before its reply would arrive
+    draws both words of every attempt in one mix; any other runs the
+    attempts in the scalar order (_attempt_switching).
+    Lanes that finish are compacted out, so a long lane does not pay for the
+    width it started with.
+    """
+    state = _session_seeds(seeds, n_sessions).ravel()
+    width = state.size
+    if math.isinf(up_mean):
+        up = np.ones(width, np.bool_)
+        t_switch = np.full(width, math.inf)
+    else:
+        state += _GOLDEN_A
+        up = _u01_lanes(_mix_lanes(state)) < up_mean / (up_mean + down_mean)
+        state += _GOLDEN_A
+        t_switch = np.array(_dwells(up, _u01_lanes(_mix_lanes(state)), up_mean, down_mean))
+
+    n = (file_size + chunk_bytes - 1) // chunk_bytes
+    tx_req = header_bytes * 8.0 / bandwidth
+    # reply transmission time by the number of requests still to answer:
+    # the handshake's (n + 1), full chunks' (n to 2), the last chunk's (1)
+    tx_rep = np.full(n + 2, (header_bytes + chunk_bytes) * 8.0 / bandwidth)
+    tx_rep[n + 1] = (header_bytes + 0) * 8.0 / bandwidth
+    tx_rep[1] = (header_bytes + file_size - (n - 1) * chunk_bytes) * 8.0 / bandwidth
+    tx_req, prop_delay, timeout_s = (np.array(float(x)) for x in (tx_req, prop_delay, timeout_s))
+    budget = np.array(attempts, np.int64)
+    k_pass = _pass_threshold(1.0 - eff_loss)
+
+    times = np.empty(width)
+    lost_out = np.empty(width)
+    delivered = np.empty(width, np.int64)
+    refused = np.empty(width, np.bool_)
+    lane = np.arange(width)
+    t = np.zeros(width)
+    todo = np.full(width, n + 1, np.int64)  # requests still to answer
+    left = np.full(width, attempts, np.int64)  # attempts left for the one in flight
+    lost = np.zeros(width, np.int64)
+    while lane.size:
+        if np.count_nonzero(np.minimum(todo, left)) < lane.size:
+            done = (todo == 0) | (left == 0)
+            out, to_go = lane[done], todo[done]
+            times[out] = t[done]
+            lost_out[out] = lost[done]
+            refused[out] = to_go > 0
+            delivered[out] = np.where(to_go > 0, np.maximum(n - to_go, 0) * chunk_bytes, file_size)
+            keep = ~done
+            lane, state, up, t_switch, t, todo, left, lost = (
+                a[keep] for a in (lane, state, up, t_switch, t, todo, left, lost)
+            )
+            continue
+
+        req_arr = t + tx_req
+        req_arr += prop_delay
+        rep_arr = req_arr + tx_rep[todo]
+        rep_arr += prop_delay
+        if np.count_nonzero(t_switch <= rep_arr):
+            rep_ok = _attempt_switching(state, up, t_switch, req_arr, rep_arr, k_pass, up_mean, down_mean)
+        else:
+            draws = state + _STEPS
+            passed = (_mix_lanes(draws) >> _R11) < k_pass
+            req_ok = passed[0] & up
+            rep_ok = passed[1] & req_ok
+            state = draws[0]
+            np.copyto(state, draws[1], where=req_ok)
+
+        lost += ~rep_ok
+        win = rep_ok & (rep_arr - t <= timeout_s)
+        t += timeout_s
+        np.copyto(t, rep_arr, where=win)
+        todo -= win
+        left -= _ONE
+        np.copyto(left, budget, where=win)
+
+    shape = (-1, n_sessions)
+    return (
+        times.reshape(shape),
+        lost_out.reshape(shape),
+        delivered.reshape(shape),
+        refused.reshape(shape),
+    )

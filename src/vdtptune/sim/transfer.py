@@ -3,21 +3,29 @@
 The transfer opens with a size handshake (FIRQ/FIRP), then fetches the file
 chunk by chunk (DRQ/DRP). Unanswered requests are retransmitted after the
 timeout; exhausting the attempt budget on any one request refuses the session.
+
+`simulate_replication` is the one entry point for replicated runs. Without
+numba it hands all sessions of all replications to the lane kernel in one
+call; with numba it runs the compiled `run_sessions` once per replication.
+Both give the same bits, and this is the one place that branches on the
+backend.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from ..space import VdtpConfig, quantize_for_protocol
-from .kernels import EVENT_KINDS, PACKET_TYPES, run_sessions, session_kernel
+from .kernels import EVENT_KINDS, NUMBA_ENABLED, PACKET_TYPES, run_lanes, run_sessions, session_kernel
 from .scenario import Scenario
 
 __all__ = [
+    "Replications",
     "TransferOutcome",
     "SessionResult",
     "n_chunks",
@@ -61,6 +69,19 @@ class TransferOutcome:
         return self.data_transferred_kbytes / self.sessions
 
 
+class Replications(tuple):
+    """The TransferOutcomes of several replications, in seed order, with
+    session totals over all of them."""
+
+    @property
+    def sessions(self) -> int:
+        return sum(o.sessions for o in self)
+
+    @property
+    def refused_sessions(self) -> int:
+        return sum(o.refused_sessions for o in self)
+
+
 def _kernel_args(config, scenario: Scenario):
     if isinstance(config, VdtpConfig):
         chunk_bytes, attempts, timeout_s = quantize_for_protocol(config)
@@ -100,22 +121,33 @@ def simulate_session(config, scenario: Scenario, seed) -> SessionResult:
     return SessionResult(float(t), int(lost), int(delivered), bool(refused))
 
 
-def simulate_replication(config, scenario: Scenario, seed) -> TransferOutcome:
+def simulate_replication(config, scenario: Scenario, seed):
     """Run `scenario.sessions` independent sessions and aggregate.
 
-    Refused sessions contribute their time-until-refusal to the mean time;
-    data is the total payload delivered across all sessions, in kBytes.
+    `seed` is one seed (an int or a SeedSequence), which gives one
+    TransferOutcome, or a sequence or 1-D array of seeds, one per
+    replication, which gives their Replications. Refused sessions
+    contribute their time-until-refusal to the mean time; data is the total
+    payload delivered across all sessions, in kBytes.
     """
+    several = isinstance(seed, (Sequence, np.ndarray))
+    kernel_seeds = [_as_kernel_seed(s) for s in (seed if several else (seed,))]
     args = _kernel_args(config, scenario)
-    times, lost, delivered, refused = run_sessions(
-        scenario.sessions, *args, _as_kernel_seed(seed)
-    )
+    if NUMBA_ENABLED:
+        rows = [run_sessions(scenario.sessions, *args, s) for s in kernel_seeds]
+    else:
+        rows = zip(*run_lanes(scenario.sessions, *args, kernel_seeds))
+    outcomes = Replications(_outcome(*row) for row in rows)
+    return outcomes if several else outcomes[0]
+
+
+def _outcome(times, lost, delivered, refused) -> TransferOutcome:
     n_refused = int(np.count_nonzero(refused))
     return TransferOutcome(
         transmission_time_s=float(np.mean(times)),
         lost_packets=float(np.mean(lost)),
         data_transferred_kbytes=float(np.sum(delivered)) / 1024.0,
-        completed_sessions=scenario.sessions - n_refused,
+        completed_sessions=len(times) - n_refused,
         refused_sessions=n_refused,
     )
 

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vdtptune import fitness
 from vdtptune.fitness import (
     C_CONSTANT,
+    FitnessReport,
     aggregate_fitness,
     evaluate,
     fitness_term,
     make_objective,
 )
+from vdtptune.sim.kernels import run_sessions
 from vdtptune.sim.scenario import human_expert_config, preset
+from vdtptune.sim.transfer import TransferOutcome, _kernel_args
 from vdtptune.space import VdtpConfig
 
 
@@ -70,6 +74,62 @@ def test_evaluate_accepts_seedsequence():
 def test_evaluate_rejects_bad_n():
     with pytest.raises(ValueError):
         evaluate(human_expert_config("urban"), preset("urban"), n=0, seed=1)
+
+
+def _report_replication_by_replication(config, scenario, n, seed):
+    """evaluate() as it was written before the lane kernel: one scalar
+    run_sessions call and one aggregate per replication."""
+    outcomes = []
+    for child in seed.spawn(n):
+        kernel_seed = child.generate_state(1, np.uint64)[0]
+        times, lost, delivered, refused = run_sessions(
+            scenario.sessions, *_kernel_args(config, scenario), kernel_seed
+        )
+        n_refused = int(np.count_nonzero(refused))
+        outcomes.append(
+            TransferOutcome(
+                transmission_time_s=float(np.mean(times)),
+                lost_packets=float(np.mean(lost)),
+                data_transferred_kbytes=float(np.sum(delivered)) / 1024.0,
+                completed_sessions=scenario.sessions - n_refused,
+                refused_sessions=n_refused,
+            )
+        )
+    terms = [fitness_term(o.transmission_time_s, o.lost_packets, o.per_session_kbytes()) for o in outcomes]
+    return FitnessReport(fitness=aggregate_fitness(terms), replications=tuple(outcomes), config=config, n=n)
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+@pytest.mark.parametrize(
+    "name, config",
+    [("urban", None), ("highway", VdtpConfig(300.0, 2.0, 1.0)), ("urban_a3", VdtpConfig(2048.0, 1.0, 2.5))],
+)
+def test_evaluate_matches_replication_by_replication(name, config, n):
+    sc = preset(name)
+    config = config or human_expert_config(sc)
+    seed = np.random.SeedSequence(2024, spawn_key=(1, n))
+    want = _report_replication_by_replication(config, sc, n, np.random.SeedSequence(2024, spawn_key=(1, n)))
+    assert repr(evaluate(config, sc, n=n, seed=seed)) == repr(want)
+
+
+def test_evaluate_simulates_all_replications_in_one_call(monkeypatch):
+    """evaluate reaches the simulator through fitness.simulate_replication,
+    once, and what comes back counts every session (the benchmark's tracer
+    wraps that name and reads these totals)."""
+    calls = []
+    original = fitness.simulate_replication
+
+    def spy(config, scenario, seed):
+        out = original(config, scenario, seed)
+        calls.append((len(seed), out.sessions, out.refused_sessions))
+        return out
+
+    monkeypatch.setattr(fitness, "simulate_replication", spy)
+    sc = preset("highway")
+    report = evaluate(VdtpConfig(300.0, 2.0, 1.0), sc, n=4, seed=3)
+    refused = sum(o.refused_sessions for o in report.replications)
+    assert calls == [(4, 4 * sc.sessions, refused)]
+    assert refused > 0
 
 
 def test_objective_replays_identically():

@@ -22,6 +22,7 @@ from vdtptune.sim.scenario import (
 )
 from vdtptune.sim.transfer import (
     _kernel_args,
+    _outcome,
     effective_throughput,
     n_chunks,
     simulate_replication,
@@ -348,6 +349,153 @@ def test_uint64_and_python_int_helpers_agree():
             assert 0 <= z_int < 2**64
             u_np, u_int = u01_np(z_np), u01_int(z_int)
             assert u_np == u_int and 0.0 <= u_int < 1.0
+
+
+# --- lane kernel -------------------------------------------------------------
+#
+# run_lanes must give, for every replication seed, the rows run_sessions gives
+# for that seed: the same floats (compared by repr), the same counts, the same
+# dtypes. The cases cover each branch of the protocol: an always-up channel,
+# total loss, no loss, one session, a single attempt, replies that arrive after
+# the timeout, lanes refused early at different requests, and lanes whose link
+# switches thousands of times.
+
+# the handshake's round trip in the default radio: its reply lands exactly at
+# a timeout this long, and the scalar kernel counts that as in time
+_HANDSHAKE_RTT = ((64 * 8.0 / 5.5e6 + 0.002) + 64 * 8.0 / 5.5e6) + 0.002
+
+LANE_CASES = {
+    "urban_expert": ("urban", None, 20),
+    "highway_expert": ("highway", None, 20),
+    "urban_a3_expert": ("urban_a3", None, 20),
+    "always_up": ("urban", None, dict(link_up_mean_s=math.inf, base_loss_prob=0.05)),
+    "total_loss": ("urban", (25600, 3, 2.0), dict(base_loss_prob=1.0)),
+    "lossless": ("urban", (25600, 8, 8.0), dict(base_loss_prob=0.0, link_up_mean_s=math.inf)),
+    "one_session": ("highway", None, 1),
+    "one_attempt": ("highway", (8192, 1, 5.0), 20),
+    "late_replies": ("urban", (524288, 3, 0.5), 20),
+    "reply_at_timeout": ("urban", (2048, 1, _HANDSHAKE_RTT), dict(base_loss_prob=0.0, link_up_mean_s=math.inf)),
+    "tail_300_2_1": ("urban", (300, 2, 1.0), 5),
+    "highway_tail_300_2_1": ("highway", (300, 2, 1.0), 20),
+    "highway_128_44_3.4": ("highway", (128, 44, 3.4), 1),
+}
+
+
+def _lane_case(name):
+    preset_name, config, change = LANE_CASES[name]
+    change = change if isinstance(change, dict) else dict(sessions=change)
+    sc = dataclasses.replace(preset(preset_name), **change)
+    return sc, _kernel_args(config or human_expert_config(sc), sc)
+
+
+def _replication_seeds(reps):
+    return np.random.default_rng(reps).integers(0, 2**64, reps, dtype=np.uint64)
+
+
+def _rows(arrays):
+    return [(repr(a.tolist()), a.dtype) for a in arrays]
+
+
+@pytest.mark.parametrize("reps", [1, 3, 10])
+@pytest.mark.parametrize("case", sorted(LANE_CASES))
+def test_lanes_match_run_sessions(case, reps):
+    sc, args = _lane_case(case)
+    seeds = _replication_seeds(reps)
+    lanes = kernels.run_lanes(sc.sessions, *args, seeds)
+    assert all(a.shape == (reps, sc.sessions) for a in lanes)
+    for r, seed in enumerate(seeds):
+        scalar = run_sessions(sc.sessions, *args, seed)
+        assert _rows(a[r] for a in lanes) == _rows(scalar)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numba") is None, reason="numba is not installed")
+def test_compiled_replications_match_lanes():
+    """With numba, simulate_replication loops the compiled run_sessions;
+    its outcomes must be those the lane kernel gives."""
+    if not kernels.NUMBA_ENABLED:
+        pytest.skip("numba is disabled by VDTPTUNE_DISABLE_NUMBA")
+    for case in sorted(LANE_CASES):
+        sc, args = _lane_case(case)
+        for reps in (1, 3, 10):
+            seeds = [int(s) for s in _replication_seeds(reps)]
+            lanes = kernels.run_lanes(sc.sessions, *args, seeds)
+            compiled = simulate_replication(args[:3], sc, seeds)
+            assert compiled == tuple(_outcome(*(a[r] for a in lanes)) for r in range(reps))
+
+
+def test_counter_draws_match_mix64_steps():
+    """Draw j of the splitmix64 stream from `seed` is mix(seed + j * gamma mod
+    2^64), including seeds near 2^64 - 1, where the sum wraps."""
+    gamma = int(kernels._GOLDEN)
+    top = 2**64 - 1
+    rng = np.random.default_rng(7)
+    seeds = [0, 1, top, top - 1, top - gamma + 1, top - gamma, top - gamma - 1]
+    seeds += [int(s) for s in rng.integers(0, 2**64, 50, dtype=np.uint64)]
+    draws = 12
+    for seed, row in zip(seeds, kernels._session_seeds(seeds, draws).tolist()):
+        state = kernels.U64(seed)
+        for j in range(draws):
+            state, z = kernels._mix64(state)
+            assert row[j] == int(z)
+
+
+def test_pass_threshold_splits_words_like_u01():
+    rng = np.random.default_rng(3)
+    # rng.random() gives multiples of 2^-53, on which ceil and floor agree;
+    # thirds of them and small probabilities are not
+    probs = [0.0, 1.0, 0.5, 0.996, 0.97, 1.0 - 0.95, 0.1, 1 / 3, 2.0**-60, 1.0 - 2.0**-53]
+    for succ_p in probs + list(rng.random(200) / 3):
+        k = int(kernels._pass_threshold(succ_p))
+        for word in {w for w in (k - 1, k, k + 1) if 0 <= w < 2**53}:
+            for low_bits in (0, 2**11 - 1):
+                z = np.array([(word << 11) | low_bits], np.uint64)
+                assert bool((z >> kernels._R11)[0] < k) == (kernels._u01(kernels.U64(int(z[0]))) < succ_p)
+
+
+def test_dwells_round_like_the_scalar_kernel():
+    """Dwell times are session_kernel's -mean * math.log(1 - u), to the bit.
+    A vectorised np.log rounds differently on about 0.35 % of inputs; a switch
+    time one ulp off almost never changes an outcome, so only this shows it."""
+    rng = np.random.default_rng(11)
+    u = rng.random(20_000)
+    up = rng.random(20_000) < 0.8
+    want = [-(12.0 if lu else 3.0) * math.log(1.0 - x) for lu, x in zip(up.tolist(), u.tolist())]
+    assert kernels._dwells(up, u, 12.0, 3.0) == want
+
+
+def test_session_seeds_are_what_run_sessions_hands_the_kernel(monkeypatch):
+    seen = []
+
+    def record(*args):
+        seen.append(int(args[10]))
+        return 0.0, 0, 0, False, 0
+
+    sc = preset("urban")
+    args = _kernel_args(human_expert_config(sc), sc)
+    seeds = [0, 2**64 - 1, 2**64 - int(kernels._GOLDEN), 12345]
+    monkeypatch.setattr(kernels, "session_kernel", record)
+    scalar = getattr(kernels.run_sessions, "py_func", kernels.run_sessions)
+    for seed in seeds:
+        scalar(7, *args, kernels.U64(seed))
+    monkeypatch.undo()
+    assert kernels._session_seeds(seeds, 7).ravel().tolist() == seen
+
+
+def test_replication_of_several_seeds():
+    sc = preset("urban")
+    cfg = human_expert_config(sc)
+    seeds = [5, np.random.SeedSequence(6), np.uint64(2**64 - 1)]
+    many = simulate_replication(cfg, sc, seeds)
+    assert isinstance(many, tuple) and len(many) == 3
+    assert list(many) == [simulate_replication(cfg, sc, s) for s in seeds]
+    assert many.sessions == 3 * sc.sessions
+    assert many.refused_sessions == sum(o.refused_sessions for o in many)
+    for array in (np.array([5, 2**64 - 1], np.uint64), np.array([7], np.uint64)):
+        from_array = simulate_replication(cfg, sc, array)
+        assert isinstance(from_array, tuple) and len(from_array) == len(array)
+        assert list(from_array) == [simulate_replication(cfg, sc, int(s)) for s in array]
+    refusing = simulate_replication((25600, 2, 1.0), total_loss(), [1, 2])
+    assert (refusing.sessions, refusing.refused_sessions) == (4, 4)
 
 
 # --- scenario plumbing -------------------------------------------------------
