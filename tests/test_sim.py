@@ -378,6 +378,15 @@ LANE_CASES = {
     "tail_300_2_1": ("urban", (300, 2, 1.0), 5),
     "highway_tail_300_2_1": ("highway", (300, 2, 1.0), 20),
     "highway_128_44_3.4": ("highway", (128, 44, 3.4), 1),
+    # clean-run blocks: a whole lossless transfer (43 requests, the last chunk
+    # 23576 bytes) in one block capped by the requests to go; one 128-byte
+    # session, whose blocks run back to back at their widest; and widths that
+    # start exactly at the block gate (256 lanes at one replication) and one
+    # lane above it, where blocks start once refused lanes leave
+    "one_block": ("urban", (25000, 8, 8.0), dict(base_loss_prob=0.0, link_up_mean_s=math.inf, sessions=1)),
+    "urban_128_one_session": ("urban", (128, 250, 10.0), 1),
+    "gate_256_lanes": ("highway", (1024, 3, 2.0), dict(sessions=256, file_size_bytes=32768)),
+    "gate_257_lanes": ("highway", (1024, 3, 2.0), dict(sessions=257, file_size_bytes=32768)),
 }
 
 
@@ -463,6 +472,59 @@ def test_dwells_round_like_the_scalar_kernel():
     assert kernels._dwells(up, u, 12.0, 3.0) == want
 
 
+def test_clean_run_times_add_in_scalar_order():
+    """A block's times are the scalar kernel's sums to the bit: each row adds
+    left to right, (((t0 + tx_req) + prop) + tx_rep[todo - j]) + prop, one
+    attempt after the other. Other groupings round differently on these
+    inputs, so a change in how np.add.accumulate adds shows here."""
+    rng = np.random.default_rng(17)
+    width, b = 9, 40
+    t = rng.random(width) * 10.0 ** rng.integers(-2, 4, width)
+    todo = rng.integers(1, 70, width)
+    tx_req, prop = np.array(rng.random() * 1e-4), np.array(rng.random() * 3e-3)
+    tx_rep = rng.random(70) * 10.0 ** rng.integers(-4, 0, 70)
+    times = kernels._clean_run_times(t, todo, tx_req, prop, tx_rep, b).tolist()
+    regrouped = 0
+    for row, t0, to_go in zip(times, t.tolist(), todo.tolist()):
+        for j in range(min(b, to_go)):
+            assert row[4 * j] == t0
+            req_arr = t0 + float(tx_req) + float(prop)
+            rep_arr = req_arr + float(tx_rep[to_go - j]) + float(prop)
+            assert (row[4 * j + 2], row[4 * j + 4]) == (req_arr, rep_arr)
+            regrouped += t0 + (float(tx_req) + float(prop)) != req_arr
+            t0 = rep_arr
+    assert regrouped > 0
+
+
+def test_clean_run_stops_before_a_reply_on_a_switch():
+    """The scalar kernel flips the link before any packet arriving at or after
+    the switch time, so an attempt whose reply lands exactly on the switch is
+    not clean; one landing an ulp earlier is. A lane that is down or has no
+    attempts left does not move; one that moves gets its attempts back."""
+    tx_req, prop, timeout = np.array(1e-4), np.array(2e-3), np.array(1.0)
+    tx_rep = np.full(60, 2e-3)
+    seeds = [7, 2**64 - 1, 12345, 99]
+    lanes = dict(
+        state=np.array(seeds, np.uint64),
+        up=np.array([True, True, False, True]),
+        t_switch=np.full(4, math.inf),
+        t=np.linspace(0.5, 40.0, 4),
+        todo=np.full(4, 50),
+        left=np.array([2, 2, 2, 0]),
+    )
+    times = kernels._clean_run_times(lanes["t"], lanes["todo"], tx_req, prop, tx_rep, 50)
+    lanes["t_switch"][0] = times[0, 4 * 6]  # attempt 5's reply
+    lanes["t_switch"][1] = np.nextafter(times[1, 4 * 6], math.inf)
+    kernels._clean_run(**lanes, budget=np.array(8), tx_req=tx_req, prop_delay=prop, tx_rep=tx_rep,
+                       timeout_s=timeout, k_pass=kernels._pass_threshold(1.0))
+    m = [5, 6, 0, 0]
+    gamma = int(kernels._GOLDEN)
+    assert lanes["todo"].tolist() == [50 - k for k in m]
+    assert lanes["t"].tolist() == [times[i, 4 * k] for i, k in enumerate(m)]
+    assert lanes["state"].tolist() == [(s + 2 * k * gamma) % 2**64 for s, k in zip(seeds, m)]
+    assert lanes["left"].tolist() == [8, 8, 2, 0]
+
+
 def test_session_seeds_are_what_run_sessions_hands_the_kernel(monkeypatch):
     seen = []
 
@@ -494,6 +556,11 @@ def test_replication_of_several_seeds():
         from_array = simulate_replication(cfg, sc, array)
         assert isinstance(from_array, tuple) and len(from_array) == len(array)
         assert list(from_array) == [simulate_replication(cfg, sc, int(s)) for s in array]
+    # a 0-d array is one seed, like the numpy integer it holds
+    assert simulate_replication(cfg, sc, np.array(5, np.uint64)) == simulate_replication(cfg, sc, 5)
+    for empty in ([], (), np.array([], np.uint64)):
+        with pytest.raises(ValueError, match="at least one seed"):
+            simulate_replication(cfg, sc, empty)
     refusing = simulate_replication((25600, 2, 1.0), total_loss(), [1, 2])
     assert (refusing.sessions, refusing.refused_sessions) == (4, 4)
 
@@ -595,6 +662,30 @@ def test_session_invariants_under_loss(chunk, attempts, timeout, seed):
         assert res.delivered_bytes < 65536
     else:
         assert res.delivered_bytes == 65536
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    chunk=st.integers(min_value=128, max_value=32768),
+    attempts=st.integers(min_value=1, max_value=12),
+    timeout=st.floats(min_value=0.005, max_value=5.0),
+    loss=st.floats(min_value=0.0, max_value=0.2),
+    sessions=st.integers(min_value=1, max_value=8),
+    seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=3),
+)
+def test_lanes_match_run_sessions_on_drawn_configs(chunk, attempts, timeout, loss, sessions, seeds):
+    sc = Scenario(
+        name="prop",
+        base_loss_prob=loss,
+        link_up_mean_s=12.0,
+        link_down_mean_s=3.0,
+        sessions=sessions,
+        file_size_bytes=65536,
+    )
+    args = _kernel_args((chunk, attempts, timeout), sc)
+    lanes = kernels.run_lanes(sessions, *args, seeds)
+    for r, seed in enumerate(seeds):
+        assert _rows(a[r] for a in lanes) == _rows(run_sessions(sessions, *args, seed))
 
 
 # --- jit/pure parity ---------------------------------------------------------
