@@ -17,6 +17,7 @@ from vdtptune.harness.benchfuncs import (
 )
 from vdtptune.harness.campaign import (
     ExperimentConfig,
+    _run_fingerprint,
     execute_run,
     load_experiment_config,
     qos_seed,
@@ -307,6 +308,14 @@ def test_cli_refuses_checkpoint_without_fingerprint(tmp_path, capsys):
     assert "run_pso_0.json" in capsys.readouterr().err
 
 
+def test_run_fingerprint_pinned():
+    # checkpoints already on disk resume only while this digest holds
+    fp = _run_fingerprint(
+        preset("urban"), OptimizerParams("pso"), ExperimentConfig(max_evaluations=20, replications=1), run_seed(2, 0)
+    )
+    assert fp == "22875d6538f6319a545d94981874f87951d5a3f3c2693510a047eac6972c160e"
+
+
 def test_campaign_parallel_matches_sequential(tmp_path):
     seq = tiny_config(tmp_path / "seq", runs=2, max_evaluations=20)
     par = tiny_config(tmp_path / "par", runs=2, max_evaluations=20, workers=2)
@@ -489,6 +498,10 @@ def csv_digest(out):
     return h.hexdigest()
 
 
+def file_digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_cli_help_and_usage_errors(capsys):
     assert run_cli(["--help"]) == 0
     capsys.readouterr()
@@ -531,6 +544,8 @@ def test_cli_tune_byte_identical_reruns(tmp_path):
     assert run_cli(args + ["--out", str(out_b)]) == 0
     for name in ("trace_de_0.csv", "best_de.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    assert file_digest(out_a / "trace_de_0.csv") == "0543b9507aaca3c1ddc837cd071bc555c840551d2af5ea7f35f217b3e5dedf11"
+    assert file_digest(out_a / "best_de.json") == "73b59b2cadd918ea33ac6426bf0887800010edd2e33df06df37b7647fcee7c44"
 
 
 def test_cli_simulate_reports_fitness(capsys):
@@ -652,6 +667,19 @@ def test_cli_sweep(tmp_path, capsys):
     grid.write_text("mu_es = 2 3\n")
     assert run_cli(["sweep", "--algorithm", "pso", "--grid", str(grid), "--out", str(out)]) == 1
     assert "grid line 1: mu_es=2: pso does not read mu_es" in capsys.readouterr().err
+
+
+def test_cli_sweep_csv_pinned(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("w = 0.3 0.6\npopulation_size = 5 5\n")
+    out = tmp_path / "sw"
+    rc = run_cli([
+        "sweep", "--algorithm", "pso", "--grid", str(grid), "--runs", "2", "--budget", "20",
+        "--replications", "1", "--seed", "3", "--out", str(out),
+    ])
+    assert rc == 0
+    capsys.readouterr()
+    assert file_digest(out / "sweep.csv") == "3559b098b99369b7c290bd9c9fd6777999da1ac2e6303207db7987b96ab98693"
 
 
 def test_cli_bench(capsys):
