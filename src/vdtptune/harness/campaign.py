@@ -1,10 +1,12 @@
 """Multi-seed experiment orchestration with per-run checkpointing.
 
-Run i of every algorithm shares one derived seed, which is what makes the
-paired signed-rank comparison by run index legitimate. Completed runs are
-written as JSON checkpoints; re-running the same campaign picks up where it
-stopped. Each checkpoint carries a fingerprint of the run's inputs, and a
-checkpoint written under different inputs is refused, not resumed.
+Every optimizer run on the simulation objective, in a campaign, a sweep or a
+single tune, is a named cell executed by `run_cells`. Run i of every
+algorithm shares one derived seed, which is what makes the paired
+signed-rank comparison by run index legitimate. Completed runs are written
+as JSON checkpoints; re-running the same command picks up where it stopped.
+Each checkpoint carries a fingerprint of the run's inputs, and a checkpoint
+written under different inputs is refused, not resumed.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import dataclasses
 import hashlib
 import json
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,6 +36,7 @@ __all__ = [
     "parse_algorithms",
     "resolve_scenario",
     "run_campaign",
+    "run_cells",
     "run_seed",
     "qos_seed",
 ]
@@ -166,10 +169,6 @@ def record_from_dict(data: dict) -> RunRecord:
     )
 
 
-def _checkpoint_path(ckpt_dir: Path, algorithm: str, run_index: int) -> Path:
-    return ckpt_dir / f"run_{algorithm}_{run_index}.json"
-
-
 def _run_fingerprint(scenario: Scenario, params: OptimizerParams, config: ExperimentConfig, seed: int) -> str:
     """sha256 over the inputs a run's record depends on."""
     inputs = {
@@ -194,7 +193,7 @@ def _load_checkpoint(path: Path, fingerprint: str) -> RunRecord:
         data = json.load(fh)
     if data.get("fingerprint") != fingerprint:
         raise ValueError(
-            f"checkpoint {path} was not written by this campaign's scenario, optimizer "
+            f"checkpoint {path} was not written under this scenario, optimizer "
             "settings, budget, replications and seed; use another output directory"
         )
     return record_from_dict(data)
@@ -203,12 +202,57 @@ def _load_checkpoint(path: Path, fingerprint: str) -> RunRecord:
 # --- execution ---------------------------------------------------------------
 
 
-def execute_run(params, scenario, replications, run_index, seed, max_evaluations, objective_factory=None):
-    """One (algorithm, run index) cell. Top-level so worker processes can call it."""
+def execute_run(params, scenario, replications, seed, max_evaluations, objective_factory=None) -> RunRecord:
+    """One cell's optimizer run. Top-level so worker processes can call it."""
     factory = objective_factory or make_objective
     objective = factory(scenario, replications, seed)
-    rec = optimizers.run(params, objective, DEFAULT_BOUNDS, seed=seed, max_evaluations=max_evaluations)
-    return run_index, rec
+    return optimizers.run(params, objective, DEFAULT_BOUNDS, seed=seed, max_evaluations=max_evaluations)
+
+
+def run_cells(config: ExperimentConfig, cells, objective_factory=None, progress=None) -> list:
+    """Records of `cells`, (name, params, seed) triples, in cell order.
+
+    Cell `name` lands in `checkpoints/run_<name>.json` under the output
+    directory; an existing checkpoint is resumed if its fingerprint matches
+    and refused if not. The rest run serially, or on `config.workers`
+    processes. `objective_factory(scenario, replications, seed)` defaults to
+    the simulation-backed objective; tests inject cheap stand-ins.
+    `progress(name, record)` is called as each run lands.
+    """
+    scenario = resolve_scenario(config.scenario)
+    ckpt_dir = Path(config.output_dir) / "checkpoints"
+    ckpt_dir.mkdir(parents=True, exist_ok=True)
+
+    records = [None] * len(cells)
+    pending = {}  # cell index -> (checkpoint path, fingerprint)
+    for k, (name, params, seed) in enumerate(cells):
+        fingerprint = _run_fingerprint(scenario, params, config, seed)
+        path = ckpt_dir / f"run_{name}.json"
+        if path.exists():
+            records[k] = _load_checkpoint(path, fingerprint)
+        else:
+            pending[k] = (path, fingerprint)
+
+    def args(k):
+        _, params, seed = cells[k]
+        return params, scenario, config.replications, seed, config.max_evaluations, objective_factory
+
+    def land(k, rec):
+        records[k] = rec
+        path, fingerprint = pending[k]
+        _save_checkpoint(path, rec, fingerprint)
+        if progress is not None:
+            progress(cells[k][0], rec)
+
+    if config.workers == 1 or len(pending) <= 1:
+        for k in pending:
+            land(k, execute_run(*args(k)))
+    else:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            futures = {pool.submit(execute_run, *args(k)): k for k in pending}
+            for fut in as_completed(futures):
+                land(futures[fut], fut.result())
+    return records
 
 
 @dataclass(frozen=True)
@@ -263,57 +307,13 @@ def _assemble(config: ExperimentConfig, scenario: Scenario, records: dict) -> Ca
 
 
 def run_campaign(config: ExperimentConfig, objective_factory=None, progress=None) -> CampaignResult:
-    """Runs the full runs x algorithms grid, resuming from checkpoints.
-
-    `objective_factory(scenario, replications, seed)` defaults to the
-    simulation-backed objective; tests inject cheap stand-ins. `progress`
-    is called as `(algorithm, run_index, record)` when each run lands.
-    """
-    scenario = resolve_scenario(config.scenario)
-    out = Path(config.output_dir)
-    ckpt_dir = out / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-
-    records = {a: [None] * config.runs for a in config.algorithm_names}
-    pending = []
-    for params in config.algorithms:
-        for i in range(config.runs):
-            seed = run_seed(config.master_seed, i)
-            fingerprint = _run_fingerprint(scenario, params, config, seed)
-            path = _checkpoint_path(ckpt_dir, params.algorithm, i)
-            if path.exists():
-                records[params.algorithm][i] = _load_checkpoint(path, fingerprint)
-            else:
-                pending.append((params, i, seed, fingerprint))
-
-    def _land(params, run_index, rec, fingerprint):
-        records[params.algorithm][run_index] = rec
-        _save_checkpoint(_checkpoint_path(ckpt_dir, params.algorithm, run_index), rec, fingerprint)
-        if progress is not None:
-            progress(params.algorithm, run_index, rec)
-
-    if config.workers == 1 or len(pending) <= 1:
-        for params, i, seed, fingerprint in pending:
-            _, rec = execute_run(
-                params, scenario, config.replications, i, seed, config.max_evaluations,
-                objective_factory,
-            )
-            _land(params, i, rec, fingerprint)
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = {
-                pool.submit(
-                    execute_run, params, scenario, config.replications, i, seed,
-                    config.max_evaluations, objective_factory,
-                ): (params, fingerprint)
-                for params, i, seed, fingerprint in pending
-            }
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    run_index, rec = fut.result()
-                    params, fingerprint = futures[fut]
-                    _land(params, run_index, rec, fingerprint)
-
-    return _assemble(config, scenario, {a: records[a] for a in config.algorithm_names})
+    """Runs the full runs x algorithms grid through `run_cells`, cell
+    `<algorithm>_<run index>` on seed `run_seed(master_seed, run index)`."""
+    cells = [
+        (f"{params.algorithm}_{i}", params, run_seed(config.master_seed, i))
+        for params in config.algorithms
+        for i in range(config.runs)
+    ]
+    recs = iter(run_cells(config, cells, objective_factory, progress))
+    records = {a: [next(recs) for _ in range(config.runs)] for a in config.algorithm_names}
+    return _assemble(config, resolve_scenario(config.scenario), records)

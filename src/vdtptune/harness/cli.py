@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import optimizers
-from ..fitness import evaluate, make_objective
+from ..fitness import evaluate
 from ..optimizers import ALGORITHMS, OptimizerParams
 from ..sim.scenario import preset_names
 from ..sim.transfer import effective_throughput
@@ -28,6 +28,7 @@ from .campaign import (
     qos_seed,
     resolve_scenario,
     run_campaign,
+    run_cells,
     run_seed,
 )
 from .sweep import SWEEP_HEADER, parse_grid, render_sweep, run_sweep, sweep_rows
@@ -107,13 +108,12 @@ def build_parser() -> _Parser:
 
 
 def cmd_tune(args) -> int:
-    scenario = resolve_scenario(args.scenario)
     params = OptimizerParams(args.algorithm)
-    objective = make_objective(scenario, args.replications, args.seed)
-    rec = optimizers.run(params, objective, DEFAULT_BOUNDS, seed=args.seed, max_evaluations=args.budget)
+    config = _config(args, algorithms=(params,))
+    (rec,) = run_cells(config, [(f"{args.algorithm}_0", params, args.seed)])
+    scenario = resolve_scenario(config.scenario)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(config.output_dir)  # run_cells made it
     trace_path = out / reports.trace_filename(args.algorithm, 0)
     reports.write_trace_csv(trace_path, rec.trace)
 
@@ -149,11 +149,13 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _campaign_config(args) -> ExperimentConfig:
-    overrides = {name: getattr(args, flag) for flag, (name, _) in _FLAGS.items()}
+def _config(args, **fixed) -> ExperimentConfig:
+    """ExperimentConfig from the flags a subcommand registered; `fixed` wins."""
+    overrides = {name: getattr(args, flag, None) for flag, (name, _) in _FLAGS.items()}
     overrides = {name: value for name, value in overrides.items() if value is not None}
-    names = None if args.algorithms is None else parse_algorithms(args.algorithms)
-    if args.config:
+    overrides.update(fixed)
+    names = None if getattr(args, "algorithms", None) is None else parse_algorithms(args.algorithms)
+    if getattr(args, "config", None):
         return load_experiment_config(args.config, names, **overrides)
     if names is not None:
         overrides["algorithms"] = tuple(OptimizerParams(n) for n in names)
@@ -161,12 +163,12 @@ def _campaign_config(args) -> ExperimentConfig:
 
 
 def cmd_compare(args) -> int:
-    config = _campaign_config(args)
+    config = _config(args)
     if len(config.algorithms) < 2:
         raise UsageError("compare needs at least 2 algorithms")
 
-    def progress(alg, run_index, rec):
-        print(f"  [{alg} run {run_index}] best {rec.best_fitness:.6f} after {rec.evaluations} evaluations")
+    def progress(name, rec):
+        print(f"  [{name}] best {rec.best_fitness:.6f} after {rec.evaluations} evaluations")
 
     result = run_campaign(config, progress=progress)
     written = reports.write_campaign_outputs(result, config.output_dir)
@@ -208,21 +210,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     grid_path = Path(args.grid)
-    if not grid_path.exists():
+    if not grid_path.is_file():
         raise UsageError(f"grid file not found: {args.grid}")
     grid = parse_grid(grid_path.read_text())
-    result = run_sweep(
-        args.algorithm,
-        grid,
-        args.scenario,
-        runs=args.runs,
-        master_seed=args.seed,
-        max_evaluations=args.budget,
-        replications=args.replications,
-    )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "sweep.csv"
+    result = run_sweep(_config(args, algorithms=(OptimizerParams(args.algorithm),)), grid)
+    csv_path = Path(args.out) / "sweep.csv"
     reports.write_csv(csv_path, SWEEP_HEADER, sweep_rows(result))
     print(render_sweep(result))
     print(f"\nwrote {csv_path}")

@@ -13,12 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .. import optimizers
 from ..cfgfile import field_value
-from ..fitness import make_objective
 from ..optimizers import OptimizerParams
-from ..space import DEFAULT_BOUNDS
-from .campaign import ExperimentConfig, resolve_scenario, run_seed
+from .campaign import ExperimentConfig, resolve_scenario, run_cells, run_seed
 from .reports import _render_table
 
 __all__ = ["SweepResult", "parse_grid", "render_sweep", "run_sweep", "sweep_rows"]
@@ -75,38 +72,30 @@ class SweepResult:
     rows: tuple  # (param, value, mean_best_fitness)
 
 
-def run_sweep(
-    algorithm: str,
-    grid,
-    scenario,
-    runs: int = 5,
-    master_seed: int = ExperimentConfig.master_seed,
-    max_evaluations: int = ExperimentConfig.max_evaluations,
-    replications: int = ExperimentConfig.replications,
-    objective_factory=None,
-) -> SweepResult:
-    """All grid combinations, each scored by the mean best fitness of
-    `runs` seeded runs. Every combination sees the same run seeds."""
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    scenario = resolve_scenario(scenario)
-    factory = objective_factory or make_objective
-    combos = []
+def run_sweep(config: ExperimentConfig, grid, objective_factory=None) -> SweepResult:
+    """All grid combinations for `config`'s one algorithm, each scored by the
+    mean best fitness of `config.runs` seeded runs. Every combination sees the
+    same run seeds. Knobs off the grid keep the algorithm defaults. Runs go
+    through `run_cells`, one cell per (grid line, value index, run), so a
+    repeated value keeps its own checkpoint."""
+    (base,) = config.algorithms
+    combos, cells = [], []
     for line in grid:
-        for value, params in zip(line.values, _validated_params(algorithm, line)):
-            params.check_budget(max_evaluations)
-            combos.append((line.param, value, params))
-
-    seeds = [run_seed(master_seed, i) for i in range(runs)]
+        for j, (value, params) in enumerate(zip(line.values, _validated_params(base.algorithm, line))):
+            params.check_budget(config.max_evaluations)
+            combos.append((line.param, value))
+            cells += [
+                (f"{base.algorithm}_line{line.line_number}_{j}_{i}", params, run_seed(config.master_seed, i))
+                for i in range(config.runs)
+            ]
+    recs = iter(run_cells(config, cells, objective_factory))
     rows = []
-    for param, value, params in combos:
-        total = 0.0
-        for seed in seeds:
-            objective = factory(scenario, replications, seed)
-            rec = optimizers.run(params, objective, DEFAULT_BOUNDS, seed=seed, max_evaluations=max_evaluations)
-            total += rec.best_fitness
-        rows.append((param, value, total / runs))
-    return SweepResult(algorithm, scenario.name, runs, tuple(rows))
+    for param, value in combos:
+        total = 0.0  # summed left to right: sum() compensates on Python >= 3.12
+        for _ in range(config.runs):
+            total += next(recs).best_fitness
+        rows.append((param, value, total / config.runs))
+    return SweepResult(base.algorithm, resolve_scenario(config.scenario).name, config.runs, tuple(rows))
 
 
 SWEEP_HEADER = ["parameter", "value", "mean_best_fitness", "runs", "scenario"]

@@ -124,14 +124,15 @@ def simulate_session(config, scenario: Scenario, seed) -> SessionResult:
 def simulate_replication(config, scenario: Scenario, seed):
     """Run `scenario.sessions` independent sessions and aggregate.
 
-    `seed` is one seed (an int, a numpy integer or 0-d array, or a
-    SeedSequence), which gives one TransferOutcome, or a non-empty sequence
-    or 1-D array of seeds, one per replication, which gives their
-    Replications. Refused sessions contribute their time-until-refusal to
-    the mean time; data is the total payload delivered across all sessions,
-    in kBytes.
+    `seed` is one seed (an int, a numpy integer or 0-d array, a decimal
+    str or bytes, or a SeedSequence), which gives one TransferOutcome, or a
+    non-empty sequence or 1-D array of seeds, one per replication, which
+    gives their Replications. Refused sessions contribute their
+    time-until-refusal to the mean time; data is the total payload delivered
+    across all sessions, in kBytes.
     """
-    several = isinstance(seed, Sequence) or (isinstance(seed, np.ndarray) and seed.ndim > 0)
+    text = isinstance(seed, (str, bytes))  # a Sequence, but one seed
+    several = (isinstance(seed, Sequence) and not text) or (isinstance(seed, np.ndarray) and seed.ndim > 0)
     if several and len(seed) == 0:
         raise ValueError("simulate_replication needs at least one seed")
     kernel_seeds = [_as_kernel_seed(s) for s in (seed if several else (seed,))]

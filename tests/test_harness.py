@@ -61,6 +61,12 @@ def constant_factory(scenario, replications, seed):
     return lambda x: 1.0
 
 
+def sweep_config(tmp_path, algorithm, **kw):
+    defaults = dict(runs=2, max_evaluations=30, replications=1, master_seed=1, output_dir=str(tmp_path / "sweep"))
+    defaults.update(kw)
+    return ExperimentConfig(scenario="urban", algorithms=(OptimizerParams(algorithm),), **defaults)
+
+
 def tiny_config(tmp_path, **kw):
     defaults = dict(
         scenario="urban",
@@ -298,7 +304,7 @@ def test_campaign_refuses_checkpoints_of_another_config(tmp_path):
 def test_cli_refuses_checkpoint_without_fingerprint(tmp_path, capsys):
     ckpt_dir = tmp_path / "out" / "checkpoints"
     ckpt_dir.mkdir(parents=True)
-    _, rec = execute_run(OptimizerParams("pso"), preset("urban"), 1, 0, 7, 5, cheap_factory)
+    rec = execute_run(OptimizerParams("pso"), preset("urban"), 1, 7, 5, cheap_factory)
     (ckpt_dir / "run_pso_0.json").write_text(json.dumps(record_to_dict(rec)))
     rc = cli.main([
         "compare", "--algorithms", "pso,ga", "--runs", "1", "--budget", "5",
@@ -340,16 +346,13 @@ def test_campaign_constant_objective_degenerates_cleanly(tmp_path):
 
 
 def test_execute_run_shape():
-    idx, rec = execute_run(
-        OptimizerParams("pso"), preset("urban"), 1, 3, 42, 20, cheap_factory
-    )
-    assert idx == 3
+    rec = execute_run(OptimizerParams("pso"), preset("urban"), 1, 42, 20, cheap_factory)
     assert rec.seed == 42
     assert rec.evaluations == 20
 
 
 def test_record_dict_round_trip():
-    _, rec = execute_run(OptimizerParams("sa"), preset("urban"), 1, 0, 7, 25, cheap_factory)
+    rec = execute_run(OptimizerParams("sa"), preset("urban"), 1, 7, 25, cheap_factory)
     back = record_from_dict(json.loads(json.dumps(record_to_dict(rec))))
     assert back.algorithm == rec.algorithm
     assert back.seed == rec.seed
@@ -455,24 +458,29 @@ def test_parse_grid_errors_name_lines(text, fragment):
         parse_grid(text)
 
 
-def test_run_sweep_validates_knob_values():
+def test_run_sweep_validates_knob_values(tmp_path):
     grid = parse_grid("p_cross = 0.5 1.5\n")
     with pytest.raises(ValueError, match="grid line 1: p_cross=1.5"):
-        run_sweep("ga", grid, "urban", runs=1, objective_factory=cheap_factory)
+        run_sweep(sweep_config(tmp_path, "ga", runs=1), grid, objective_factory=cheap_factory)
     unread = parse_grid("w = 0.5\nmu_es = 2 3\n")
     with pytest.raises(ValueError, match="grid line 2: mu_es=2: pso does not read mu_es"):
-        run_sweep("pso", unread, "urban", runs=1, objective_factory=cheap_factory)
+        run_sweep(sweep_config(tmp_path, "pso", runs=1), unread, objective_factory=cheap_factory)
 
 
-def test_run_sweep_rows_and_rendering():
-    grid = parse_grid("w = 0.3 0.6\npopulation_size = 5\n")
-    result = run_sweep(
-        "pso", grid, "urban", runs=2, master_seed=1,
-        max_evaluations=30, replications=1, objective_factory=cheap_factory,
-    )
+def test_run_sweep_rows_and_rendering(tmp_path):
+    calls = []
+
+    def counting_factory(scenario, replications, seed):
+        calls.append(seed)
+        return cheap_factory(scenario, replications, seed)
+
+    grid = parse_grid("w = 0.3 0.6\npopulation_size = 5 5\n")
+    cfg = sweep_config(tmp_path, "pso")
+    result = run_sweep(cfg, grid, objective_factory=counting_factory)
+    assert len(calls) == 8  # 4 grid values x 2 runs
     assert result.algorithm == "pso"
     assert result.runs == 2
-    assert [(p, v) for p, v, _ in result.rows] == [("w", 0.3), ("w", 0.6), ("population_size", 5)]
+    assert [(p, v) for p, v, _ in result.rows] == [("w", 0.3), ("w", 0.6), ("population_size", 5), ("population_size", 5)]
     for _, _, mean_fit in result.rows:
         assert math.isfinite(mean_fit)
     listed = list(sweep_rows(result))
@@ -480,6 +488,22 @@ def test_run_sweep_rows_and_rendering():
     text = render_sweep(result)
     assert "population_size" in text
     assert "0.3:" in text
+
+    # a repeated value keeps its own checkpoint, and a re-run resumes
+    ckpt_dir = Path(cfg.output_dir) / "checkpoints"
+    assert len(list(ckpt_dir.glob("run_*.json"))) == 8
+    (ckpt_dir / "run_pso_line2_1_0.json").unlink()
+    calls.clear()
+    again = run_sweep(cfg, grid, objective_factory=counting_factory)
+    assert len(calls) == 1
+    assert again == result
+
+
+def test_run_sweep_parallel_matches_sequential(tmp_path):
+    grid = parse_grid("w = 0.3 0.6\n")
+    seq = run_sweep(sweep_config(tmp_path / "seq", "pso", max_evaluations=20), grid)  # real objective
+    par = run_sweep(sweep_config(tmp_path / "par", "pso", max_evaluations=20, workers=2), grid)
+    assert par.rows == seq.rows
 
 
 # --- command line -------------------------------------------------------------
@@ -537,15 +561,20 @@ def test_cli_tune_writes_trace_and_best(tmp_path, capsys):
     assert "best fitness" in capsys.readouterr().out
 
 
-def test_cli_tune_byte_identical_reruns(tmp_path):
+def test_cli_tune_byte_identical_reruns(tmp_path, capsys):
     args = ["tune", "--algorithm", "de", "--seed", "11", "--budget", "20", "--replications", "1"]
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert run_cli(args + ["--out", str(out_a)]) == 0
     assert run_cli(args + ["--out", str(out_b)]) == 0
+    assert run_cli(args + ["--out", str(out_b)]) == 0  # resumed from its checkpoint
     for name in ("trace_de_0.csv", "best_de.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
     assert file_digest(out_a / "trace_de_0.csv") == "0543b9507aaca3c1ddc837cd071bc555c840551d2af5ea7f35f217b3e5dedf11"
     assert file_digest(out_a / "best_de.json") == "73b59b2cadd918ea33ac6426bf0887800010edd2e33df06df37b7647fcee7c44"
+    capsys.readouterr()
+    refit = ["tune", "--algorithm", "de", "--seed", "11", "--budget", "21", "--replications", "1"]
+    assert run_cli(refit + ["--out", str(out_a)]) == 1
+    assert "run_de_0.json" in capsys.readouterr().err
 
 
 def test_cli_simulate_reports_fitness(capsys):
@@ -664,6 +693,7 @@ def test_cli_sweep(tmp_path, capsys):
     assert (out / "sweep.csv").exists()
     assert "0.4:" in capsys.readouterr().out
     assert run_cli(["sweep", "--algorithm", "pso", "--grid", str(tmp_path / "missing.txt")]) == 1
+    assert run_cli(["sweep", "--algorithm", "pso", "--grid", str(tmp_path)]) == 1
     grid.write_text("mu_es = 2 3\n")
     assert run_cli(["sweep", "--algorithm", "pso", "--grid", str(grid), "--out", str(out)]) == 1
     assert "grid line 1: mu_es=2: pso does not read mu_es" in capsys.readouterr().err

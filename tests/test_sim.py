@@ -558,6 +558,11 @@ def test_replication_of_several_seeds():
         assert list(from_array) == [simulate_replication(cfg, sc, int(s)) for s in array]
     # a 0-d array is one seed, like the numpy integer it holds
     assert simulate_replication(cfg, sc, np.array(5, np.uint64)) == simulate_replication(cfg, sc, 5)
+    # str and bytes are sequences, but each is one seed, as `evaluate` reads it
+    for text in ("12", b"12"):
+        assert simulate_replication(cfg, sc, text) == simulate_replication(cfg, sc, 12)
+    with pytest.raises(ValueError, match="invalid literal"):
+        simulate_replication(cfg, sc, "ab")
     for empty in ([], (), np.array([], np.uint64)):
         with pytest.raises(ValueError, match="at least one seed"):
             simulate_replication(cfg, sc, empty)
