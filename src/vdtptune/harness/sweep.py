@@ -76,16 +76,17 @@ def run_sweep(config: ExperimentConfig, grid, objective_factory=None) -> SweepRe
     """All grid combinations for `config`'s one algorithm, each scored by the
     mean best fitness of `config.runs` seeded runs. Every combination sees the
     same run seeds. Knobs off the grid keep the algorithm defaults. Runs go
-    through `run_cells`, one cell per (grid line, value index, run), so a
-    repeated value keeps its own checkpoint."""
+    through `run_cells`, one cell per (grid line, value index, run); lines
+    count from 0 without comments and blank lines, and a repeated value or
+    parameter keeps its own checkpoint."""
     (base,) = config.algorithms
     combos, cells = [], []
-    for line in grid:
+    for g, line in enumerate(grid):
         for j, (value, params) in enumerate(zip(line.values, _validated_params(base.algorithm, line))):
             params.check_budget(config.max_evaluations)
             combos.append((line.param, value))
             cells += [
-                (f"{base.algorithm}_line{line.line_number}_{j}_{i}", params, run_seed(config.master_seed, i))
+                (f"{base.algorithm}_grid{g}_{j}_{i}", params, run_seed(config.master_seed, i))
                 for i in range(config.runs)
             ]
     recs = iter(run_cells(config, cells, objective_factory))

@@ -474,13 +474,16 @@ def test_run_sweep_rows_and_rendering(tmp_path):
         calls.append(seed)
         return cheap_factory(scenario, replications, seed)
 
-    grid = parse_grid("w = 0.3 0.6\npopulation_size = 5 5\n")
+    grid = parse_grid("w = 0.3 0.6\n# repeats\npopulation_size = 5 5\nw = 0.3\n")
     cfg = sweep_config(tmp_path, "pso")
     result = run_sweep(cfg, grid, objective_factory=counting_factory)
-    assert len(calls) == 8  # 4 grid values x 2 runs
+    assert len(calls) == 10  # 5 grid values x 2 runs
     assert result.algorithm == "pso"
     assert result.runs == 2
-    assert [(p, v) for p, v, _ in result.rows] == [("w", 0.3), ("w", 0.6), ("population_size", 5), ("population_size", 5)]
+    assert [(p, v) for p, v, _ in result.rows] == [
+        ("w", 0.3), ("w", 0.6), ("population_size", 5), ("population_size", 5), ("w", 0.3)
+    ]
+    assert result.rows[4] == result.rows[0]
     for _, _, mean_fit in result.rows:
         assert math.isfinite(mean_fit)
     listed = list(sweep_rows(result))
@@ -489,10 +492,10 @@ def test_run_sweep_rows_and_rendering(tmp_path):
     assert "population_size" in text
     assert "0.3:" in text
 
-    # a repeated value keeps its own checkpoint, and a re-run resumes
+    # a repeated value or parameter keeps its own checkpoint, and a re-run resumes
     ckpt_dir = Path(cfg.output_dir) / "checkpoints"
-    assert len(list(ckpt_dir.glob("run_*.json"))) == 8
-    (ckpt_dir / "run_pso_line2_1_0.json").unlink()
+    assert len(list(ckpt_dir.glob("run_*.json"))) == 10
+    (ckpt_dir / "run_pso_grid1_1_0.json").unlink()
     calls.clear()
     again = run_sweep(cfg, grid, objective_factory=counting_factory)
     assert len(calls) == 1
