@@ -1,8 +1,10 @@
 """Hot inner loops of the transfer simulator.
 
-The session kernel is a plain event loop over request/reply exchanges with a
-two-state (up/down) channel process; it can also record the session's event
-log. It is compiled with numba when available; set VDTPTUNE_DISABLE_NUMBA=1 to
+The session protocol is a plain event loop over request/reply exchanges with a
+two-state (up/down) channel process, `_resume_session`, which runs a session
+from any point of it and can also record its event log. `session_kernel` is
+the channel's stationary start followed by that loop from the first request.
+Both are compiled with numba when available; set VDTPTUNE_DISABLE_NUMBA=1 to
 force the pure-Python path (same source, same random stream, bit-identical
 results; `python3 vdtpbench/run.py` compares the two paths when numba is
 installed).
@@ -11,8 +13,10 @@ The lane kernel, `run_lanes`, is the protocol's one other implementation: the
 sessions of many replications as lanes of numpy arrays, bit-identical to
 `run_sessions` seed by seed. Each loop iteration makes one attempt per lane;
 while few lanes are left, it first moves every lane over its run of clean
-attempts in one block. Without numba it runs every replicated simulation;
-numba never compiles it.
+attempts in one block. Once at most _TAIL_LANES lanes with at most
+_TAIL_TODO requests to go between them are left, it stops iterating and
+finishes each of them in `_resume_session`, resumed from the lane's state.
+Without numba it runs every replicated simulation; numba never compiles it.
 
 Randomness is a splitmix64 stream driven by explicit 64-bit state, so compiled
 and interpreted execution consume identical draws. Besides `_njit`, `U64` is
@@ -142,8 +146,6 @@ def session_kernel(
     them are counted in n_events; a 0-row buffer records nothing and returns
     n_events 0. Recording consumes no draws.
     """
-    record = events.shape[0] > 0
-    k = 0
     state = U64(seed)
 
     # channel: alternating exponential up/down dwells, stationary start
@@ -157,16 +159,66 @@ def session_kernel(
         mean0 = up_mean if link_up else down_mean
         t_switch = -mean0 * math.log(1.0 - _u01(z))
 
+    return _resume_session(
+        chunk_bytes,
+        attempts,
+        timeout_s,
+        file_size,
+        header_bytes,
+        bandwidth,
+        prop_delay,
+        eff_loss,
+        up_mean,
+        down_mean,
+        state,
+        link_up,
+        t_switch,
+        0.0,  # t
+        0,  # lost
+        0,  # first request: the handshake
+        1,  # first attempt
+        events,
+    )
+
+
+@_njit(cache=True)
+def _resume_session(
+    chunk_bytes,
+    attempts,
+    timeout_s,
+    file_size,
+    header_bytes,
+    bandwidth,
+    prop_delay,
+    eff_loss,
+    up_mean,
+    down_mean,
+    state,
+    link_up,
+    t_switch,
+    t,
+    lost,
+    first_request,
+    first_attempt,
+    events,
+):
+    """session_kernel's request/attempt loop, from a session's state after
+    `t` seconds: splitmix64 state word, link state and next switch time,
+    packets lost so far, the request in flight (0 is the handshake, chunk i
+    is request i) and the number of its next attempt. Requests before it
+    were answered. Returns what session_kernel returns; `events` records
+    from this point on.
+    """
+    record = events.shape[0] > 0
+    k = 0
     n = (file_size + chunk_bytes - 1) // chunk_bytes
     tx_req = header_bytes * 8.0 / bandwidth
     succ_p = 1.0 - eff_loss
 
-    t = 0.0
-    lost = 0
-    delivered = 0
+    delivered = max(first_request - 1, 0) * chunk_bytes
     refused = False
 
-    for req in range(n + 1):
+    for req in range(first_request, n + 1):
         packet = _FIRQ if req == 0 else _DRQ
         if req == 0:
             payload = 0  # size handshake
@@ -177,7 +229,7 @@ def session_kernel(
         tx_rep = (header_bytes + payload) * 8.0 / bandwidth
 
         ok = False
-        for attempt in range(1, attempts + 1):
+        for attempt in range(first_attempt, attempts + 1):
             t0 = t
             if record:
                 k = _emit(events, k, t0, _SEND, packet, attempt)
@@ -222,6 +274,7 @@ def session_kernel(
             break
         if req > 0:
             delivered += payload
+        first_attempt = 1
 
     if record and not refused:
         k = _emit(events, k, t, _COMPLETE, _NO_PACKET, 0)
@@ -287,7 +340,11 @@ def run_sessions(
 # after the other (np.add.accumulate, never a pairwise sum such as np.sum).
 # A step costs a fixed number of numpy calls whatever the width, so the
 # operands are 0-d arrays, which numpy combines with arrays faster than it
-# does scalars.
+# does scalars. That fixed cost is what a few stragglers cannot repay, so the
+# last of them finish in the scalar protocol: a lane's state words are
+# exactly the scalar loop's variables, so _resume_session takes them over as
+# they stand. The protocol thus lives in _resume_session,
+# which session_kernel wraps and numba compiles, and in run_lanes.
 
 _GOLDEN_A, _MIX1_A, _MIX2_A = (np.array(int(c), np.uint64) for c in (_GOLDEN, _MIX1, _MIX2))
 _R11, _R27, _R30, _R31 = (np.array(k, np.uint64) for k in (11, 27, 30, 31))
@@ -311,6 +368,20 @@ _STEPS = np.array([[1], [2]], np.uint64) * _GOLDEN_A
 # score_highway ran 8-13 % faster in the kernel than with b >= 8 (128 lanes).
 _CLEAN_RUN_CELLS = 1024
 _CLEAN_RUN_MIN = 4
+# Scalar tail: once at most _TAIL_LANES lanes are left and they have at most
+# _TAIL_TODO requests to go between them, run_lanes hands them to the scalar
+# loop. The lane count is tested first, in Python, so wide iterations make no
+# numpy call for the gate; the request total keeps 128-byte lanes, with
+# thousands of requests to go, in the lane kernel and its blocks. Measured on
+# the 406 kernel calls of one campaign_urban round and the 24 of one
+# score_highway round (two shared Xeon cores, pure backend, each call the
+# best of 7): without a tail they took 159 ms and 98 ms; with this gate
+# 110 ms (0.69x) and 94 ms. Gates of 4/48, 8/24 and 8/48 came within 2 % of
+# it; 2/24 gave 0.77x and 4/12 0.73x on urban. The scalar loop takes about
+# 8 us per request it finishes (3014 requests in 23 ms on urban), against
+# about 28 us for one single-attempt step of all lanes.
+_TAIL_LANES = 4
+_TAIL_TODO = 24
 # j gammas on from a state, j = 0 .. 2 * _CLEAN_RUN_CELLS: where the draws of a
 # run of clean attempts sit
 _GAMMAS = np.arange(2 * _CLEAN_RUN_CELLS + 1, dtype=np.uint64) * _GOLDEN_A
@@ -459,8 +530,12 @@ def run_lanes(
     moves every lane past its run of clean attempts (_clean_run), and the
     single attempt then plays the one that broke the run.
     Lanes that finish are compacted out, so a long lane does not pay for the
-    width it started with.
+    width it started with, and the last few stragglers finish in the scalar
+    protocol, each resumed from its lane's state (_resume_session).
     """
+    scalar_args = (
+        chunk_bytes, attempts, timeout_s, file_size, header_bytes, bandwidth, prop_delay, eff_loss, up_mean, down_mean
+    )
     state = _session_seeds(seeds, n_sessions).ravel()
     width = state.size
     if math.isinf(up_mean):
@@ -510,6 +585,14 @@ def run_lanes(
             )
             if not lane.size:
                 break
+        if lane.size <= _TAIL_LANES and todo.sum() <= _TAIL_TODO:
+            for i, s, lu, ts, t0, to_go, left_i, lost_i in zip(
+                *(a.tolist() for a in (lane, state, up, t_switch, t, todo, left, lost))
+            ):
+                times[i], lost_out[i], delivered[i], refused[i], _ = _resume_session(
+                    *scalar_args, U64(s), lu, ts, t0, lost_i, n + 1 - to_go, attempts - left_i + 1, np.empty((0, 4))
+                )
+            break
 
         req_arr = t + tx_req
         req_arr += prop_delay

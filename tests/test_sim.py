@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import importlib.util
+import inspect
 import math
 import os
 import subprocess
@@ -387,6 +388,25 @@ LANE_CASES = {
     "urban_128_one_session": ("urban", (128, 250, 10.0), 1),
     "gate_256_lanes": ("highway", (1024, 3, 2.0), dict(sessions=256, file_size_bytes=32768)),
     "gate_257_lanes": ("highway", (1024, 3, 2.0), dict(sessions=257, file_size_bytes=32768)),
+    # the scalar tail (TAIL_HANDOFFS says what each case hands over): a
+    # straggler whose link is down, lanes refused inside the tail, one with
+    # its attempts partly spent, a one-chunk file handed off before its
+    # handshake reply, and, under total loss so that no lane moves, widths and
+    # request totals at the gate and one over it
+    "tail_link_down": ("urban", (1024, 2, 1.0), dict(sessions=20, file_size_bytes=8192)),
+    "tail_refused": ("highway", (300, 1, 1.0), dict(sessions=4, file_size_bytes=1500)),
+    "tail_partly_spent": ("highway", (512, 2, 1.0), dict(sessions=20, file_size_bytes=4096)),
+    "tail_handshake": ("urban", (25600, 3, 2.0), dict(sessions=1, file_size_bytes=100)),
+    "tail_gate_lanes": ("urban", (1024, 3, 2.0), dict(
+        base_loss_prob=1.0, sessions=kernels._TAIL_LANES,
+        file_size_bytes=1024 * (kernels._TAIL_TODO // kernels._TAIL_LANES - 1))),
+    "tail_over_lanes": ("urban", (1024, 3, 2.0), dict(
+        base_loss_prob=1.0, sessions=kernels._TAIL_LANES + 1,
+        file_size_bytes=1024 * (kernels._TAIL_TODO // (kernels._TAIL_LANES + 1) - 1))),
+    "tail_gate_todo": ("urban", (1024, 3, 2.0), dict(
+        base_loss_prob=1.0, sessions=1, file_size_bytes=1024 * (kernels._TAIL_TODO - 1))),
+    "tail_over_todo": ("urban", (1024, 3, 2.0), dict(
+        base_loss_prob=1.0, sessions=1, file_size_bytes=1024 * kernels._TAIL_TODO)),
 }
 
 
@@ -430,6 +450,68 @@ def test_compiled_replications_match_lanes():
             lanes = kernels.run_lanes(sc.sessions, *args, seeds)
             compiled = simulate_replication(args[:3], sc, seeds)
             assert compiled == tuple(_outcome(*(a[r] for a in lanes)) for r in range(reps))
+
+
+def _handoffs(monkeypatch, sc, args, seeds):
+    """run_lanes on `seeds` with a spy on the scalar tail: one dict per lane
+    handed off, its resume arguments by name plus what the tail returned."""
+    resume = kernels._resume_session
+    names = list(inspect.signature(resume).parameters)
+    handed = []
+
+    def spy(*resume_args):
+        out = resume(*resume_args)
+        handed.append(dict(zip(names, resume_args), delivered=out[2], refused=out[3]))
+        return out
+
+    monkeypatch.setattr(kernels, "_resume_session", spy)
+    kernels.run_lanes(sc.sessions, *args, seeds)
+    monkeypatch.undo()
+    return handed
+
+
+def _requests_to_go(sc, args, lane):
+    return n_chunks(sc.file_size_bytes, args[0]) + 1 - lane["first_request"]
+
+
+# what the tail cases of LANE_CASES hand over at one replication
+TAIL_HANDOFFS = {
+    "tail_link_down": lambda sc, args, h: any(not lane["link_up"] for lane in h),
+    "tail_refused": lambda sc, args, h: any(
+        lane["refused"] and lane["delivered"] == (lane["first_request"] - 1) * args[0] > 0 for lane in h
+    ),
+    "tail_partly_spent": lambda sc, args, h: any(
+        lane["refused"] and lane["delivered"] > 0 and lane["first_attempt"] > 1 for lane in h
+    ),
+    "tail_handshake": lambda sc, args, h: [(lane["first_request"], lane["first_attempt"]) for lane in h] == [(0, 1)],
+    "tail_gate_lanes": lambda sc, args, h: (len(h), sum(_requests_to_go(sc, args, lane) for lane in h))
+    == (kernels._TAIL_LANES, kernels._TAIL_TODO),
+    "tail_over_lanes": lambda sc, args, h: h == [],
+    "tail_gate_todo": lambda sc, args, h: [_requests_to_go(sc, args, lane) for lane in h] == [kernels._TAIL_TODO],
+    "tail_over_todo": lambda sc, args, h: h == [],
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAIL_HANDOFFS))
+def test_tail_cases_reach_their_handoff(case, monkeypatch):
+    """Each tail case of LANE_CASES hands the scalar tail what its name says,
+    so test_lanes_match_run_sessions checks the tail on that state."""
+    sc, args = _lane_case(case)
+    handed = _handoffs(monkeypatch, sc, args, _replication_seeds(1))
+    assert TAIL_HANDOFFS[case](sc, args, handed), handed
+
+
+def test_typical_urban_evaluations_reach_the_tail(monkeypatch):
+    """Most one-replication urban evaluations (20 lanes) end in the scalar
+    tail, so its gate is not dead code there."""
+    sc = preset("urban")
+    configs = [human_expert_config(sc), VdtpConfig(4096, 4, 3.0), VdtpConfig(65536, 8, 6.0)]
+    reached = 0
+    for config in configs:
+        args = _kernel_args(config, sc)
+        for seed in range(10):
+            reached += bool(_handoffs(monkeypatch, sc, args, [seed]))
+    assert reached >= len(configs) * 10 // 2
 
 
 def test_counter_draws_match_mix64_steps():
