@@ -214,42 +214,55 @@ def run_cells(config: ExperimentConfig, cells, objective_factory=None, progress=
 
     Cell `name` lands in `checkpoints/run_<name>.json` under the output
     directory; an existing checkpoint is resumed if its fingerprint matches
-    and refused if not. The rest run serially, or on `config.workers`
-    processes. `objective_factory(scenario, replications, seed)` defaults to
-    the simulation-backed objective; tests inject cheap stand-ins.
-    `progress(name, record)` is called as each run lands.
+    and refused if not. Cells with equal fingerprints (twins, such as a value
+    listed twice in a sweep grid) give one record: it runs once, or is read
+    from any twin's checkpoint, and lands in every twin's checkpoint. The rest
+    run serially, or on `config.workers` processes.
+    `objective_factory(scenario, replications, seed)` defaults to the
+    simulation-backed objective; tests inject cheap stand-ins.
+    `progress(name, record)` is called as each cell lands.
     """
     scenario = resolve_scenario(config.scenario)
     ckpt_dir = Path(config.output_dir) / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
 
+    twins = {}  # fingerprint -> indices of its cells
+    for k, (_, params, seed) in enumerate(cells):
+        twins.setdefault(_run_fingerprint(scenario, params, config, seed), []).append(k)
     records = [None] * len(cells)
-    pending = {}  # cell index -> (checkpoint path, fingerprint)
-    for k, (name, params, seed) in enumerate(cells):
-        fingerprint = _run_fingerprint(scenario, params, config, seed)
-        path = ckpt_dir / f"run_{name}.json"
-        if path.exists():
-            records[k] = _load_checkpoint(path, fingerprint)
-        else:
-            pending[k] = (path, fingerprint)
 
-    def args(k):
-        _, params, seed = cells[k]
+    def path(k):
+        return ckpt_dir / f"run_{cells[k][0]}.json"
+
+    def land(fingerprint, rec):
+        for k in twins[fingerprint]:
+            if records[k] is None:
+                records[k] = rec
+                _save_checkpoint(path(k), rec, fingerprint)
+                if progress is not None:
+                    progress(cells[k][0], rec)
+
+    pending = []  # fingerprints no twin has a checkpoint for
+    for fingerprint, ks in twins.items():
+        for k in ks:
+            if path(k).exists():
+                records[k] = _load_checkpoint(path(k), fingerprint)
+        saved = [records[k] for k in ks if records[k] is not None]
+        if saved:
+            land(fingerprint, saved[0])
+        else:
+            pending.append(fingerprint)
+
+    def args(fingerprint):
+        _, params, seed = cells[twins[fingerprint][0]]
         return params, scenario, config.replications, seed, config.max_evaluations, objective_factory
 
-    def land(k, rec):
-        records[k] = rec
-        path, fingerprint = pending[k]
-        _save_checkpoint(path, rec, fingerprint)
-        if progress is not None:
-            progress(cells[k][0], rec)
-
     if config.workers == 1 or len(pending) <= 1:
-        for k in pending:
-            land(k, execute_run(*args(k)))
+        for fingerprint in pending:
+            land(fingerprint, execute_run(*args(fingerprint)))
     else:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = {pool.submit(execute_run, *args(k)): k for k in pending}
+            futures = {pool.submit(execute_run, *args(fingerprint)): fingerprint for fingerprint in pending}
             for fut in as_completed(futures):
                 land(futures[fut], fut.result())
     return records

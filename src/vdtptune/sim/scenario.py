@@ -8,6 +8,7 @@ for the constants.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -104,7 +105,14 @@ def preset(name: str) -> Scenario:
         raise ValueError(
             f"unknown scenario preset {name!r}; known: {', '.join(preset_names())}"
         )
-    ref = resources.files(__package__).joinpath("scenarios", _PRESET_FILES[key])
+    return _load_preset(_PRESET_FILES[key])
+
+
+@functools.cache
+def _load_preset(filename: str) -> Scenario:
+    # parsed once per process: the files ship with the package, and a
+    # Scenario is frozen, so every caller can share one instance
+    ref = resources.files(__package__).joinpath("scenarios", filename)
     with resources.as_file(ref) as path:
         return load_scenario(path)
 

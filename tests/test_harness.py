@@ -43,7 +43,8 @@ from vdtptune.harness.reports import (
 )
 from vdtptune.harness.sweep import parse_grid, render_sweep, run_sweep, sweep_rows
 from vdtptune.optimizers import OptimizerParams
-from vdtptune.sim.scenario import Scenario, preset
+from vdtptune.sim import scenario as scenario_module
+from vdtptune.sim.scenario import Scenario, load_scenario, preset
 
 
 def cheap_factory(scenario, replications, seed):
@@ -293,6 +294,21 @@ def test_campaign_resumes_from_checkpoints(tmp_path):
             assert x.trace == y.trace
 
 
+def test_campaign_parses_its_preset_once(tmp_path, monkeypatch):
+    parsed = []
+
+    def counting_load(path):
+        parsed.append(Path(path).name)
+        return load_scenario(path)
+
+    scenario_module._load_preset.cache_clear()
+    monkeypatch.setattr(scenario_module, "load_scenario", counting_load)
+    run_campaign(tiny_config(tmp_path), objective_factory=cheap_factory)
+    run_sweep(sweep_config(tmp_path, "pso", runs=1), parse_grid("w = 0.3\n"), objective_factory=cheap_factory)
+    assert parsed == ["urban.cfg"]
+    assert preset("urban") is preset("Urban_A1")
+
+
 def test_campaign_refuses_checkpoints_of_another_config(tmp_path):
     urban = tiny_config(tmp_path, runs=2, max_evaluations=50)
     run_campaign(urban, objective_factory=cheap_factory)
@@ -477,7 +493,7 @@ def test_run_sweep_rows_and_rendering(tmp_path):
     grid = parse_grid("w = 0.3 0.6\n# repeats\npopulation_size = 5 5\nw = 0.3\n")
     cfg = sweep_config(tmp_path, "pso")
     result = run_sweep(cfg, grid, objective_factory=counting_factory)
-    assert len(calls) == 10  # 5 grid values x 2 runs
+    assert len(calls) == 6  # 3 distinct settings x 2 runs; twins run once
     assert result.algorithm == "pso"
     assert result.runs == 2
     assert [(p, v) for p, v, _ in result.rows] == [
@@ -492,21 +508,36 @@ def test_run_sweep_rows_and_rendering(tmp_path):
     assert "population_size" in text
     assert "0.3:" in text
 
-    # a repeated value or parameter keeps its own checkpoint, and a re-run resumes
+    # a repeated value or parameter keeps its own checkpoint, and a re-run
+    # resumes: a deleted checkpoint whose twin survives is copied from the
+    # twin, and one whose twins are all gone runs once for all of them
     ckpt_dir = Path(cfg.output_dir) / "checkpoints"
     assert len(list(ckpt_dir.glob("run_*.json"))) == 10
-    (ckpt_dir / "run_pso_grid1_1_0.json").unlink()
+    twin, deleted = ckpt_dir / "run_pso_grid1_0_0.json", ckpt_dir / "run_pso_grid1_1_0.json"
+    assert twin.read_bytes() == deleted.read_bytes()
+    deleted.unlink()
     calls.clear()
     again = run_sweep(cfg, grid, objective_factory=counting_factory)
-    assert len(calls) == 1
+    assert len(calls) == 0
+    assert deleted.read_bytes() == twin.read_bytes()
     assert again == result
+    # both pop 5 run 0 twins go and run once; w = 0.3 run 1 comes from line 3
+    for path in (twin, deleted, ckpt_dir / "run_pso_grid0_0_1.json"):
+        path.unlink()
+    assert run_sweep(cfg, grid, objective_factory=counting_factory) == result
+    assert len(calls) == 1
+    assert len(list(ckpt_dir.glob("run_*.json"))) == 10
 
 
 def test_run_sweep_parallel_matches_sequential(tmp_path):
-    grid = parse_grid("w = 0.3 0.6\n")
+    grid = parse_grid("w = 0.3 0.6\nw = 0.3\n")
     seq = run_sweep(sweep_config(tmp_path / "seq", "pso", max_evaluations=20), grid)  # real objective
     par = run_sweep(sweep_config(tmp_path / "par", "pso", max_evaluations=20, workers=2), grid)
     assert par.rows == seq.rows
+    assert par.rows[2] == par.rows[0]
+    for out in ("seq", "par"):  # the repeated line's checkpoints hold its twins' records
+        ckpt = tmp_path / out / "sweep" / "checkpoints"
+        assert (ckpt / "run_pso_grid1_0_1.json").read_bytes() == (ckpt / "run_pso_grid0_0_1.json").read_bytes()
 
 
 # --- command line -------------------------------------------------------------
