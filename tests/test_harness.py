@@ -17,7 +17,9 @@ from vdtptune.harness.benchfuncs import (
 )
 from vdtptune.harness.campaign import (
     ExperimentConfig,
+    _load_checkpoint,
     _run_fingerprint,
+    _save_checkpoint,
     execute_run,
     load_experiment_config,
     qos_seed,
@@ -42,7 +44,7 @@ from vdtptune.harness.reports import (
     write_trace_csv,
 )
 from vdtptune.harness.sweep import parse_grid, render_sweep, run_sweep, sweep_rows
-from vdtptune.optimizers import OptimizerParams
+from vdtptune.optimizers import OptimizerParams, RunRecord
 from vdtptune.sim import scenario as scenario_module
 from vdtptune.sim.scenario import Scenario, load_scenario, preset
 
@@ -336,6 +338,25 @@ def test_run_fingerprint_pinned():
         preset("urban"), OptimizerParams("pso"), ExperimentConfig(max_evaluations=20, replications=1), run_seed(2, 0)
     )
     assert fp == "22875d6538f6319a545d94981874f87951d5a3f3c2693510a047eac6972c160e"
+
+
+def test_checkpoint_bytes_pinned(tmp_path):
+    # a checkpoint on disk is read back by resume; its text must not drift
+    rec = RunRecord(
+        algorithm="de",
+        seed=2**63 + 11,
+        best_position=np.array([1536.0, 3.0, 0.1 + 0.2]),
+        best_fitness=1 / 3,
+        trace=((0, 12.5), (7, 2 / 3), (19, 1e-17)),
+        evaluations=20,
+        best_eval_index=19,
+        wall_time_s=0.125,
+        time_to_best_s=1.1,
+    )
+    path = tmp_path / "run_de_0.json"
+    _save_checkpoint(path, rec, "f" * 64)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == "a3df9730dc5847b9868d3282f5e263871622f0f0198eb2c34be7c611d2ee1a68"
+    assert record_to_dict(_load_checkpoint(path, "f" * 64)) == record_to_dict(rec)
 
 
 def test_campaign_parallel_matches_sequential(tmp_path):
