@@ -54,14 +54,21 @@ def _outcome_term(outcome: TransferOutcome) -> float:
 def evaluate(config: VdtpConfig, scenario: Scenario, n: int = DEFAULT_REPLICATIONS, seed=0) -> FitnessReport:
     """Score one configuration with n independent replications.
 
-    `seed` may be an int or a numpy SeedSequence; each replication gets its
-    own derived stream. Counts as a single unit of optimizer budget no matter
-    what n is.
+    `seed` may be an int or a numpy SeedSequence, whose n spawned children
+    seed the replications, or a list or tuple of n seeds, one per
+    replication. Counts as a single unit of optimizer budget no matter what
+    n is.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
-    outcomes = tuple(simulate_replication(config, scenario, ss.spawn(n)))
+    if isinstance(seed, (list, tuple)):
+        if len(seed) != n:
+            raise ValueError(f"need one seed per replication: {len(seed)} seeds for n = {n}")
+        seeds = seed
+    else:
+        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
+        seeds = ss.spawn(n)
+    outcomes = tuple(simulate_replication(config, scenario, seeds))
     fit = aggregate_fitness(_outcome_term(o) for o in outcomes)
     return FitnessReport(fitness=fit, replications=outcomes, config=config, n=n)
 
@@ -72,16 +79,18 @@ def make_objective(scenario: Scenario, n: int, seed):
     Successive calls use successive evaluation indices to derive replication
     seeds, so the whole run is reproducible from `seed` while each evaluation
     still sees fresh channel randomness (the objective is stochastic, as a
-    network simulator would be).
+    network simulator would be). Evaluation k scores with the n children of
+    SeedSequence(entropy, spawn_key=base + (1, k)), built directly from
+    their spawn keys base + (1, k, j) rather than spawned from that parent.
     """
     entropy = int(seed) if not isinstance(seed, np.random.SeedSequence) else seed.entropy
-    spawn_base = () if not isinstance(seed, np.random.SeedSequence) else seed.spawn_key
+    spawn_base = () if not isinstance(seed, np.random.SeedSequence) else tuple(seed.spawn_key)
     counter = [0]
 
     def objective(x) -> float:
-        k = counter[0]
+        key = spawn_base + (1, counter[0])
         counter[0] += 1
-        child = np.random.SeedSequence(entropy, spawn_key=tuple(spawn_base) + (1, k))
-        return evaluate(VdtpConfig.from_array(x), scenario, n=n, seed=child).fitness
+        seeds = [np.random.SeedSequence(entropy, spawn_key=key + (j,)) for j in range(n)]
+        return evaluate(VdtpConfig.from_array(x), scenario, n=n, seed=seeds).fitness
 
     return objective

@@ -183,8 +183,10 @@ def _run_fingerprint(scenario: Scenario, params: OptimizerParams, config: Experi
 
 def _save_checkpoint(path: Path, rec: RunRecord, fingerprint: str) -> None:
     tmp = path.with_suffix(".tmp")
+    # json.dumps runs the C encoder; json.dump streams through the pure-Python one
+    text = json.dumps(dict(record_to_dict(rec), fingerprint=fingerprint), sort_keys=True)
     with open(tmp, "w") as fh:
-        json.dump(dict(record_to_dict(rec), fingerprint=fingerprint), fh, sort_keys=True)
+        fh.write(text)
     os.replace(tmp, path)
 
 

@@ -75,9 +75,14 @@ else:
     U64 = _masked_int
 
 
+# The draws reduce modulo 2^64 by `& _MASK` and shift by these constants, so
+# a pure-Python draw calls no function: uint64 & uint64 when compiled, int &
+# int when not.
+_MASK = U64(0xFFFF_FFFF_FFFF_FFFF)
 _GOLDEN = U64(0x9E3779B97F4A7C15)
 _MIX1 = U64(0xBF58476D1CE4E5B9)
 _MIX2 = U64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = U64(11), U64(27), U64(30), U64(31)
 _INV53 = 1.0 / 9007199254740992.0  # 2^-53
 
 # Event log encoding: a recorded row is (time, kind code, packet code, attempt),
@@ -91,18 +96,17 @@ _FIRQ, _DRQ, _NO_PACKET = 0, 2, 4
 @_njit(cache=True)
 def _mix64(state):
     """splitmix64: returns (next_state, output_word)."""
-    state = U64(state + _GOLDEN)
-    z = state
-    z = U64((z ^ (z >> U64(30))) * _MIX1)
-    z = U64((z ^ (z >> U64(27))) * _MIX2)
-    z = z ^ (z >> U64(31))
+    state = (state + _GOLDEN) & _MASK
+    z = ((state ^ (state >> _S30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> _S27)) * _MIX2) & _MASK
+    z = z ^ (z >> _S31)
     return state, z
 
 
 @_njit(cache=True)
 def _u01(z):
     # 53-bit mantissa -> [0, 1)
-    return (z >> U64(11)) * _INV53
+    return (z >> _S11) * _INV53
 
 
 @_njit(cache=True)

@@ -15,7 +15,7 @@ from vdtptune.fitness import (
 )
 from vdtptune.sim.kernels import run_sessions
 from vdtptune.sim.scenario import human_expert_config, preset
-from vdtptune.sim.transfer import TransferOutcome, _kernel_args
+from vdtptune.sim.transfer import TransferOutcome, _as_kernel_seed, _kernel_args
 from vdtptune.space import VdtpConfig
 
 
@@ -74,6 +74,16 @@ def test_evaluate_accepts_seedsequence():
 def test_evaluate_rejects_bad_n():
     with pytest.raises(ValueError):
         evaluate(human_expert_config("urban"), preset("urban"), n=0, seed=1)
+
+
+def test_evaluate_takes_one_seed_per_replication():
+    sc = preset("urban")
+    cfg = human_expert_config(sc)
+    children = np.random.SeedSequence(7).spawn(3)
+    assert repr(evaluate(cfg, sc, n=3, seed=children)) == repr(evaluate(cfg, sc, n=3, seed=7))
+    for seeds in (children[:2], children + [5], [], tuple(children[:1])):
+        with pytest.raises(ValueError, match="one seed per replication"):
+            evaluate(cfg, sc, n=3, seed=seeds)
 
 
 def _report_replication_by_replication(config, scenario, n, seed):
@@ -148,6 +158,30 @@ def test_objective_seed_separation():
     sc = preset("urban")
     x = np.asarray(human_expert_config(sc).as_array())
     assert make_objective(sc, n=2, seed=1)(x) != make_objective(sc, n=2, seed=2)(x)
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+@pytest.mark.parametrize("seed", [5, np.random.SeedSequence(5, spawn_key=(3, 1))], ids=["int", "seedsequence"])
+def test_objective_builds_the_spawned_replication_seeds(monkeypatch, seed, n):
+    """make_objective builds evaluation k's replication seeds from their
+    spawn keys; their kernel seeds are those spawn(n) of the evaluation's
+    SeedSequence would give."""
+    handed = []
+
+    def spy(config, scenario, n, seed):
+        handed.append(seed)
+        return FitnessReport(fitness=0.0, replications=(), config=config, n=n)
+
+    monkeypatch.setattr(fitness, "evaluate", spy)
+    obj = make_objective(preset("urban"), n=n, seed=seed)
+    x = np.asarray(human_expert_config("urban").as_array())
+    for _ in range(3):
+        obj(x)
+    entropy, base = (seed.entropy, seed.spawn_key) if isinstance(seed, np.random.SeedSequence) else (seed, ())
+    for k, seeds in enumerate(handed):
+        parent = np.random.SeedSequence(entropy, spawn_key=base + (1, k))
+        assert [_as_kernel_seed(s) for s in seeds] == [_as_kernel_seed(c) for c in parent.spawn(n)]
+    assert len(handed) == 3
 
 
 def test_objective_matches_evaluate_seed_derivation():

@@ -22,8 +22,9 @@ from vdtptune.sim.scenario import (
     preset_names,
 )
 from vdtptune.sim.transfer import (
+    TransferOutcome,
     _kernel_args,
-    _outcome,
+    _outcomes,
     effective_throughput,
     n_chunks,
     simulate_replication,
@@ -319,12 +320,21 @@ def test_splitmix64_known_answers():
             assert kernels._u01(z) == (word >> 11) * 2**-53
 
 
+# the module constants _mix64 and _u01 compute with
+_DRAW_CONSTANTS = ("_MASK", "_GOLDEN", "_MIX1", "_MIX2", "_S11", "_S27", "_S30", "_S31")
+
+
 def _helpers_over(u64):
     """The kernel's own _mix64/_u01 code, with U64 and its constants rebound to `u64`."""
     g = dict(vars(kernels), U64=u64)
-    for name in ("_GOLDEN", "_MIX1", "_MIX2"):
+    for name in _DRAW_CONSTANTS:
         g[name] = u64(int(getattr(kernels, name)))
-    code = (getattr(f, "py_func", f).__code__ for f in (kernels._mix64, kernels._u01))
+    code = [getattr(f, "py_func", f).__code__ for f in (kernels._mix64, kernels._u01)]
+    # the helpers reach 64-bit words through the constants alone, so rebinding
+    # them is what makes the np.uint64 form run on uint64 operands
+    for c in code:
+        assert "U64" not in c.co_names
+        assert set(c.co_names) & set(vars(kernels)) <= {*_DRAW_CONSTANTS, "_INV53"}
     return tuple(types.FunctionType(c, g) for c in code)
 
 
@@ -334,6 +344,8 @@ def test_uint64_and_python_int_helpers_agree():
     mix_np, u01_np = _helpers_over(np.uint64)
     mix_int, u01_int = _helpers_over(kernels._masked_int)
     assert kernels.U64 is (np.uint64 if kernels.NUMBA_ENABLED else kernels._masked_int)
+    for name in _DRAW_CONSTANTS:
+        assert type(getattr(kernels, name)) is type(kernels.U64(0)), name
     rng = np.random.default_rng(20240601)
     states = [0, 2**64 - 1, *(int(s) for s in rng.integers(0, 2**64, 10_000, dtype=np.uint64))]
     with np.errstate(over="ignore"):
@@ -449,7 +461,7 @@ def test_compiled_replications_match_lanes():
             seeds = [int(s) for s in _replication_seeds(reps)]
             lanes = kernels.run_lanes(sc.sessions, *args, seeds)
             compiled = simulate_replication(args[:3], sc, seeds)
-            assert compiled == tuple(_outcome(*(a[r] for a in lanes)) for r in range(reps))
+            assert compiled == _outcomes(*lanes)
 
 
 def _handoffs(monkeypatch, sc, args, seeds):
@@ -650,6 +662,32 @@ def test_replication_of_several_seeds():
             simulate_replication(cfg, sc, empty)
     refusing = simulate_replication((25600, 2, 1.0), total_loss(), [1, 2])
     assert (refusing.sessions, refusing.refused_sessions) == (4, 4)
+
+
+@pytest.mark.parametrize("width", [20, 200])
+def test_outcomes_match_row_by_row_reductions(width):
+    """_outcomes reduces whole (replications, sessions) arrays; each outcome
+    must carry the bits the 1-D reductions of its own row give."""
+    rng = np.random.default_rng(width)
+    rows = 2000
+    times = rng.exponential(1.0, (rows, width)) * 10.0 ** rng.integers(-3, 4, (rows, width))
+    lost = rng.integers(0, 40, (rows, width)).astype(float)
+    # row sums up to 2^62, past 2^53, where the int-to-float conversion rounds
+    delivered = rng.integers(0, 2**62 // width, (rows, width)) >> rng.integers(0, 60, (rows, 1))
+    refused = rng.random((rows, width)) < rng.random((rows, 1)) ** 3
+    refused[:2] = [[True], [False]]
+    got = _outcomes(times, lost, delivered, refused)
+    assert len(got) == rows
+    for r, outcome in enumerate(got):
+        n_refused = int(np.count_nonzero(refused[r]))
+        want = TransferOutcome(
+            transmission_time_s=float(np.mean(times[r])),
+            lost_packets=float(np.mean(lost[r])),
+            data_transferred_kbytes=float(np.sum(delivered[r])) / 1024.0,
+            completed_sessions=width - n_refused,
+            refused_sessions=n_refused,
+        )
+        assert repr(outcome) == repr(want)
 
 
 # --- scenario plumbing -------------------------------------------------------
