@@ -381,9 +381,12 @@ _CLEAN_RUN_MIN = 4
 # score_highway round (two shared Xeon cores, pure backend, each call the
 # best of 7): without a tail they took 159 ms and 98 ms; with this gate
 # 110 ms (0.69x) and 94 ms. Gates of 4/48, 8/24 and 8/48 came within 2 % of
-# it; 2/24 gave 0.77x and 4/12 0.73x on urban. The scalar loop takes about
-# 8 us per request it finishes (3014 requests in 23 ms on urban), against
-# about 28 us for one single-attempt step of all lanes.
+# it; 2/24 gave 0.77x and 4/12 0.73x on urban. Since the draws call no
+# helper, the scalar loop takes about 4 us per request it finishes (the
+# 733 handoffs of one campaign_urban round, 2981 requests, took 9-15 ms
+# against 22-27 ms before; best of 7 each, five runs), against about 28 us
+# for one single-attempt step of all lanes. At that cost gates of 4/48,
+# 8/96 and 16/96 still came within 3 % of 4/24 on the urban calls.
 _TAIL_LANES = 4
 _TAIL_TODO = 24
 # j gammas on from a state, j = 0 .. 2 * _CLEAN_RUN_CELLS: where the draws of a
