@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sim.scenario import Scenario
-from .sim.transfer import TransferOutcome, simulate_replication
+from .sim.transfer import TransferOutcome, several_seeds, simulate_replication
 from .space import VdtpConfig
 
 __all__ = ["FitnessReport", "fitness_term", "aggregate_fitness", "evaluate", "make_objective"]
@@ -51,23 +51,31 @@ def _outcome_term(outcome: TransferOutcome) -> float:
     )
 
 
+def _replication_seeds(seed, n: int, key: tuple = ()) -> list:
+    """The n children spawn(n) gives on a fresh SeedSequence with the
+    entropy, pool size and spawn key (plus `key`) of `seed`, an int or a
+    SeedSequence; built from their spawn keys, as spawn would advance `seed`."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
+    base = ss.spawn_key + key
+    return [np.random.SeedSequence(ss.entropy, spawn_key=base + (j,), pool_size=ss.pool_size) for j in range(n)]
+
+
 def evaluate(config: VdtpConfig, scenario: Scenario, n: int = DEFAULT_REPLICATIONS, seed=0) -> FitnessReport:
     """Score one configuration with n independent replications.
 
-    `seed` may be an int or a numpy SeedSequence, whose n spawned children
-    seed the replications, or a list or tuple of n seeds, one per
-    replication. Counts as a single unit of optimizer budget no matter what
-    n is.
+    `seed` may be an int or a numpy SeedSequence, whose first n children
+    seed the replications (the sequence itself is left as it was), or a
+    list, tuple or 1-D array of n seeds, one per replication. Counts as a
+    single unit of optimizer budget no matter what n is.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(seed, (list, tuple)):
+    if several_seeds(seed):
         if len(seed) != n:
             raise ValueError(f"need one seed per replication: {len(seed)} seeds for n = {n}")
         seeds = seed
     else:
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
-        seeds = ss.spawn(n)
+        seeds = _replication_seeds(seed, n)
     outcomes = tuple(simulate_replication(config, scenario, seeds))
     fit = aggregate_fitness(_outcome_term(o) for o in outcomes)
     return FitnessReport(fitness=fit, replications=outcomes, config=config, n=n)
@@ -80,17 +88,15 @@ def make_objective(scenario: Scenario, n: int, seed):
     seeds, so the whole run is reproducible from `seed` while each evaluation
     still sees fresh channel randomness (the objective is stochastic, as a
     network simulator would be). Evaluation k scores with the n children of
-    SeedSequence(entropy, spawn_key=base + (1, k)), built directly from
-    their spawn keys base + (1, k, j) rather than spawned from that parent.
+    SeedSequence(entropy, spawn_key=base + (1, k)), base being the seed's
+    own spawn key, and with the seed's pool size.
     """
-    entropy = int(seed) if not isinstance(seed, np.random.SeedSequence) else seed.entropy
-    spawn_base = () if not isinstance(seed, np.random.SeedSequence) else tuple(seed.spawn_key)
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
     counter = [0]
 
     def objective(x) -> float:
-        key = spawn_base + (1, counter[0])
+        seeds = _replication_seeds(ss, n, (1, counter[0]))
         counter[0] += 1
-        seeds = [np.random.SeedSequence(entropy, spawn_key=key + (j,)) for j in range(n)]
         return evaluate(VdtpConfig.from_array(x), scenario, n=n, seed=seeds).fitness
 
     return objective

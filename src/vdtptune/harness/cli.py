@@ -180,7 +180,8 @@ def cmd_compare(args) -> int:
     print()
     print(reports.render_ranks(result))
     print()
-    print(reports.render_qos(reports.qos_rows(result)))
+    _, qos = reports.read_csv(Path(config.output_dir) / "qos.csv")
+    print(reports.render_qos([(label, chunk, attempts, *map(float, rest)) for label, chunk, attempts, *rest in qos]))
     print()
     print(reports.render_timing(result))
     print(f"\nwrote {len(written)} files under {config.output_dir}")
@@ -196,12 +197,12 @@ def cmd_simulate(args) -> int:
     report = evaluate(config, scenario, n=args.replications, seed=args.seed)
 
     print(f"scenario {scenario.name}, config chunk={args.chunk:g} B attempts={args.attempts:g} timeout={args.timeout:g} s")
-    header = f"{'rep':>3}  {'time_s':>10}  {'lost':>8}  {'data_kB':>10}  {'kB_per_s':>10}  {'refused':>7}"
-    print(header)
-    print("-" * len(header))
-    for i, o in enumerate(report.replications):
-        print(f"{i:>3}  {o.transmission_time_s:>10.3f}  {o.lost_packets:>8.2f}  "
-              f"{o.data_transferred_kbytes:>10.1f}  {effective_throughput(o):>10.2f}  {o.refused_sessions:>7}")
+    rows = [
+        (i, f"{o.transmission_time_s:.3f}", f"{o.lost_packets:.2f}", f"{o.data_transferred_kbytes:.1f}",
+         f"{effective_throughput(o):.2f}", o.refused_sessions)
+        for i, o in enumerate(report.replications)
+    ]
+    print(reports.render_table(["rep", "time_s", "lost", "data_kB", "kB_per_s", "refused"], rows))
     mean_tp = sum(effective_throughput(o) for o in report.replications) / len(report.replications)
     print(f"fitness over {report.n} replications: {report.fitness:.6f}")
     print(f"mean effective throughput: {mean_tp:.2f} kB/s")

@@ -24,6 +24,7 @@ __all__ = [
     "render_qos",
     "render_ranks",
     "render_summary",
+    "render_table",
     "render_tests",
     "render_timing",
     "trace_filename",
@@ -180,7 +181,7 @@ def write_campaign_outputs(result: CampaignResult, out_dir) -> list:
 # --- aligned text rendering --------------------------------------------------
 
 
-def _render_table(headers, rows) -> str:
+def render_table(headers, rows) -> str:
     cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
     lines = []
@@ -201,7 +202,7 @@ def render_summary(result: CampaignResult) -> str:
         (a, _f(m), _f(s), _f(lo), _f(md), _f(hi), n)
         for a, m, s, lo, md, hi, n in summary_rows(result)
     ]
-    return _render_table(["algorithm", "mean", "std", "min", "median", "max", "n"], rows)
+    return render_table(["algorithm", "mean", "std", "min", "median", "max", "n"], rows)
 
 
 def render_tests(result: CampaignResult) -> str:
@@ -223,14 +224,14 @@ def render_tests(result: CampaignResult) -> str:
                 mark = "--" if t.significant_at_05 else "-"
             row.append(f"{mark} p={t.p_value:.4g}")
         rows.append(row + [""] * (len(names) - 1 - i))
-    return _render_table(["vs"] + names[:-1], rows)
+    return render_table(["vs"] + names[:-1], rows)
 
 
 def render_ranks(result: CampaignResult) -> str:
     if result.friedman is None:
         return "(friedman ranking needs at least 2 runs)"
     rows = sorted(ranks_rows(result), key=lambda r: r[1])
-    out = _render_table(
+    out = render_table(
         ["algorithm", "mean_rank"], [(a, _f(r, 3)) for a, r, _, _ in rows]
     )
     fr = result.friedman
@@ -242,7 +243,7 @@ def render_qos(rows) -> str:
         (label, chunk, att, _f(to, 2), _f(fit), _f(t, 3), _f(lost, 2), _f(data, 1), _f(tp, 2), _f(refused, 2))
         for label, chunk, att, to, fit, t, lost, data, tp, refused in rows
     ]
-    return _render_table(
+    return render_table(
         ["config", "chunk_B", "attempts", "timeout_s", "fitness", "time_s", "lost", "data_kB", "kB_per_s", "refused"],
         shown,
     )
@@ -253,4 +254,4 @@ def render_timing(result: CampaignResult) -> str:
         (a, _f(result.mean_time_to_best[a], 3), _f(result.mean_run_time[a], 3))
         for a in result.config.algorithm_names
     ]
-    return _render_table(["algorithm", "mean_T_best_s", "mean_T_run_s"], rows)
+    return render_table(["algorithm", "mean_T_best_s", "mean_T_run_s"], rows)

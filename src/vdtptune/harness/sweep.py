@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from ..cfgfile import field_value
 from ..optimizers import OptimizerParams
 from .campaign import ExperimentConfig, resolve_scenario, run_cells, run_seed
-from .reports import _render_table
+from .reports import render_table
 
 __all__ = ["SweepResult", "parse_grid", "render_sweep", "run_sweep", "sweep_rows"]
 
@@ -118,4 +118,4 @@ def render_sweep(result: SweepResult) -> str:
         [param] + [f"{v}:{f:.4f}" for v, f in vals] + [""] * (width - len(vals))
         for param, vals in by_param.items()
     ]
-    return _render_table(headers, rows)
+    return render_table(headers, rows)

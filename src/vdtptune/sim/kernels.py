@@ -21,8 +21,9 @@ Without numba it runs every replicated simulation; numba never compiles it.
 Randomness is a splitmix64 stream driven by explicit 64-bit state, so compiled
 and interpreted execution consume identical draws. Besides `_njit`, `U64` is
 the one binding that differs between the paths: the compiled path works in
-np.uint64, which numba turns into machine words; the pure path works in Python
-ints masked to 64 bits, which wrap the same way without numpy scalar overhead.
+np.uint64, which numba turns into machine words; the pure path works in plain
+Python ints, which the draws reduce modulo 2^64 with `& _MASK`, so they wrap
+the same way without numpy scalar overhead.
 """
 
 from __future__ import annotations
@@ -58,11 +59,6 @@ else:
     NUMBA_ENABLED = False
 
 
-def _masked_int(x):
-    """Python-int stand-in for np.uint64: reduce modulo 2^64."""
-    return int(x) & 0xFFFF_FFFF_FFFF_FFFF
-
-
 if NUMBA_ENABLED:
     U64 = np.uint64
 else:
@@ -72,7 +68,7 @@ else:
             return args[0]
         return lambda fn: fn
 
-    U64 = _masked_int
+    U64 = int  # unmasked: _mix64 reduces every state modulo 2^64 first
 
 
 # The draws reduce modulo 2^64 by `& _MASK` and shift by these constants, so
@@ -353,9 +349,6 @@ def run_sessions(
 _GOLDEN_A, _MIX1_A, _MIX2_A = (np.array(int(c), np.uint64) for c in (_GOLDEN, _MIX1, _MIX2))
 _R11, _R27, _R30, _R31 = (np.array(k, np.uint64) for k in (11, 27, 30, 31))
 _ONE = np.array(1, np.int64)
-# states of the request and reply draws of an attempt in which the link
-# does not switch: one and two gammas on
-_STEPS = np.array([[1], [2]], np.uint64) * _GOLDEN_A
 
 # Clean-run blocks: while at most _CLEAN_RUN_CELLS // _CLEAN_RUN_MIN lanes are
 # left, an iteration first moves every lane over its run of clean attempts
@@ -445,7 +438,7 @@ def _cross_switches(mask, arrival, state, up, t_switch, up_mean, down_mean):
         idx = idx[t_switch[idx] <= arrival[idx]]
 
 
-def _attempt_switching(state, up, t_switch, req_arr, rep_arr, k_pass, up_mean, down_mean):
+def _attempt(state, up, t_switch, req_arr, rep_arr, k_pass, up_mean, down_mean):
     """One attempt of every lane in the scalar kernel's order: switches,
     request draw, switches, reply draw. Updates the arrays in place and
     returns which replies got through."""
@@ -530,15 +523,13 @@ def run_lanes(
     (len(seeds), n_sessions); row r equals run_sessions(n_sessions, ...,
     seeds[r]) bit for bit and dtype for dtype. A lane's splitmix64 state
     lives in a uint64 array and its seed comes by counter (_session_seeds).
-    An iteration in which no link switches before its reply would arrive
-    draws both words of every attempt in one mix; any other runs the
-    attempts in the scalar order (_attempt_switching). While at most
-    _CLEAN_RUN_CELLS // _CLEAN_RUN_MIN lanes are left, an iteration first
-    moves every lane past its run of clean attempts (_clean_run), and the
-    single attempt then plays the one that broke the run.
-    Lanes that finish are compacted out, so a long lane does not pay for the
-    width it started with, and the last few stragglers finish in the scalar
-    protocol, each resumed from its lane's state (_resume_session).
+    An iteration runs one attempt of every lane in the scalar order
+    (_attempt). While at most _CLEAN_RUN_CELLS // _CLEAN_RUN_MIN lanes are
+    left, an iteration first moves every lane past its run of clean attempts
+    (_clean_run), and the single attempt then plays the one that broke the
+    run. Lanes that finish are compacted out, so a long lane does not pay
+    for the width it started with, and the last few stragglers finish in the
+    scalar protocol, each resumed from its lane's state (_resume_session).
     """
     scalar_args = (
         chunk_bytes, attempts, timeout_s, file_size, header_bytes, bandwidth, prop_delay, eff_loss, up_mean, down_mean
@@ -605,16 +596,7 @@ def run_lanes(
         req_arr += prop_delay
         rep_arr = req_arr + tx_rep[todo]
         rep_arr += prop_delay
-        if np.count_nonzero(t_switch <= rep_arr):
-            rep_ok = _attempt_switching(state, up, t_switch, req_arr, rep_arr, k_pass, up_mean, down_mean)
-        else:
-            draws = state + _STEPS
-            passed = (_mix_lanes(draws) >> _R11) < k_pass
-            req_ok = passed[0] & up
-            rep_ok = passed[1] & req_ok
-            state = draws[0]
-            np.copyto(state, draws[1], where=req_ok)
-
+        rep_ok = _attempt(state, up, t_switch, req_arr, rep_arr, k_pass, up_mean, down_mean)
         lost += ~rep_ok
         win = rep_ok & (rep_arr - t <= timeout_s)
         t += timeout_s

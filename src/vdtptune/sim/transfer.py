@@ -14,7 +14,6 @@ backend.
 from __future__ import annotations
 
 import csv
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -121,18 +120,22 @@ def simulate_session(config, scenario: Scenario, seed) -> SessionResult:
     return SessionResult(float(t), int(lost), int(delivered), bool(refused))
 
 
+def several_seeds(seed) -> bool:
+    """A list, tuple or 1-D array holds one seed per replication; anything else is one seed."""
+    return isinstance(seed, (list, tuple)) or (isinstance(seed, np.ndarray) and seed.ndim > 0)
+
+
 def simulate_replication(config, scenario: Scenario, seed):
     """Run `scenario.sessions` independent sessions and aggregate.
 
     `seed` is one seed (an int, a numpy integer or 0-d array, a decimal
     str or bytes, or a SeedSequence), which gives one TransferOutcome, or a
-    non-empty sequence or 1-D array of seeds, one per replication, which
+    non-empty list, tuple or 1-D array of seeds, one per replication, which
     gives their Replications. Refused sessions contribute their
     time-until-refusal to the mean time; data is the total payload delivered
     across all sessions, in kBytes.
     """
-    text = isinstance(seed, (str, bytes))  # a Sequence, but one seed
-    several = (isinstance(seed, Sequence) and not text) or (isinstance(seed, np.ndarray) and seed.ndim > 0)
+    several = several_seeds(seed)
     if several and len(seed) == 0:
         raise ValueError("simulate_replication needs at least one seed")
     kernel_seeds = [_as_kernel_seed(s) for s in (seed if several else (seed,))]

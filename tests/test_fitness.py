@@ -71,6 +71,43 @@ def test_evaluate_accepts_seedsequence():
     assert evaluate(cfg, sc, n=2, seed=ss).fitness == evaluate(cfg, sc, n=2, seed=7).fitness
 
 
+def test_evaluate_leaves_a_seedsequence_as_it_was():
+    """evaluate builds its replication seeds from spawn keys, so one
+    SeedSequence scores alike however often it is handed over."""
+    sc = preset("urban")
+    cfg = human_expert_config(sc)
+    ss = np.random.SeedSequence(7)
+    first, second = evaluate(cfg, sc, n=2, seed=ss), evaluate(cfg, sc, n=2, seed=ss)
+    assert repr(first) == repr(second) == repr(evaluate(cfg, sc, n=2, seed=np.random.SeedSequence(7)))
+    assert ss.n_children_spawned == 0
+
+
+def _fresh(seed, key=()):
+    """A SeedSequence never spawned from, with the entropy, spawn key (plus
+    `key`) and pool size of `seed`, an int or a SeedSequence."""
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + key, pool_size=seed.pool_size)
+    return np.random.SeedSequence(seed, spawn_key=key)
+
+
+def _same_children(got, parent, n):
+    """`got` are the children parent.spawn(n) gives, down to their state."""
+    want = parent.spawn(n)
+    assert [(c.entropy, c.spawn_key, c.pool_size) for c in got] == [(c.entropy, c.spawn_key, c.pool_size) for c in want]
+    assert [_as_kernel_seed(c) for c in got] == [_as_kernel_seed(c) for c in want]
+
+
+_SPAWN_PARENTS = [5, np.random.SeedSequence(5, spawn_key=(3, 1)), np.random.SeedSequence(5, pool_size=8)]
+_SPAWN_IDS = ["int", "seedsequence", "pool-size-8"]
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+@pytest.mark.parametrize("seed", _SPAWN_PARENTS, ids=_SPAWN_IDS)
+def test_replication_seeds_are_the_spawned_children(seed, n):
+    for key in ((), (1, 4)):
+        _same_children(fitness._replication_seeds(seed, n, key), _fresh(seed, key), n)
+
+
 def test_evaluate_rejects_bad_n():
     with pytest.raises(ValueError):
         evaluate(human_expert_config("urban"), preset("urban"), n=0, seed=1)
@@ -80,8 +117,12 @@ def test_evaluate_takes_one_seed_per_replication():
     sc = preset("urban")
     cfg = human_expert_config(sc)
     children = np.random.SeedSequence(7).spawn(3)
-    assert repr(evaluate(cfg, sc, n=3, seed=children)) == repr(evaluate(cfg, sc, n=3, seed=7))
-    for seeds in (children[:2], children + [5], [], tuple(children[:1])):
+    want = repr(evaluate(cfg, sc, n=3, seed=7))
+    assert repr(evaluate(cfg, sc, n=3, seed=children)) == want
+    # a 1-D array of kernel seeds reads like the list
+    kernel_seeds = np.array([_as_kernel_seed(c) for c in children], np.uint64)
+    assert repr(evaluate(cfg, sc, n=3, seed=kernel_seeds)) == want
+    for seeds in (children[:2], children + [5], [], tuple(children[:1]), kernel_seeds[:2]):
         with pytest.raises(ValueError, match="one seed per replication"):
             evaluate(cfg, sc, n=3, seed=seeds)
 
@@ -161,11 +202,11 @@ def test_objective_seed_separation():
 
 
 @pytest.mark.parametrize("n", [1, 3, 10])
-@pytest.mark.parametrize("seed", [5, np.random.SeedSequence(5, spawn_key=(3, 1))], ids=["int", "seedsequence"])
+@pytest.mark.parametrize("seed", _SPAWN_PARENTS, ids=_SPAWN_IDS)
 def test_objective_builds_the_spawned_replication_seeds(monkeypatch, seed, n):
     """make_objective builds evaluation k's replication seeds from their
-    spawn keys; their kernel seeds are those spawn(n) of the evaluation's
-    SeedSequence would give."""
+    spawn keys; they are the children spawn(n) of the evaluation's
+    SeedSequence would give, pool size included."""
     handed = []
 
     def spy(config, scenario, n, seed):
@@ -177,10 +218,8 @@ def test_objective_builds_the_spawned_replication_seeds(monkeypatch, seed, n):
     x = np.asarray(human_expert_config("urban").as_array())
     for _ in range(3):
         obj(x)
-    entropy, base = (seed.entropy, seed.spawn_key) if isinstance(seed, np.random.SeedSequence) else (seed, ())
     for k, seeds in enumerate(handed):
-        parent = np.random.SeedSequence(entropy, spawn_key=base + (1, k))
-        assert [_as_kernel_seed(s) for s in seeds] == [_as_kernel_seed(c) for c in parent.spawn(n)]
+        _same_children(seeds, _fresh(seed, (1, k)), n)
     assert len(handed) == 3
 
 

@@ -339,11 +339,11 @@ def _helpers_over(u64):
 
 
 def test_uint64_and_python_int_helpers_agree():
-    """The numpy-uint64 arithmetic numba compiles and the masked Python-int
+    """The numpy-uint64 arithmetic numba compiles and the plain Python-int
     arithmetic of the pure path give the same words and the same doubles."""
     mix_np, u01_np = _helpers_over(np.uint64)
-    mix_int, u01_int = _helpers_over(kernels._masked_int)
-    assert kernels.U64 is (np.uint64 if kernels.NUMBA_ENABLED else kernels._masked_int)
+    mix_int, u01_int = _helpers_over(int)
+    assert kernels.U64 is (np.uint64 if kernels.NUMBA_ENABLED else int)
     for name in _DRAW_CONSTANTS:
         assert type(getattr(kernels, name)) is type(kernels.U64(0)), name
     rng = np.random.default_rng(20240601)
@@ -362,6 +362,17 @@ def test_uint64_and_python_int_helpers_agree():
             assert 0 <= z_int < 2**64
             u_np, u_int = u01_np(z_np), u01_int(z_int)
             assert u_np == u_int and 0.0 <= u_int < 1.0
+
+
+@pytest.mark.skipif(kernels.NUMBA_ENABLED, reason="the pure path's U64 is int")
+def test_pure_draw_reduces_unmasked_states():
+    """U64 leaves Python ints unmasked on the pure path; _mix64 reduces a
+    state modulo 2^64 before it uses it, so states 2^64 apart draw alike."""
+    for s in (0, 1, 12345, 2**63, 2**64 - 1, 2**64 - int(kernels._GOLDEN)):
+        want = kernels._mix64(kernels.U64(s))
+        assert 0 <= want[0] < 2**64 and 0 <= want[1] < 2**64
+        assert kernels._mix64(kernels.U64(s + 2**64)) == want
+        assert kernels._mix64(kernels.U64(s - 2**64)) == want
 
 
 # --- lane kernel -------------------------------------------------------------
