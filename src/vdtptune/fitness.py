@@ -16,6 +16,7 @@ import numpy as np
 from .sim.scenario import Scenario
 from .sim.transfer import TransferOutcome, several_seeds, simulate_replication
 from .space import VdtpConfig
+from .stats import mean
 
 __all__ = ["FitnessReport", "fitness_term", "aggregate_fitness", "evaluate", "make_objective"]
 
@@ -28,11 +29,7 @@ def fitness_term(time_s: float, lost_packets: float, data_kbytes: float, c: floa
     return (time_s + lost_packets) / math.log10(data_kbytes + c)
 
 
-def aggregate_fitness(terms) -> float:
-    terms = list(terms)
-    if not terms:
-        raise ValueError("need at least one replication")
-    return float(sum(terms)) / len(terms)
+aggregate_fitness = mean  # the fitness of a candidate is its replications' mean term
 
 
 @dataclass(frozen=True)

@@ -278,8 +278,6 @@ class CampaignResult:
     summaries: dict  # algorithm -> SampleSummary of best fitnesses
     tests: dict  # (alg_a, alg_b) -> PairedTestResult, a before b in config order
     friedman: FriedmanTable | None
-    mean_time_to_best: dict
-    mean_run_time: dict
 
     def fitness_samples(self, algorithm: str):
         return [rec.best_fitness for rec in self.records[algorithm]]
@@ -307,8 +305,6 @@ def _assemble(config: ExperimentConfig, scenario: Scenario, records: dict) -> Ca
             blocks = [[samples[a][i] for a in names] for i in range(config.runs)]
             friedman = friedman_ranks(blocks)
 
-    mean_tb = {a: float(np.mean([r.time_to_best_s for r in records[a]])) for a in names}
-    mean_tr = {a: float(np.mean([r.wall_time_s for r in records[a]])) for a in names}
     return CampaignResult(
         config=config,
         scenario=scenario,
@@ -316,8 +312,6 @@ def _assemble(config: ExperimentConfig, scenario: Scenario, records: dict) -> Ca
         summaries=summaries,
         tests=tests,
         friedman=friedman,
-        mean_time_to_best=mean_tb,
-        mean_run_time=mean_tr,
     )
 
 

@@ -18,7 +18,7 @@ from ..fitness import evaluate
 from ..optimizers import ALGORITHMS, OptimizerParams
 from ..sim.scenario import preset_names
 from ..sim.transfer import effective_throughput
-from ..space import DEFAULT_BOUNDS, VdtpConfig, bound_violations, quantize_for_protocol
+from ..space import DEFAULT_BOUNDS, VdtpConfig, bound_violations
 from . import reports
 from .benchfuncs import BENCH_FUNCTIONS, bench_bounds, get_function, random_search
 from .campaign import (
@@ -32,7 +32,7 @@ from .campaign import (
     run_seed,
 )
 from .sweep import SWEEP_HEADER, parse_grid, render_sweep, run_sweep, sweep_rows
-from ..stats import summarize
+from ..stats import mean, summarize
 
 __all__ = ["main", "build_parser"]
 
@@ -117,9 +117,8 @@ def cmd_tune(args) -> int:
     trace_path = out / reports.trace_filename(args.algorithm, 0)
     reports.write_trace_csv(trace_path, rec.trace)
 
-    best = rec.best_config
-    report = evaluate(best, scenario, n=args.replications, seed=qos_seed(args.seed))
-    chunk, attempts, timeout = quantize_for_protocol(best)
+    row = reports.qos_row(args.algorithm, rec.best_config, scenario, args.replications, qos_seed(args.seed))
+    _, chunk, attempts, timeout, rescored = row[:5]
     payload = {
         "algorithm": args.algorithm,
         "scenario": scenario.name,
@@ -134,8 +133,8 @@ def cmd_tune(args) -> int:
             "total_attempts": attempts,
             "retransmission_time_s": timeout,
         },
-        "rescored_fitness": report.fitness,
-        "rescore_replications": report.n,
+        "rescored_fitness": rescored,
+        "rescore_replications": args.replications,
     }
     best_path = out / f"best_{args.algorithm}.json"
     with open(best_path, "w") as fh:
@@ -203,7 +202,7 @@ def cmd_simulate(args) -> int:
         for i, o in enumerate(report.replications)
     ]
     print(reports.render_table(["rep", "time_s", "lost", "data_kB", "kB_per_s", "refused"], rows))
-    mean_tp = sum(effective_throughput(o) for o in report.replications) / len(report.replications)
+    mean_tp = mean(effective_throughput(o) for o in report.replications)
     print(f"fitness over {report.n} replications: {report.fitness:.6f}")
     print(f"mean effective throughput: {mean_tp:.2f} kB/s")
     return 0

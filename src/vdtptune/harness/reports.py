@@ -16,9 +16,11 @@ from ..fitness import evaluate
 from ..sim.scenario import human_expert_config
 from ..sim.transfer import effective_throughput
 from ..space import quantize_for_protocol
+from ..stats import mean
 from .campaign import CampaignResult, qos_seed
 
 __all__ = [
+    "qos_row",
     "qos_rows",
     "read_csv",
     "render_qos",
@@ -92,6 +94,23 @@ def ranks_rows(result: CampaignResult):
         yield (a, rank, fr.blocks, fr.statistic)
 
 
+def qos_row(label: str, config, scenario, n: int, seed) -> tuple:
+    """One QoS table row: `config` as the protocol runs it, re-scored with n
+    replications on `seed`, and its mean outcomes."""
+    report = evaluate(config, scenario, n=n, seed=seed)
+    outs = report.replications
+    return (
+        label,
+        *quantize_for_protocol(config),
+        report.fitness,
+        mean(o.transmission_time_s for o in outs),
+        mean(o.lost_packets for o in outs),
+        mean(o.data_transferred_kbytes for o in outs),
+        mean(effective_throughput(o) for o in outs),
+        mean(o.refused_sessions for o in outs),
+    )
+
+
 def qos_rows(result: CampaignResult):
     """Table of best found configuration per algorithm plus the hand-tuned
     reference, each re-scored with fresh replications on a dedicated seed."""
@@ -99,30 +118,8 @@ def qos_rows(result: CampaignResult):
     n = result.config.replications
     seed = qos_seed(result.config.master_seed)
     entries = [("experts", human_expert_config(scenario))]
-    for a in result.config.algorithm_names:
-        entries.append((a, result.best_record(a).best_config))
-
-    rows = []
-    for label, config in entries:
-        report = evaluate(config, scenario, n=n, seed=seed)
-        outs = report.replications
-        chunk, attempts, timeout = quantize_for_protocol(config)
-        k = len(outs)
-        rows.append(
-            (
-                label,
-                chunk,
-                attempts,
-                timeout,
-                report.fitness,
-                sum(o.transmission_time_s for o in outs) / k,
-                sum(o.lost_packets for o in outs) / k,
-                sum(o.data_transferred_kbytes for o in outs) / k,
-                sum(effective_throughput(o) for o in outs) / k,
-                sum(o.refused_sessions for o in outs) / k,
-            )
-        )
-    return rows
+    entries += [(a, result.best_record(a).best_config) for a in result.config.algorithm_names]
+    return [qos_row(label, config, scenario, n, seed) for label, config in entries]
 
 
 QOS_HEADER = [
@@ -251,7 +248,7 @@ def render_qos(rows) -> str:
 
 def render_timing(result: CampaignResult) -> str:
     rows = [
-        (a, _f(result.mean_time_to_best[a], 3), _f(result.mean_run_time[a], 3))
-        for a in result.config.algorithm_names
+        (a, _f(mean(r.time_to_best_s for r in recs), 3), _f(mean(r.wall_time_s for r in recs), 3))
+        for a, recs in result.records.items()
     ]
     return render_table(["algorithm", "mean_T_best_s", "mean_T_run_s"], rows)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from ..cfgfile import field_value
 from ..optimizers import OptimizerParams
+from ..stats import mean
 from .campaign import ExperimentConfig, resolve_scenario, run_cells, run_seed
 from .reports import render_table
 
@@ -90,13 +91,10 @@ def run_sweep(config: ExperimentConfig, grid, objective_factory=None) -> SweepRe
                 for i in range(config.runs)
             ]
     recs = iter(run_cells(config, cells, objective_factory))
-    rows = []
-    for param, value in combos:
-        total = 0.0  # summed left to right: sum() compensates on Python >= 3.12
-        for _ in range(config.runs):
-            total += next(recs).best_fitness
-        rows.append((param, value, total / config.runs))
-    return SweepResult(base.algorithm, resolve_scenario(config.scenario).name, config.runs, tuple(rows))
+    rows = tuple(
+        (param, value, mean(next(recs).best_fitness for _ in range(config.runs))) for param, value in combos
+    )
+    return SweepResult(base.algorithm, resolve_scenario(config.scenario).name, config.runs, rows)
 
 
 SWEEP_HEADER = ["parameter", "value", "mean_best_fitness", "runs", "scenario"]

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from ..stats import mean
 from .common import ObjectiveHandle, OptimizerParams, reset_one_gene
 
 __all__ = ["acceptance_probability", "initial_temperature", "run_sa"]
@@ -37,7 +38,7 @@ def initial_temperature(deltas, target_accept: float = 0.8) -> float:
     positive = [float(d) for d in deltas if d > 0.0]
     if not positive:
         return 1.0
-    d = sum(positive) / len(positive)
+    d = mean(positive)
     return d / math.log(2.0 / target_accept - 1.0)
 
 

@@ -1,8 +1,9 @@
 """Nonparametric comparison tools for run samples.
 
-Descriptive summaries, the paired Wilcoxon signed-rank test (exact
-enumeration at small n, normal approximation beyond) and Friedman
-mean-rank tables. Pure functions over plain sequences, no state.
+The mean every replication and run average goes through, descriptive
+summaries, the paired Wilcoxon signed-rank test (exact enumeration at small
+n, normal approximation beyond) and Friedman mean-rank tables. Pure
+functions over plain sequences, no state.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ __all__ = [
     "SampleSummary",
     "average_ranks",
     "friedman_ranks",
+    "mean",
     "summarize",
     "wilcoxon_signed_rank",
 ]
@@ -49,6 +51,17 @@ class FriedmanTable:
     mean_ranks: tuple
     blocks: int
     statistic: float
+
+
+def mean(values) -> float:
+    """Arithmetic mean, added left to right from 0.0; ValueError when empty."""
+    # not sum(): it compensates from Python 3.12 on, which moves the last bits
+    total, n = 0.0, 0
+    for n, v in enumerate(values, 1):
+        total += v
+    if not n:
+        raise ValueError("mean of no values")
+    return float(total) / n
 
 
 def summarize(sample) -> SampleSummary:

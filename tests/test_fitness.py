@@ -43,6 +43,8 @@ def test_aggregate_mean_and_order_invariance():
     assert aggregate_fitness(terms) == pytest.approx(2.0)
     assert aggregate_fitness(reversed(terms)) == aggregate_fitness(terms)
     assert aggregate_fitness([7.5]) == 7.5
+    # added left to right: 1e16 + 1.0 rounds back to 1e16 (a compensated sum gives 1/3)
+    assert aggregate_fitness([1e16, 1.0, -1e16]) == 0.0
 
 
 def test_aggregate_rejects_empty():

@@ -658,11 +658,19 @@ def test_cli_unknown_scenario_is_usage_error(capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
-def test_cli_compare_small_campaign(tmp_path, capsys):
+# at 10 replications the order in which each mean adds its terms reaches the CSVs
+COMPARE_DIGESTS = {
+    1: "28b435c2eabdac5b3360b49e24c5749fca40e530ba8260e40e10a8137941e1d7",
+    10: "68365b90b667623b24a2cd9e8ba110d36fd38f4caf98af5b1d3d17cfef0f5556",
+}
+
+
+@pytest.mark.parametrize("replications", sorted(COMPARE_DIGESTS))
+def test_cli_compare_small_campaign(tmp_path, capsys, replications):
     out = tmp_path / "cmp"
     rc = run_cli([
         "compare", "--algorithms", "pso,de", "--runs", "2", "--budget", "20",
-        "--replications", "1", "--seed", "2", "--out", str(out),
+        "--replications", str(replications), "--seed", "2", "--out", str(out),
     ])
     assert rc == 0
     for name in ("summary.csv", "tests.csv", "ranks.csv", "qos.csv", "timing.txt"):
@@ -670,7 +678,7 @@ def test_cli_compare_small_campaign(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "algorithm" in stdout
     assert "experts" in stdout
-    assert csv_digest(out) == "28b435c2eabdac5b3360b49e24c5749fca40e530ba8260e40e10a8137941e1d7"
+    assert csv_digest(out) == COMPARE_DIGESTS[replications]
 
 
 def test_cli_compare_reads_config_file(tmp_path, capsys):

@@ -273,6 +273,8 @@ def test_sa_initial_temperature_inverts_target():
     assert initial_temperature([d, -100.0], target_accept=0.8) == pytest.approx(d / math.log(1.5))
     assert initial_temperature([], target_accept=0.8) == 1.0
     assert initial_temperature([-1.0, -2.0], target_accept=0.8) == 1.0
+    # the mean adds left to right, so both 1.0s round away against 1e16
+    assert initial_temperature([1e16, 1.0, 1.0], target_accept=0.8) == (1e16 / 3) / math.log(1.5)
 
 
 # --- end-to-end runs ---------------------------------------------------------

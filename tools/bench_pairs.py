@@ -11,9 +11,10 @@ Each side runs from a fresh checkout in a scratch directory: the parent is
 touches the repository. For every workload, pair i runs `python3
 vdtpbench/run.py --workload W --seed S --seconds T --trace 0` on the parent
 first when i is even and on the change first when i is odd; the workloads and
-the run length T are BENCHMARK.json's. After the pairs,
-each side makes one traced run (`--trace 1`) per workload, parent first, for
-the per-layer metrics.
+the run length T are BENCHMARK.json's. After the pairs, each side makes
+TRACED_RUNS traced runs (`--trace 1`) per workload for the per-layer metrics,
+the parent first on even runs and the change first on odd ones; each metric's
+`value` is the median of its runs, which are kept next to it.
 
 The output holds, per workload and end-to-end metric of BENCHMARK.json, each
 side's runs, median and quartiles (linear-interpolation 25th/75th
@@ -41,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACED_RUNS = 3  # one traced run is too noisy for a per-layer figure
 
 
 def git(*args) -> bytes:
@@ -75,6 +77,24 @@ def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float, trac
     lines = proc.stdout.strip().splitlines()
     info = json.loads(lines[-2].removeprefix("info "))
     return {**json.loads(lines[-1]), "info": info}
+
+
+def traced_runs(checkouts: dict, workload: str, seed: int, seconds: float) -> dict:
+    """Per side: TRACED_RUNS traced runs of one workload, alternating which
+    side goes first, summed counts and each metric's median and runs."""
+    runs = {"parent": [], "change": []}
+    for j in range(TRACED_RUNS):
+        for side in ("parent", "change") if j % 2 == 0 else ("change", "parent"):
+            runs[side].append(run_benchmark(checkouts[side], workload, seed, seconds, 1))
+    out = {}
+    for side, rs in runs.items():
+        metrics = {}
+        for name, first in rs[0]["metrics"].items():
+            values = [r["metrics"][name]["value"] for r in rs]
+            metrics[name] = {"value": float(np.median(values)), "unit": first["unit"], "runs": values}
+        out[side] = {"correct": all(r["correct"] for r in rs), "attempted": sum(r["attempted"] for r in rs),
+                     "failed": sum(r["failed"] for r in rs), "metrics": metrics}
+    return out
 
 
 def quartiles(values) -> dict:
@@ -170,11 +190,7 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {i} {side}: wall_s {result['metrics']['wall_s']['value']:.4f}",
                           file=sys.stderr, flush=True)
             summary[workload] = summarise(specs, runs)
-            traced[workload] = {
-                side: {k: v for k, v in run_benchmark(checkouts[side], workload, args.seed, seconds, 1).items()
-                       if k in ("correct", "attempted", "failed", "metrics")}
-                for side in ("parent", "change")
-            }
+            traced[workload] = traced_runs(checkouts, workload, args.seed, seconds)
         last = runs["change"][-1]["info"]
         report = {
             "change": args.title,
@@ -190,7 +206,8 @@ def main(argv=None) -> int:
                        "first when i is even and the change first when i is odd. Quartiles are linear-interpolation "
                        "25th/75th percentiles of each side's runs. worse_by is the change's median shortfall against "
                        "the parent's, as a share of the parent's median (negative = better). After the pairs each "
-                       "side made one traced run (--trace 1) per workload, parent first."),
+                       f"side made {TRACED_RUNS} traced runs (--trace 1) per workload, the parent first on even "
+                       "runs and the change first on odd ones; a traced metric's value is the median of its runs."),
             "claim": claim(summary, *args.claim.split(":")) if args.claim else None,
             "workloads": summary,
             "traced": traced,
