@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sim.scenario import Scenario
-from .sim.transfer import TransferOutcome, several_seeds, simulate_replication
+from .sim.transfer import TransferOutcome, several_seeds, simulate_batch, simulate_replication
 from .space import VdtpConfig
 from .stats import mean
 
@@ -48,6 +48,10 @@ def _outcome_term(outcome: TransferOutcome) -> float:
     )
 
 
+def _fitness(outcomes) -> float:
+    return aggregate_fitness(_outcome_term(o) for o in outcomes)
+
+
 def _replication_seeds(seed, n: int, key: tuple = ()) -> list:
     """The n children spawn(n) gives on a fresh SeedSequence with the
     entropy, pool size and spawn key (plus `key`) of `seed`, an int or a
@@ -74,26 +78,30 @@ def evaluate(config: VdtpConfig, scenario: Scenario, n: int = DEFAULT_REPLICATIO
     else:
         seeds = _replication_seeds(seed, n)
     outcomes = tuple(simulate_replication(config, scenario, seeds))
-    fit = aggregate_fitness(_outcome_term(o) for o in outcomes)
-    return FitnessReport(fitness=fit, replications=outcomes, config=config, n=n)
+    return FitnessReport(fitness=_fitness(outcomes), replications=outcomes, config=config, n=n)
 
 
 def make_objective(scenario: Scenario, n: int, seed):
-    """Objective closure for the optimizers: physical 3-vector -> fitness.
+    """Batch objective for the optimizers: (k, 3) physical array -> list of
+    k fitnesses, scored in one simulate_batch call.
 
-    Successive calls use successive evaluation indices to derive replication
-    seeds, so the whole run is reproducible from `seed` while each evaluation
-    still sees fresh channel randomness (the objective is stochastic, as a
-    network simulator would be). Evaluation k scores with the n children of
+    Successive rows, within a batch and across batches, use successive
+    evaluation indices to derive replication seeds, so the whole run is
+    reproducible from `seed` while each evaluation still sees fresh channel
+    randomness (the objective is stochastic, as a network simulator would
+    be), and a fitness does not depend on how the rows were cut into
+    batches. Evaluation k scores with the n children of
     SeedSequence(entropy, spawn_key=base + (1, k)), base being the seed's
     own spawn key, and with the seed's pool size.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
     counter = [0]
 
-    def objective(x) -> float:
-        seeds = _replication_seeds(ss, n, (1, counter[0]))
-        counter[0] += 1
-        return evaluate(VdtpConfig.from_array(x), scenario, n=n, seed=seeds).fitness
+    def objective(points) -> list:
+        configs = [VdtpConfig.from_array(x) for x in points]
+        first = counter[0]
+        counter[0] += len(configs)
+        seeds = [_replication_seeds(ss, n, (1, first + i)) for i in range(len(configs))]
+        return [_fitness(outcomes) for outcomes in simulate_batch(configs, scenario, seeds)]
 
     return objective

@@ -7,6 +7,7 @@ at the all-ones point).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -60,4 +61,4 @@ def random_search(objective, bounds: Bounds, seed: int = 0, max_evaluations: int
     def search(handle, rng):
         handle.evaluate_batch(rng.random((max_evaluations, bounds.dim)))
 
-    return _recorded_run("random", search, objective, bounds, seed, max_evaluations)
+    return _recorded_run("random", search, functools.partial(map, objective), bounds, seed, max_evaluations)

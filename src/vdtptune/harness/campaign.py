@@ -207,8 +207,8 @@ def _load_checkpoint(path: Path, fingerprint: str) -> RunRecord:
 def execute_run(params, scenario, replications, seed, max_evaluations, objective_factory=None) -> RunRecord:
     """One cell's optimizer run. Top-level so worker processes can call it."""
     factory = objective_factory or make_objective
-    objective = factory(scenario, replications, seed)
-    return optimizers.run(params, objective, DEFAULT_BOUNDS, seed=seed, max_evaluations=max_evaluations)
+    score = factory(scenario, replications, seed)
+    return optimizers.run_batched(params, score, DEFAULT_BOUNDS, seed=seed, max_evaluations=max_evaluations)
 
 
 def run_cells(config: ExperimentConfig, cells, objective_factory=None, progress=None) -> list:
@@ -220,8 +220,10 @@ def run_cells(config: ExperimentConfig, cells, objective_factory=None, progress=
     listed twice in a sweep grid) give one record: it runs once, or is read
     from any twin's checkpoint, and lands in every twin's checkpoint. The rest
     run serially, or on `config.workers` processes.
-    `objective_factory(scenario, replications, seed)` defaults to the
-    simulation-backed objective; tests inject cheap stand-ins.
+    `objective_factory(scenario, replications, seed)` returns a batch
+    objective, a function of a (k, 3) array of physical points that returns
+    their k fitnesses; it defaults to the simulation-backed `make_objective`,
+    and tests inject cheap stand-ins.
     `progress(name, record)` is called as each cell lands.
     """
     scenario = resolve_scenario(config.scenario)

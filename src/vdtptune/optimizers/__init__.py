@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "blend_crossover",
     "reset_one_gene",
     "run",
+    "run_batched",
     "tournament_pick",
 ]
 
@@ -51,12 +53,26 @@ def run(
     seed: int = 0,
     max_evaluations: int = 1000,
 ) -> RunRecord:
-    """One optimizer run against a physical-coordinate objective.
+    """One optimizer run against a physical-coordinate objective, a function
+    of one point; run_batched with that objective mapped over each batch,
+    lazily, so it is still called row by row."""
+    return run_batched(params, functools.partial(map, objective), bounds, seed, max_evaluations)
 
-    The search happens in the unit cube; `bounds` maps points to physical
-    coordinates right before each objective call. The run always spends the
-    whole budget (or the generations cap, when one is set) and returns the
-    per-evaluation best-so-far trace.
+
+def run_batched(
+    params: OptimizerParams,
+    score,
+    bounds: Bounds,
+    seed: int = 0,
+    max_evaluations: int = 1000,
+) -> RunRecord:
+    """One optimizer run against a batch objective: `score` takes a (k, dim)
+    array of physical points and returns their k fitnesses.
+
+    The search happens in the unit cube; `bounds` maps each batch to
+    physical coordinates right before it is scored. The run always spends
+    the whole budget (or the generations cap, when one is set) and returns
+    the per-evaluation best-so-far trace.
     """
     params.check_budget(max_evaluations)
     budget = max_evaluations
@@ -66,12 +82,12 @@ def run(
     def search(handle, rng):
         _RUNNERS[params.algorithm](handle, params, rng, bounds.dim)
 
-    return _recorded_run(params.algorithm, search, objective, bounds, seed, budget)
+    return _recorded_run(params.algorithm, search, score, bounds, seed, budget)
 
 
-def _recorded_run(algorithm: str, search, objective, bounds: Bounds, seed, budget: int) -> RunRecord:
+def _recorded_run(algorithm: str, search, score, bounds: Bounds, seed, budget: int) -> RunRecord:
     """Runs search(handle, rng) until the budget is spent; the one place a RunRecord is built."""
-    handle = ObjectiveHandle(objective, bounds, budget)
+    handle = ObjectiveHandle(score, bounds, budget)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(0,)))
 
     t_start = time.perf_counter()

@@ -2,8 +2,8 @@
 
 All algorithms search the unit cube [0, 1]^d and hand whole generations, as
 (k, d) arrays, to the ObjectiveHandle, which maps them to physical coordinates,
-scores them row by row within the evaluation budget and records the
-best-so-far trace. Variation operators shared between GA, ES and SA live here.
+scores each within the evaluation budget in one call of a batch objective and
+records the best-so-far trace. Variation operators shared between GA, ES and SA live here.
 """
 
 from __future__ import annotations
@@ -35,14 +35,19 @@ class BudgetExhausted(Exception):
 
 
 class ObjectiveHandle:
-    """Budget-accounted objective over the unit cube.
+    """Budget-accounted batch objective over the unit cube.
 
-    evaluate_batch() maps each row of a (k, dim) unit-cube array into the
-    physical bounds, calls the wrapped function on the rows in order, and
-    appends (evaluation_index, best_so_far) to the trace per row. A batch that
-    overruns max_evaluations is scored up to the budget, then BudgetExhausted
-    is raised, which the run loop treats as clean termination; so the trace
-    does not depend on how a run cuts its candidates into batches.
+    `fn` takes a (k, dim) array of physical points and returns their k
+    fitnesses in row order, as any iterable. evaluate_batch() maps the rows
+    of a unit-cube batch into the physical bounds, calls fn once on the rows
+    the budget still holds, and appends (evaluation_index, best_so_far) to
+    the trace per row as its fitness arrives. A batch that overruns
+    max_evaluations is scored up to the budget, then BudgetExhausted is
+    raised, which the run loop treats as clean termination; fn never sees
+    an empty batch. So the trace does not depend on how a run cuts its
+    candidates into batches. time_to_best_s is taken when the best
+    fitness arrives: the end of its batch for a scorer that returns a
+    list, the row itself for a lazy one such as map.
     """
 
     def __init__(self, fn, bounds: Bounds, max_evaluations: int = 1000):
@@ -65,17 +70,19 @@ class ObjectiveHandle:
         if points.ndim != 2 or points.shape[1] != self.bounds.dim:
             raise ValueError(f"evaluate_batch needs a (k, {self.bounds.dim}) array, got shape {points.shape}")
         room = self.max_evaluations - self.evaluations_used
-        fits = np.empty(min(len(points), room))
-        for k, x in enumerate(self.bounds.from_unit(points[: len(fits)])):
-            f = float(self.fn(x))
-            self.evaluations_used += 1
-            if f < self.best_fitness:
-                self.best_fitness = f
-                self.best_position = np.array(x, dtype=float)
-                self.best_eval_index = self.evaluations_used
-                self.time_to_best_s = time.perf_counter() - self._t_start
-            self.trace.append((self.evaluations_used, self.best_fitness))
-            fits[k] = f
+        physical = self.bounds.from_unit(points[:room])
+        fits = np.empty(len(physical))
+        if len(physical):
+            for k, f in zip(range(len(physical)), self.fn(physical), strict=True):
+                f = float(f)
+                self.evaluations_used += 1
+                if f < self.best_fitness:
+                    self.best_fitness = f
+                    self.best_position = np.array(physical[k], dtype=float)
+                    self.best_eval_index = self.evaluations_used
+                    self.time_to_best_s = time.perf_counter() - self._t_start
+                self.trace.append((self.evaluations_used, self.best_fitness))
+                fits[k] = f
         if len(points) > room:
             raise BudgetExhausted
         return fits

@@ -10,8 +10,9 @@ results; `python3 vdtpbench/run.py` compares the two paths when numba is
 installed).
 
 The lane kernel, `run_lanes`, is the protocol's one other implementation: the
-sessions of many replications as lanes of numpy arrays, bit-identical to
-`run_sessions` seed by seed. Each loop iteration makes one attempt per lane;
+sessions of many replications, each row of seeds with its own configuration
+if need be, as lanes of numpy arrays, bit-identical to `run_sessions` seed by
+seed. Each loop iteration makes one attempt per lane;
 while few lanes are left, it first moves every lane over its run of clean
 attempts in one block. Once at most _TAIL_LANES lanes with at most
 _TAIL_TODO requests to go between them are left, it stops iterating and
@@ -454,39 +455,52 @@ def _attempt(state, up, t_switch, req_arr, rep_arr, k_pass, up_mean, down_mean):
     return rep_ok
 
 
-def _clean_run_times(t, todo, tx_req, prop_delay, tx_rep, b):
+def _table_pos(off, todo):
+    """Where the reply to each lane's request in flight sits in run_lanes'
+    reply-time table: its offset plus its requests to go. A 0-d offset is
+    the one slice of a shared chunk size, at 0, so todo is the position and
+    a uniform call spends no numpy call on it."""
+    return off + todo if off.ndim else todo
+
+
+def _clean_run_times(t, pos, tx_req, prop_delay, flat, b):
     """Times of b back-to-back clean attempts of every lane. Row i is the
-    running sum of [t, tx_req, prop, tx_rep[todo - j], prop, ...], so column
+    running sum of [t, tx_req, prop, flat[pos - j], prop, ...], so column
     4j is attempt j's start, 4j + 2 its request's arrival and 4j + 4 its
-    reply's. np.add.accumulate adds left to right, which is the scalar
-    kernel's order, (((t0 + tx_req) + prop) + tx_rep) + prop. Columns past a
-    lane's last request add tx_rep[0] and mean nothing."""
+    reply's; pos is the lane's offset plus its requests to go, the entry of
+    the reply in flight in run_lanes' reply-time table. np.add.accumulate
+    adds left to right, which is the scalar kernel's order,
+    (((t0 + tx_req) + prop) + tx_rep) + prop. Columns past a lane's last
+    request read another configuration's entries, or the table's first,
+    and mean nothing."""
     rows = np.empty((t.size, 4 * b + 1))
     rows[:, 0] = t
     rows[:, 1::4] = tx_req
     rows[:, 2::2] = prop_delay
-    rows[:, 3::4] = tx_rep.take(todo[:, None] - np.arange(b), mode="clip")
+    rows[:, 3::4] = flat.take(pos[:, None] - np.arange(b), mode="clip")
     return np.add.accumulate(rows, axis=1, out=rows)
 
 
-def _clean_run(state, up, t_switch, t, todo, left, budget, tx_req, prop_delay, tx_rep, timeout_s, k_pass):
+def _clean_run(state, up, t_switch, t, todo, left, budget, tx_req, prop_delay, flat, off, timeout_s, k_pass):
     """Advance every lane over its run of clean attempts, in place.
 
     While every attempt so far got both packets through without a switch,
     attempt j's request word sits 2j + 1 gammas past `state` and its reply
     word 2j + 2. Attempt j is clean when the link is up, both words pass,
-    its reply lands before the next switch and within the timeout, and
-    j < todo; each lane moves past its clean prefix of m attempts. Lanes
-    already refused (no attempts left) do not move. The attempt that broke
-    a run is left to the single-attempt step. No lane moves when none has
-    _CLEAN_RUN_MIN requests to go.
+    its reply lands before the next switch and within the lane's timeout,
+    and j < todo; each lane moves past its clean prefix of m attempts, so
+    the columns past its last request are never read. Lanes already refused
+    (no attempts left) do not move. The attempt that broke a run is left to
+    the single-attempt step. No lane moves when none has _CLEAN_RUN_MIN
+    requests to go. `budget`, `off` and `timeout_s` are per lane, or 0-d
+    when every lane shares them.
     """
     width = t.size
     b = min(_CLEAN_RUN_CELLS // width, int(todo.max()))
     if b < _CLEAN_RUN_MIN:
         return
     passed = (_mix_lanes(state[:, None] + _GAMMAS[1 : 2 * b + 1]) >> _R11) < k_pass
-    times = _clean_run_times(t, todo, tx_req, prop_delay, tx_rep, b)
+    times = _clean_run_times(t, _table_pos(off, todo), tx_req, prop_delay, flat, b)
     rep_arr = times[:, 4::4]
     # a last column that is never clean, so argmin finds every row's first
     # unclean attempt; the link, the requests to go and the attempts left
@@ -495,12 +509,20 @@ def _clean_run(state, up, t_switch, t, todo, left, budget, tx_req, prop_delay, t
     run = clean[:, :b]
     np.logical_and(passed[:, 0::2], passed[:, 1::2], out=run)
     run &= rep_arr < t_switch[:, None]
-    run &= rep_arr - times[:, :-1:4] <= timeout_s
+    run &= rep_arr - times[:, :-1:4] <= timeout_s[..., None]
     m = np.minimum(clean.argmin(axis=1), todo * (up & (left > 0)))
     t[:] = times[np.arange(width), 4 * m]
     state += _GAMMAS[2 * m]
     todo -= m
     np.copyto(left, budget, where=m > 0)
+
+
+def _per_lane(values, dtype, n_sessions):
+    """A configuration value as the lanes read it: a 0-d array when it is
+    one value for every row of seeds, else each row's value repeated over
+    that row's n_sessions lanes."""
+    a = np.asarray(values, dtype)
+    return a.repeat(n_sessions) if a.ndim else a
 
 
 def run_lanes(
@@ -519,21 +541,29 @@ def run_lanes(
 ):
     """run_sessions for every seed in `seeds` at once, each session a lane.
 
+    `chunk_bytes`, `attempts` and `timeout_s` are each one value for every
+    row of seeds, or a sequence with one value per row, so that the rows of
+    one call may run different configurations over the same scenario.
     Returns (times, lost, delivered, refused), each of shape
-    (len(seeds), n_sessions); row r equals run_sessions(n_sessions, ...,
-    seeds[r]) bit for bit and dtype for dtype. A lane's splitmix64 state
-    lives in a uint64 array and its seed comes by counter (_session_seeds).
-    An iteration runs one attempt of every lane in the scalar order
-    (_attempt). While at most _CLEAN_RUN_CELLS // _CLEAN_RUN_MIN lanes are
-    left, an iteration first moves every lane past its run of clean attempts
-    (_clean_run), and the single attempt then plays the one that broke the
-    run. Lanes that finish are compacted out, so a long lane does not pay
-    for the width it started with, and the last few stragglers finish in the
-    scalar protocol, each resumed from its lane's state (_resume_session).
+    (len(seeds), n_sessions); row r equals run_sessions(n_sessions, row r's
+    configuration, ..., seeds[r]) bit for bit and dtype for dtype. A lane's
+    splitmix64 state lives in a uint64 array and its seed comes by counter
+    (_session_seeds). An iteration runs one attempt of every lane in the
+    scalar order (_attempt). While at most _CLEAN_RUN_CELLS //
+    _CLEAN_RUN_MIN lanes are left, an iteration first moves every lane past
+    its run of clean attempts (_clean_run), and the single attempt then
+    plays the one that broke the run. Lanes that finish are compacted out,
+    so a long lane does not pay for the width it started with, and the last
+    few stragglers finish in the scalar protocol, each resumed from its
+    lane's state with its own configuration (_resume_session).
+
+    A value given once is a 0-d array and one given per row a per-lane
+    array, carried through compaction; the same statements broadcast
+    either way. Reply transmission times come from one table: per distinct
+    chunk size, n + 2 entries at an offset, indexed by the lane's offset
+    plus its requests to go.
     """
-    scalar_args = (
-        chunk_bytes, attempts, timeout_s, file_size, header_bytes, bandwidth, prop_delay, eff_loss, up_mean, down_mean
-    )
+    scene_args = (file_size, header_bytes, bandwidth, prop_delay, eff_loss, up_mean, down_mean)
     state = _session_seeds(seeds, n_sessions).ravel()
     width = state.size
     if math.isinf(up_mean):
@@ -545,15 +575,28 @@ def run_lanes(
         state += _GOLDEN_A
         t_switch = np.array(_dwells(up, _u01_lanes(_mix_lanes(state)), up_mean, down_mean))
 
-    n = (file_size + chunk_bytes - 1) // chunk_bytes
-    tx_req = header_bytes * 8.0 / bandwidth
+    chunk = _per_lane(chunk_bytes, np.int64, n_sessions)
+    budget = _per_lane(attempts, np.int64, n_sessions)
+    timeout_s = _per_lane(timeout_s, np.float64, n_sessions)
     # reply transmission time by the number of requests still to answer:
-    # the handshake's (n + 1), full chunks' (n to 2), the last chunk's (1)
-    tx_rep = np.full(n + 2, (header_bytes + chunk_bytes) * 8.0 / bandwidth)
-    tx_rep[n + 1] = (header_bytes + 0) * 8.0 / bandwidth
-    tx_rep[1] = (header_bytes + file_size - (n - 1) * chunk_bytes) * 8.0 / bandwidth
-    tx_req, prop_delay, timeout_s = (np.array(float(x)) for x in (tx_req, prop_delay, timeout_s))
-    budget = np.array(attempts, np.int64)
+    # the handshake's (n + 1), full chunks' (n to 2), the last chunk's (1);
+    # a slice of n + 2 entries per distinct chunk size, in Python ints
+    # because numpy scalar arithmetic costs more than these few values
+    sizes = sorted(set(chunk.ravel().tolist()))
+    counts = [(file_size + c - 1) // c for c in sizes]
+    starts = [0]
+    for n_c in counts:
+        starts.append(starts[-1] + n_c + 2)
+    flat = np.empty(starts.pop())
+    for c, n_c, start in zip(sizes, counts, starts):
+        tx_rep = flat[start : start + n_c + 2]
+        tx_rep[:] = (header_bytes + c) * 8.0 / bandwidth
+        tx_rep[n_c + 1] = (header_bytes + 0) * 8.0 / bandwidth
+        tx_rep[1] = (header_bytes + file_size - (n_c - 1) * c) * 8.0 / bandwidth
+    pick = np.array(sizes).searchsorted(chunk)
+    off, n = (np.asarray(np.array(values)[pick]) for values in (starts, counts))
+    tx_req = np.array(header_bytes * 8.0 / bandwidth)
+    prop = np.array(float(prop_delay))
     k_pass = _pass_threshold(1.0 - eff_loss)
 
     times = np.empty(width)
@@ -563,39 +606,39 @@ def run_lanes(
     lane = np.arange(width)
     t = np.zeros(width)
     todo = np.full(width, n + 1, np.int64)  # requests still to answer
-    left = np.full(width, attempts, np.int64)  # attempts left for the one in flight
+    left = np.full(width, budget, np.int64)  # attempts left for the one in flight
     lost = np.zeros(width, np.int64)
     while lane.size:
         if lane.size * _CLEAN_RUN_MIN <= _CLEAN_RUN_CELLS:
-            _clean_run(
-                state, up, t_switch, t, todo, left, budget, tx_req, prop_delay, tx_rep, timeout_s, k_pass
-            )
+            _clean_run(state, up, t_switch, t, todo, left, budget, tx_req, prop, flat, off, timeout_s, k_pass)
         if np.count_nonzero(np.minimum(todo, left)) < lane.size:
             done = (todo == 0) | (left == 0)
             out, to_go = lane[done], todo[done]
             times[out] = t[done]
             lost_out[out] = lost[done]
             refused[out] = to_go > 0
-            delivered[out] = np.where(to_go > 0, np.maximum(n - to_go, 0) * chunk_bytes, file_size)
+            n_done, chunk_done = (a[done] if a.ndim else a for a in (n, chunk))
+            delivered[out] = np.where(to_go > 0, np.maximum(n_done - to_go, 0) * chunk_done, file_size)
             keep = ~done
             lane, state, up, t_switch, t, todo, left, lost = (
                 a[keep] for a in (lane, state, up, t_switch, t, todo, left, lost)
             )
+            chunk, budget, timeout_s, off, n = (a[keep] if a.ndim else a for a in (chunk, budget, timeout_s, off, n))
             if not lane.size:
                 break
         if lane.size <= _TAIL_LANES and todo.sum() <= _TAIL_TODO:
-            for i, s, lu, ts, t0, to_go, left_i, lost_i in zip(
-                *(a.tolist() for a in (lane, state, up, t_switch, t, todo, left, lost))
-            ):
+            config = (a.tolist() if a.ndim else [a.item()] * lane.size for a in (chunk, budget, timeout_s, n))
+            lanes = (a.tolist() for a in (lane, state, up, t_switch, t, todo, left, lost))
+            for c, a, to, n_i, i, s, lu, ts, t0, to_go, left_i, lost_i in zip(*config, *lanes):
                 times[i], lost_out[i], delivered[i], refused[i], _ = _resume_session(
-                    *scalar_args, U64(s), lu, ts, t0, lost_i, n + 1 - to_go, attempts - left_i + 1, np.empty((0, 4))
+                    c, a, to, *scene_args, U64(s), lu, ts, t0, lost_i, n_i + 1 - to_go, a - left_i + 1, np.empty((0, 4))
                 )
             break
 
         req_arr = t + tx_req
-        req_arr += prop_delay
-        rep_arr = req_arr + tx_rep[todo]
-        rep_arr += prop_delay
+        req_arr += prop
+        rep_arr = req_arr + flat[_table_pos(off, todo)]
+        rep_arr += prop
         rep_ok = _attempt(state, up, t_switch, req_arr, rep_arr, k_pass, up_mean, down_mean)
         lost += ~rep_ok
         win = rep_ok & (rep_arr - t <= timeout_s)

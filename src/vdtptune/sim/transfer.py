@@ -4,16 +4,19 @@ The transfer opens with a size handshake (FIRQ/FIRP), then fetches the file
 chunk by chunk (DRQ/DRP). Unanswered requests are retransmitted after the
 timeout; exhausting the attempt budget on any one request refuses the session.
 
-`simulate_replication` is the one entry point for replicated runs. Without
-numba it hands all sessions of all replications to the lane kernel in one
-call; with numba it runs the compiled `run_sessions` once per replication.
-Both give the same bits, and this is the one place that branches on the
-backend.
+`simulate_batch` is the one entry point for replicated runs: several
+configurations, each with its own replication seeds. Without numba it hands
+all sessions of all replications of all configurations to the lane kernel
+in one call; with numba it runs the compiled `run_sessions` once per
+replication. Both give the same bits, and this is the one place that
+branches on the backend. `simulate_replication` is its one-configuration
+form.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,6 +33,7 @@ __all__ = [
     "n_chunks",
     "simulate_session",
     "simulate_session_events",
+    "simulate_batch",
     "simulate_replication",
     "effective_throughput",
     "write_event_trace",
@@ -81,18 +85,17 @@ class Replications(tuple):
         return sum(o.refused_sessions for o in self)
 
 
-def _kernel_args(config, scenario: Scenario):
+def _protocol_args(config) -> tuple:
+    """(chunk_bytes, attempts, timeout_s) of a VdtpConfig (quantized here) or
+    of an already-quantized triple."""
     if isinstance(config, VdtpConfig):
-        chunk_bytes, attempts, timeout_s = quantize_for_protocol(config)
-    else:
-        chunk_bytes, attempts, timeout_s = config
-        chunk_bytes = int(chunk_bytes)
-        attempts = int(attempts)
-        timeout_s = float(timeout_s)
+        return quantize_for_protocol(config)
+    chunk_bytes, attempts, timeout_s = config
+    return int(chunk_bytes), int(attempts), float(timeout_s)
+
+
+def _scenario_args(scenario: Scenario) -> tuple:
     return (
-        chunk_bytes,
-        attempts,
-        timeout_s,
         scenario.file_size_bytes,
         scenario.header_bytes,
         scenario.bandwidth_bps,
@@ -101,6 +104,10 @@ def _kernel_args(config, scenario: Scenario):
         scenario.link_up_mean_s,
         scenario.link_down_mean_s,
     )
+
+
+def _kernel_args(config, scenario: Scenario):
+    return _protocol_args(config) + _scenario_args(scenario)
 
 
 def _as_kernel_seed(seed) -> np.uint64:
@@ -125,6 +132,36 @@ def several_seeds(seed) -> bool:
     return isinstance(seed, (list, tuple)) or (isinstance(seed, np.ndarray) and seed.ndim > 0)
 
 
+def simulate_batch(configs, scenario: Scenario, seeds) -> list:
+    """One Replications per configuration: `configs[i]`, a VdtpConfig or a
+    quantized (chunk_bytes, attempts, timeout_s) triple, run over
+    `scenario.sessions` sessions for each seed of the non-empty list
+    `seeds[i]`. Every session of every configuration goes to one lane-kernel
+    call; row for row the outcomes are those of separate runs.
+    """
+    if not configs or len(seeds) != len(configs):
+        raise ValueError(f"need one seed list per configuration: {len(seeds)} for {len(configs)}")
+    counts = [len(row) for row in seeds]
+    if not all(counts):
+        raise ValueError("simulate_batch needs at least one seed per configuration")
+    protocol = [_protocol_args(c) for c in configs]
+    kernel_seeds = [[_as_kernel_seed(s) for s in row] for row in seeds]
+    scene = _scenario_args(scenario)
+    if NUMBA_ENABLED:
+        rows = [
+            run_sessions(scenario.sessions, *args, *scene, s) for args, row in zip(protocol, kernel_seeds) for s in row
+        ]
+        arrays = (np.stack(column) for column in zip(*rows))
+    else:
+        # one configuration goes as it is, several as one value per row
+        single = len(set(protocol)) == 1
+        per_row = protocol[0] if single else (np.repeat(column, counts) for column in zip(*protocol))
+        flat_seeds = [s for row in kernel_seeds for s in row]
+        arrays = run_lanes(scenario.sessions, *per_row, *scene, flat_seeds)
+    outcomes = iter(_outcomes(*arrays))
+    return [Replications(itertools.islice(outcomes, count)) for count in counts]
+
+
 def simulate_replication(config, scenario: Scenario, seed):
     """Run `scenario.sessions` independent sessions and aggregate.
 
@@ -138,19 +175,13 @@ def simulate_replication(config, scenario: Scenario, seed):
     several = several_seeds(seed)
     if several and len(seed) == 0:
         raise ValueError("simulate_replication needs at least one seed")
-    kernel_seeds = [_as_kernel_seed(s) for s in (seed if several else (seed,))]
-    args = _kernel_args(config, scenario)
-    if NUMBA_ENABLED:
-        rows = [run_sessions(scenario.sessions, *args, s) for s in kernel_seeds]
-        arrays = (np.stack(column) for column in zip(*rows))
-    else:
-        arrays = run_lanes(scenario.sessions, *args, kernel_seeds)
-    outcomes = _outcomes(*arrays)
+    (outcomes,) = simulate_batch([config], scenario, [seed if several else (seed,)])
     return outcomes if several else outcomes[0]
 
 
 def _outcomes(times, lost, delivered, refused) -> Replications:
-    """One TransferOutcome per row of the (replications, sessions) arrays.
+    """One TransferOutcome per row of the (rows, sessions) arrays, a row per
+    replication of each configuration in turn.
 
     Each row reduction gives the bits np.mean, np.sum and np.count_nonzero
     give on that row alone: a float row sums pairwise along the contiguous

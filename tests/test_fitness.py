@@ -16,7 +16,8 @@ from vdtptune.fitness import (
 from vdtptune.sim.kernels import run_sessions
 from vdtptune.sim.scenario import human_expert_config, preset
 from vdtptune.sim.transfer import TransferOutcome, _as_kernel_seed, _kernel_args
-from vdtptune.space import VdtpConfig
+from vdtptune.optimizers import ObjectiveHandle
+from vdtptune.space import DEFAULT_BOUNDS, VdtpConfig
 
 
 def test_term_hand_value():
@@ -186,20 +187,22 @@ def test_evaluate_simulates_all_replications_in_one_call(monkeypatch):
 
 
 def test_objective_replays_identically():
+    """The objective scores (k, 3) batches; three rows in one batch score as
+    three batches of one row, since the evaluation index seeds each row."""
     sc = preset("urban")
     x = np.asarray(human_expert_config(sc).as_array())
     f1 = make_objective(sc, n=2, seed=42)
     f2 = make_objective(sc, n=2, seed=42)
-    seq1 = [f1(x) for _ in range(3)]
-    seq2 = [f2(x) for _ in range(3)]
-    assert seq1 == seq2
-    # evaluation index is part of the seed: same x, later call, new randomness
+    seq1 = f1(np.array([x, x, x]))
+    seq2 = [f for _ in range(3) for f in f2(x[None])]
+    assert seq1 == seq2 and len(seq1) == 3
+    # evaluation index is part of the seed: same x, later row, new randomness
     assert len(set(seq1)) == 3
 
 
 def test_objective_seed_separation():
     sc = preset("urban")
-    x = np.asarray(human_expert_config(sc).as_array())
+    x = np.asarray(human_expert_config(sc).as_array())[None]
     assert make_objective(sc, n=2, seed=1)(x) != make_objective(sc, n=2, seed=2)(x)
 
 
@@ -208,30 +211,47 @@ def test_objective_seed_separation():
 def test_objective_builds_the_spawned_replication_seeds(monkeypatch, seed, n):
     """make_objective builds evaluation k's replication seeds from their
     spawn keys; they are the children spawn(n) of the evaluation's
-    SeedSequence would give, pool size included."""
+    SeedSequence would give, pool size included, wherever k falls in a
+    batch."""
     handed = []
+    outcome = TransferOutcome(1.0, 0.0, 20.0, 20, 0)
 
-    def spy(config, scenario, n, seed):
-        handed.append(seed)
-        return FitnessReport(fitness=0.0, replications=(), config=config, n=n)
+    def spy(configs, scenario, seeds):
+        handed.extend(seeds)
+        return [(outcome,) * n for _ in configs]
 
-    monkeypatch.setattr(fitness, "evaluate", spy)
+    monkeypatch.setattr(fitness, "simulate_batch", spy)
     obj = make_objective(preset("urban"), n=n, seed=seed)
     x = np.asarray(human_expert_config("urban").as_array())
-    for _ in range(3):
-        obj(x)
+    for k in (1, 2, 1):
+        obj(np.tile(x, (k, 1)))
     for k, seeds in enumerate(handed):
         _same_children(seeds, _fresh(seed, (1, k)), n)
-    assert len(handed) == 3
+    assert len(handed) == 4
 
 
 def test_objective_matches_evaluate_seed_derivation():
     sc = preset("urban")
     cfg = human_expert_config(sc)
     obj = make_objective(sc, n=3, seed=5)
-    first = obj(np.asarray(cfg.as_array()))
-    direct = evaluate(cfg, sc, n=3, seed=np.random.SeedSequence(5, spawn_key=(1, 0))).fitness
-    assert first == direct
+    first, second = obj(np.array([cfg.as_array(), VdtpConfig(4096.0, 4.0, 3.0).as_array()]))
+    assert first == evaluate(cfg, sc, n=3, seed=np.random.SeedSequence(5, spawn_key=(1, 0))).fitness
+    want = evaluate(VdtpConfig(4096.0, 4.0, 3.0), sc, n=3, seed=np.random.SeedSequence(5, spawn_key=(1, 1)))
+    assert second == want.fitness
+
+
+def test_objective_scores_are_invariant_to_how_a_run_cuts_its_batches():
+    """The same 40 points scored as 1 x 40, 2 x 20 or 40 x 1 rows per batch
+    give the same fitnesses and the same handle traces, bit for bit."""
+    sc = preset("urban")
+    points = np.random.default_rng(8).random((40, 3))
+    results = []
+    for rows in (40, 20, 1):
+        handle = ObjectiveHandle(make_objective(sc, n=1, seed=11), DEFAULT_BOUNDS, 40)
+        fits = [f for start in range(0, 40, rows) for f in handle.evaluate_batch(points[start : start + rows])]
+        results.append((repr(fits), handle.trace, handle.best_eval_index, repr(handle.best_position)))
+        assert len(fits) == len(handle.trace) == 40
+    assert results[0] == results[1] == results[2]
 
 
 @settings(max_examples=100, deadline=None)

@@ -49,6 +49,18 @@ from vdtptune.sim import scenario as scenario_module
 from vdtptune.sim.scenario import Scenario, load_scenario, preset
 
 
+def per_point(factory):
+    """A stub factory of one-point objectives as the factory of batch
+    objectives campaigns take: each scores a batch row by row."""
+
+    def batch_factory(scenario, replications, seed):
+        objective = factory(scenario, replications, seed)
+        return lambda points: [objective(x) for x in points]
+
+    return batch_factory
+
+
+@per_point
 def cheap_factory(scenario, replications, seed):
     """Deterministic stand-in for the simulation objective."""
     rng = np.random.default_rng(seed)
@@ -60,6 +72,7 @@ def cheap_factory(scenario, replications, seed):
     return objective
 
 
+@per_point
 def constant_factory(scenario, replications, seed):
     return lambda x: 1.0
 

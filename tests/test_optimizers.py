@@ -13,6 +13,7 @@ from vdtptune.optimizers import (
     blend_crossover,
     reset_one_gene,
     run,
+    run_batched,
     tournament_pick,
 )
 from vdtptune.optimizers.de import binomial_mask, mutant_vector
@@ -95,10 +96,15 @@ def test_check_budget_enforces_population_times_generations():
 # --- budget accounting -------------------------------------------------------
 
 
+def per_row(f):
+    """A batch scorer that applies the one-point function f to each row."""
+    return lambda points: [f(x) for x in points]
+
+
 def test_handle_maps_unit_cube_to_physical():
     seen = []
     bounds = Bounds(lower=(10.0, -2.0), upper=(20.0, 2.0))
-    h = ObjectiveHandle(lambda x: seen.append(np.array(x)) or 0.0, bounds, 10)
+    h = ObjectiveHandle(per_row(lambda x: seen.append(np.array(x)) or 0.0), bounds, 10)
     h.evaluate_batch(np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.25]]))
     assert np.allclose(seen[0], [10.0, -2.0])
     assert np.allclose(seen[1], [20.0, 2.0])
@@ -106,7 +112,7 @@ def test_handle_maps_unit_cube_to_physical():
 
 
 def test_handle_budget_and_trace():
-    h = ObjectiveHandle(lambda x: float(x[0]), Bounds(lower=(0.0,), upper=(1.0,)), 3)
+    h = ObjectiveHandle(per_row(lambda x: float(x[0])), Bounds(lower=(0.0,), upper=(1.0,)), 3)
     assert h.evaluate_batch(np.array([[0.5], [0.9]])).tolist() == [0.5, 0.9]
     assert h.evaluate_batch(np.array([[0.1]]))[0] == pytest.approx(0.1)
     with pytest.raises(BudgetExhausted):
@@ -118,21 +124,49 @@ def test_handle_budget_and_trace():
 
 
 def test_handle_batch_straddling_budget_scores_the_rows_that_fit():
-    seen = []
-    h = ObjectiveHandle(lambda x: seen.append(float(x[0])) or float(x[0]), Bounds(lower=(0.0,), upper=(1.0,)), 3)
+    batches = []
+
+    def score(points):
+        batches.append(points[:, 0].tolist())
+        return points[:, 0]
+
+    h = ObjectiveHandle(score, Bounds(lower=(0.0,), upper=(1.0,)), 3)
     h.evaluate_batch(np.array([[0.5]]))
     with pytest.raises(BudgetExhausted):
         h.evaluate_batch(np.array([[0.9], [0.1], [0.05], [0.0]]))
-    assert seen == [0.5, 0.9, pytest.approx(0.1)]
+    # one call per batch, cut to the budget; none once the budget is spent
+    with pytest.raises(BudgetExhausted):
+        h.evaluate_batch(np.array([[0.3]]))
+    assert batches == [[0.5], [0.9, pytest.approx(0.1)]]
     assert h.evaluations_used == 3
     assert [b for _, b in h.trace] == [0.5, 0.5, pytest.approx(0.1)]
     assert h.best_eval_index == 3
 
 
+def test_handle_refuses_a_scorer_that_miscounts():
+    h = ObjectiveHandle(lambda points: [0.0], BOUNDS3, 10)
+    with pytest.raises(ValueError):
+        h.evaluate_batch(np.zeros((2, 3)))
+
+
+def test_pso_never_hands_the_scorer_an_empty_batch():
+    """PSO at a budget of two generations asks for a third; the handle
+    raises BudgetExhausted before calling the scorer with no rows."""
+    sizes = []
+
+    def score(points):
+        sizes.append(len(points))
+        return [sphere(x) for x in points]
+
+    rec = run_batched(OptimizerParams("pso"), score, BOUNDS3, seed=1, max_evaluations=40)
+    assert sizes == [20, 20]
+    assert rec.evaluations == 40
+
+
 @pytest.mark.parametrize("shape", [(3,), (2, 2), (1, 1, 3)])
 def test_handle_refuses_points_not_shaped_k_by_dim(shape):
     seen = []
-    h = ObjectiveHandle(lambda x: seen.append(x) or 0.0, BOUNDS3, 10)
+    h = ObjectiveHandle(lambda points: seen.append(points) or [0.0] * len(points), BOUNDS3, 10)
     with pytest.raises(ValueError, match="evaluate_batch needs a"):
         h.evaluate_batch(np.zeros(shape))
     assert seen == [] and h.evaluations_used == 0
@@ -140,7 +174,7 @@ def test_handle_refuses_points_not_shaped_k_by_dim(shape):
 
 def test_handle_rejects_empty_budget():
     with pytest.raises(ValueError):
-        ObjectiveHandle(lambda x: 0.0, BOUNDS3, 0)
+        ObjectiveHandle(lambda points: [0.0] * len(points), BOUNDS3, 0)
 
 
 # --- operator oracles --------------------------------------------------------

@@ -460,6 +460,104 @@ def test_lanes_match_run_sessions(case, reps):
         assert _rows(a[r] for a in lanes) == _rows(scalar)
 
 
+# Mixed batches: each row of seeds runs its own configuration over one
+# scenario, as a generation of candidates does. Each case is (preset, the
+# candidates' configurations, scenario changes); every candidate gets `reps`
+# rows. The cases put a 128-byte lane next to expert lanes, rows that share a
+# chunk size but not budget or timeout, rows whose configurations coincide,
+# refused lanes that reach the scalar tail, and widths at the block gate (256
+# one-session rows) and one over it (257).
+_GATE_PAIR = [(1024, 3, 2.0), (2048, 2, 1.0)]
+MIXED_LANE_CASES = {
+    "chunk128_next_to_experts": ("urban", [None, (128, 250, 10.0), None, (4096, 4, 3.0)], dict(sessions=2)),
+    "budgets_and_timeouts": ("highway", [(8192, 1, 5.0), (8192, 3, 0.5), (8192, 12, 2.0), (8192, 2, 0.05)], {}),
+    "chunks_budgets_timeouts": ("urban", [(300, 2, 1.0), (25600, 8, 8.0), (524288, 3, 0.5), (2048, 1, 4.0)], {}),
+    "identical_rows": ("urban", [None, None, None], {}),
+    "refused_in_tail": ("highway", [(300, 1, 1.0), (500, 2, 1.0), (1500, 3, 2.0)], dict(sessions=2, file_size_bytes=1500)),
+    "gate_256_rows": ("highway", _GATE_PAIR * 128, dict(sessions=1, file_size_bytes=32768)),
+    "gate_257_rows": ("highway", _GATE_PAIR * 128 + _GATE_PAIR[:1], dict(sessions=1, file_size_bytes=32768)),
+}
+
+
+def _mixed_case(name, reps):
+    """Scenario, per-row (chunk, attempts, timeout), the scenario's kernel
+    arguments and the row seeds of a MIXED_LANE_CASES entry."""
+    preset_name, configs, change = MIXED_LANE_CASES[name]
+    sc = dataclasses.replace(preset(preset_name), **change)
+    protocol = [_kernel_args(c or human_expert_config(sc), sc)[:3] for c in configs]
+    rows = [c for c in protocol for _ in range(reps)]
+    seeds = np.random.default_rng(len(rows)).integers(0, 2**64, len(rows), dtype=np.uint64)
+    return sc, rows, _kernel_args(protocol[0], sc)[3:], seeds
+
+
+def _run_mixed(sc, rows, scene, seeds):
+    chunk, attempts, timeout = (list(column) for column in zip(*rows))
+    return kernels.run_lanes(sc.sessions, chunk, attempts, timeout, *scene, seeds)
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+@pytest.mark.parametrize("case", sorted(MIXED_LANE_CASES))
+def test_mixed_lanes_match_run_sessions_row_by_row(case, reps):
+    sc, rows, scene, seeds = _mixed_case(case, reps)
+    lanes = _run_mixed(sc, rows, scene, seeds)
+    assert all(a.shape == (len(rows), sc.sessions) for a in lanes)
+    for r, (config, seed) in enumerate(zip(rows, seeds)):
+        assert _rows(a[r] for a in lanes) == _rows(run_sessions(sc.sessions, *config, *scene, seed))
+
+
+def test_mixed_tail_resumes_each_lane_with_its_own_configuration(monkeypatch):
+    """Lanes of different configurations reach the scalar tail together,
+    refused ones among them, and each resumes with its own row's chunk,
+    budget and timeout."""
+    sc, rows, scene, seeds = _mixed_case("refused_in_tail", 1)
+    resume = kernels._resume_session
+    handed = []
+
+    def spy(*resume_args):
+        out = resume(*resume_args)
+        handed.append((tuple(resume_args[:3]), out[3]))
+        return out
+
+    monkeypatch.setattr(kernels, "_resume_session", spy)
+    _run_mixed(sc, rows, scene, seeds)
+    assert {config for config, _ in handed} <= set(rows)
+    assert len({config for config, _ in handed}) > 1
+    assert any(refused for _, refused in handed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    configs=st.lists(
+        st.tuples(
+            st.integers(min_value=128, max_value=32768),
+            st.integers(min_value=1, max_value=12),
+            st.floats(min_value=0.005, max_value=5.0),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    reps=st.integers(min_value=1, max_value=3),
+    loss=st.floats(min_value=0.0, max_value=0.2),
+    sessions=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_mixed_lanes_match_run_sessions_on_drawn_batches(configs, reps, loss, sessions, seed):
+    sc = Scenario(
+        name="prop",
+        base_loss_prob=loss,
+        link_up_mean_s=12.0,
+        link_down_mean_s=3.0,
+        sessions=sessions,
+        file_size_bytes=65536,
+    )
+    rows = [c for c in configs for _ in range(reps)]
+    scene = _kernel_args(configs[0], sc)[3:]
+    seeds = np.random.default_rng(seed).integers(0, 2**64, len(rows), dtype=np.uint64)
+    lanes = _run_mixed(sc, rows, scene, seeds)
+    for r, (config, row_seed) in enumerate(zip(rows, seeds)):
+        assert _rows(a[r] for a in lanes) == _rows(run_sessions(sessions, *config, *scene, row_seed))
+
+
 @pytest.mark.skipif(importlib.util.find_spec("numba") is None, reason="numba is not installed")
 def test_compiled_replications_match_lanes():
     """With numba, simulate_replication loops the compiled run_sessions;
@@ -580,54 +678,65 @@ def test_dwells_round_like_the_scalar_kernel():
 def test_clean_run_times_add_in_scalar_order():
     """A block's times are the scalar kernel's sums to the bit: each row adds
     left to right, (((t0 + tx_req) + prop) + tx_rep[todo - j]) + prop, one
-    attempt after the other. Other groupings round differently on these
-    inputs, so a change in how np.add.accumulate adds shows here."""
-    rng = np.random.default_rng(17)
+    attempt after the other, reading its reply times from its own slice of
+    the shared table. Other groupings round differently on these inputs, so
+    a change in how np.add.accumulate adds shows here."""
+    rng = np.random.default_rng(18)
     width, b = 9, 40
     t = rng.random(width) * 10.0 ** rng.integers(-2, 4, width)
     todo = rng.integers(1, 70, width)
     tx_req, prop = np.array(rng.random() * 1e-4), np.array(rng.random() * 3e-3)
-    tx_rep = rng.random(70) * 10.0 ** rng.integers(-4, 0, 70)
-    times = kernels._clean_run_times(t, todo, tx_req, prop, tx_rep, b).tolist()
+    # two configurations' slices of 70 entries each
+    flat = np.concatenate([rng.random(70) * 10.0 ** rng.integers(-4, 0, 70) for _ in range(2)])
+    off = rng.choice([0, 70], width)
+    times = kernels._clean_run_times(t, off + todo, tx_req, prop, flat, b).tolist()
     regrouped = 0
-    for row, t0, to_go in zip(times, t.tolist(), todo.tolist()):
+    for row, t0, to_go, start in zip(times, t.tolist(), todo.tolist(), off.tolist()):
         for j in range(min(b, to_go)):
             assert row[4 * j] == t0
             req_arr = t0 + float(tx_req) + float(prop)
-            rep_arr = req_arr + float(tx_rep[to_go - j]) + float(prop)
+            rep_arr = req_arr + float(flat[start + to_go - j]) + float(prop)
             assert (row[4 * j + 2], row[4 * j + 4]) == (req_arr, rep_arr)
             regrouped += t0 + (float(tx_req) + float(prop)) != req_arr
             t0 = rep_arr
     assert regrouped > 0
+    assert 0 in off and 70 in off
 
 
 def test_clean_run_stops_before_a_reply_on_a_switch():
     """The scalar kernel flips the link before any packet arriving at or after
     the switch time, so an attempt whose reply lands exactly on the switch is
     not clean; one landing an ulp earlier is. A lane that is down or has no
-    attempts left does not move; one that moves gets its attempts back."""
-    tx_req, prop, timeout = np.array(1e-4), np.array(2e-3), np.array(1.0)
-    tx_rep = np.full(60, 2e-3)
-    seeds = [7, 2**64 - 1, 12345, 99]
+    attempts left does not move; one that moves gets its own budget back.
+    Each lane reads its own slice of the reply table and keeps its own
+    timeout: the last lane's attempts take 2 * 2.1 ms + 5 ms = 9.2 ms on its
+    slice, over its 9 ms timeout, so it does not move, where the first
+    slice's 6.2 ms would have been in time."""
+    tx_req, prop = np.array(1e-4), np.array(2e-3)
+    flat = np.concatenate([np.full(60, 2e-3), np.full(60, 5e-3)])
+    off = np.array([0, 0, 60, 0, 60])
+    timeout = np.array([1.0, 1.0, 1.0, 1.0, 0.009])
+    seeds = [7, 2**64 - 1, 12345, 99, 5]
     lanes = dict(
         state=np.array(seeds, np.uint64),
-        up=np.array([True, True, False, True]),
-        t_switch=np.full(4, math.inf),
-        t=np.linspace(0.5, 40.0, 4),
-        todo=np.full(4, 50),
-        left=np.array([2, 2, 2, 0]),
+        up=np.array([True, True, False, True, True]),
+        t_switch=np.full(5, math.inf),
+        t=np.linspace(0.5, 40.0, 5),
+        todo=np.full(5, 50),
+        left=np.array([2, 2, 2, 0, 2]),
     )
-    times = kernels._clean_run_times(lanes["t"], lanes["todo"], tx_req, prop, tx_rep, 50)
+    times = kernels._clean_run_times(lanes["t"], off + lanes["todo"], tx_req, prop, flat, 50)
     lanes["t_switch"][0] = times[0, 4 * 6]  # attempt 5's reply
     lanes["t_switch"][1] = np.nextafter(times[1, 4 * 6], math.inf)
-    kernels._clean_run(**lanes, budget=np.array(8), tx_req=tx_req, prop_delay=prop, tx_rep=tx_rep,
+    budget = np.array([8, 9, 8, 8, 4])
+    kernels._clean_run(**lanes, budget=budget, tx_req=tx_req, prop_delay=prop, flat=flat, off=off,
                        timeout_s=timeout, k_pass=kernels._pass_threshold(1.0))
-    m = [5, 6, 0, 0]
+    m = [5, 6, 0, 0, 0]
     gamma = int(kernels._GOLDEN)
     assert lanes["todo"].tolist() == [50 - k for k in m]
     assert lanes["t"].tolist() == [times[i, 4 * k] for i, k in enumerate(m)]
     assert lanes["state"].tolist() == [(s + 2 * k * gamma) % 2**64 for s, k in zip(seeds, m)]
-    assert lanes["left"].tolist() == [8, 8, 2, 0]
+    assert lanes["left"].tolist() == [8, 9, 2, 0, 2]
 
 
 def test_session_seeds_are_what_run_sessions_hands_the_kernel(monkeypatch):
