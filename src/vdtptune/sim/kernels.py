@@ -455,14 +455,6 @@ def _attempt(state, up, t_switch, req_arr, rep_arr, k_pass, up_mean, down_mean):
     return rep_ok
 
 
-def _table_pos(off, todo):
-    """Where the reply to each lane's request in flight sits in run_lanes'
-    reply-time table: its offset plus its requests to go. A 0-d offset is
-    the one slice of a shared chunk size, at 0, so todo is the position and
-    a uniform call spends no numpy call on it."""
-    return off + todo if off.ndim else todo
-
-
 def _clean_run_times(t, pos, tx_req, prop_delay, flat, b):
     """Times of b back-to-back clean attempts of every lane. Row i is the
     running sum of [t, tx_req, prop, flat[pos - j], prop, ...], so column
@@ -492,15 +484,14 @@ def _clean_run(state, up, t_switch, t, todo, left, budget, tx_req, prop_delay, f
     the columns past its last request are never read. Lanes already refused
     (no attempts left) do not move. The attempt that broke a run is left to
     the single-attempt step. No lane moves when none has _CLEAN_RUN_MIN
-    requests to go. `budget`, `off` and `timeout_s` are per lane, or 0-d
-    when every lane shares them.
+    requests to go. `budget`, `off` and `timeout_s` are per lane.
     """
     width = t.size
     b = min(_CLEAN_RUN_CELLS // width, int(todo.max()))
     if b < _CLEAN_RUN_MIN:
         return
     passed = (_mix_lanes(state[:, None] + _GAMMAS[1 : 2 * b + 1]) >> _R11) < k_pass
-    times = _clean_run_times(t, _table_pos(off, todo), tx_req, prop_delay, flat, b)
+    times = _clean_run_times(t, off + todo, tx_req, prop_delay, flat, b)
     rep_arr = times[:, 4::4]
     # a last column that is never clean, so argmin finds every row's first
     # unclean attempt; the link, the requests to go and the attempts left
@@ -509,20 +500,12 @@ def _clean_run(state, up, t_switch, t, todo, left, budget, tx_req, prop_delay, f
     run = clean[:, :b]
     np.logical_and(passed[:, 0::2], passed[:, 1::2], out=run)
     run &= rep_arr < t_switch[:, None]
-    run &= rep_arr - times[:, :-1:4] <= timeout_s[..., None]
+    run &= rep_arr - times[:, :-1:4] <= timeout_s[:, None]
     m = np.minimum(clean.argmin(axis=1), todo * (up & (left > 0)))
     t[:] = times[np.arange(width), 4 * m]
     state += _GAMMAS[2 * m]
     todo -= m
     np.copyto(left, budget, where=m > 0)
-
-
-def _per_lane(values, dtype, n_sessions):
-    """A configuration value as the lanes read it: a 0-d array when it is
-    one value for every row of seeds, else each row's value repeated over
-    that row's n_sessions lanes."""
-    a = np.asarray(values, dtype)
-    return a.repeat(n_sessions) if a.ndim else a
 
 
 def run_lanes(
@@ -557,11 +540,10 @@ def run_lanes(
     few stragglers finish in the scalar protocol, each resumed from its
     lane's state with its own configuration (_resume_session).
 
-    A value given once is a 0-d array and one given per row a per-lane
-    array, carried through compaction; the same statements broadcast
-    either way. Reply transmission times come from one table: per distinct
-    chunk size, n + 2 entries at an offset, indexed by the lane's offset
-    plus its requests to go.
+    Each lane carries its row's configuration through compaction. Reply
+    transmission times come from one table: per distinct chunk size, n + 2
+    entries at an offset, indexed by the lane's offset plus its requests to
+    go.
     """
     scene_args = (file_size, header_bytes, bandwidth, prop_delay, eff_loss, up_mean, down_mean)
     state = _session_seeds(seeds, n_sessions).ravel()
@@ -575,14 +557,16 @@ def run_lanes(
         state += _GOLDEN_A
         t_switch = np.array(_dwells(up, _u01_lanes(_mix_lanes(state)), up_mean, down_mean))
 
-    chunk = _per_lane(chunk_bytes, np.int64, n_sessions)
-    budget = _per_lane(attempts, np.int64, n_sessions)
-    timeout_s = _per_lane(timeout_s, np.float64, n_sessions)
+    rows = len(seeds)
+    chunk, budget, timeout_s = (
+        np.broadcast_to(np.asarray(values, dtype), rows)
+        for values, dtype in ((chunk_bytes, np.int64), (attempts, np.int64), (timeout_s, np.float64))
+    )
     # reply transmission time by the number of requests still to answer:
     # the handshake's (n + 1), full chunks' (n to 2), the last chunk's (1);
     # a slice of n + 2 entries per distinct chunk size, in Python ints
     # because numpy scalar arithmetic costs more than these few values
-    sizes = sorted(set(chunk.ravel().tolist()))
+    sizes = sorted(set(chunk.tolist()))
     counts = [(file_size + c - 1) // c for c in sizes]
     starts = [0]
     for n_c in counts:
@@ -593,8 +577,9 @@ def run_lanes(
         tx_rep[:] = (header_bytes + c) * 8.0 / bandwidth
         tx_rep[n_c + 1] = (header_bytes + 0) * 8.0 / bandwidth
         tx_rep[1] = (header_bytes + file_size - (n_c - 1) * c) * 8.0 / bandwidth
-    pick = np.array(sizes).searchsorted(chunk)
-    off, n = (np.asarray(np.array(values)[pick]) for values in (starts, counts))
+    pick = np.searchsorted(sizes, chunk)
+    off, n = np.array(starts)[pick], np.array(counts)[pick]
+    chunk, budget, timeout_s, off, n = (a.repeat(n_sessions) for a in (chunk, budget, timeout_s, off, n))
     tx_req = np.array(header_bytes * 8.0 / bandwidth)
     prop = np.array(float(prop_delay))
     k_pass = _pass_threshold(1.0 - eff_loss)
@@ -605,8 +590,8 @@ def run_lanes(
     refused = np.empty(width, np.bool_)
     lane = np.arange(width)
     t = np.zeros(width)
-    todo = np.full(width, n + 1, np.int64)  # requests still to answer
-    left = np.full(width, budget, np.int64)  # attempts left for the one in flight
+    todo = n + 1  # requests still to answer
+    left = budget.copy()  # attempts left for the one in flight
     lost = np.zeros(width, np.int64)
     while lane.size:
         if lane.size * _CLEAN_RUN_MIN <= _CLEAN_RUN_CELLS:
@@ -617,27 +602,26 @@ def run_lanes(
             times[out] = t[done]
             lost_out[out] = lost[done]
             refused[out] = to_go > 0
-            n_done, chunk_done = (a[done] if a.ndim else a for a in (n, chunk))
-            delivered[out] = np.where(to_go > 0, np.maximum(n_done - to_go, 0) * chunk_done, file_size)
+            delivered[out] = np.where(to_go > 0, np.maximum(n[done] - to_go, 0) * chunk[done], file_size)
             keep = ~done
-            lane, state, up, t_switch, t, todo, left, lost = (
-                a[keep] for a in (lane, state, up, t_switch, t, todo, left, lost)
+            lane, state, up, t_switch, t, todo, left, lost, chunk, budget, timeout_s, off, n = (
+                a[keep] for a in (lane, state, up, t_switch, t, todo, left, lost, chunk, budget, timeout_s, off, n)
             )
-            chunk, budget, timeout_s, off, n = (a[keep] if a.ndim else a for a in (chunk, budget, timeout_s, off, n))
             if not lane.size:
                 break
         if lane.size <= _TAIL_LANES and todo.sum() <= _TAIL_TODO:
-            config = (a.tolist() if a.ndim else [a.item()] * lane.size for a in (chunk, budget, timeout_s, n))
-            lanes = (a.tolist() for a in (lane, state, up, t_switch, t, todo, left, lost))
-            for c, a, to, n_i, i, s, lu, ts, t0, to_go, left_i, lost_i in zip(*config, *lanes):
+            for i, s, lu, ts, t0, to_go, left_i, lost_i, c, att, to, n_i in zip(
+                *(a.tolist() for a in (lane, state, up, t_switch, t, todo, left, lost, chunk, budget, timeout_s, n))
+            ):
                 times[i], lost_out[i], delivered[i], refused[i], _ = _resume_session(
-                    c, a, to, *scene_args, U64(s), lu, ts, t0, lost_i, n_i + 1 - to_go, a - left_i + 1, np.empty((0, 4))
+                    c, att, to, *scene_args, U64(s), lu, ts, t0, lost_i, n_i + 1 - to_go, att - left_i + 1,
+                    np.empty((0, 4)),
                 )
             break
 
         req_arr = t + tx_req
         req_arr += prop
-        rep_arr = req_arr + flat[_table_pos(off, todo)]
+        rep_arr = req_arr + flat[off + todo]
         rep_arr += prop
         rep_ok = _attempt(state, up, t_switch, req_arr, rep_arr, k_pass, up_mean, down_mean)
         lost += ~rep_ok

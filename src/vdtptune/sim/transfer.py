@@ -153,9 +153,7 @@ def simulate_batch(configs, scenario: Scenario, seeds) -> list:
         ]
         arrays = (np.stack(column) for column in zip(*rows))
     else:
-        # one configuration goes as it is, several as one value per row
-        single = len(set(protocol)) == 1
-        per_row = protocol[0] if single else (np.repeat(column, counts) for column in zip(*protocol))
+        per_row = (np.repeat(column, counts) for column in zip(*protocol))
         flat_seeds = [s for row in kernel_seeds for s in row]
         arrays = run_lanes(scenario.sessions, *per_row, *scene, flat_seeds)
     outcomes = iter(_outcomes(*arrays))
