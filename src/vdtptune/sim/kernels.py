@@ -14,9 +14,12 @@ sessions of many replications, each row of seeds with its own configuration
 if need be, as lanes of numpy arrays, bit-identical to `run_sessions` seed by
 seed. Each loop iteration makes one attempt per lane;
 while few lanes are left, it first moves every lane over its run of clean
-attempts in one block. Once at most _TAIL_LANES lanes with at most
-_TAIL_TODO requests to go between them are left, it stops iterating and
-finishes each of them in `_resume_session`, resumed from the lane's state.
+attempts in one block. A step costs a fixed number of numpy calls plus a few
+microseconds for each lane that crosses a link switch: both protocols cross
+switches in one scalar loop, `_cross`, the lane kernel one lane at a time.
+Once at most _TAIL_LANES lanes with at most _TAIL_TODO requests to go
+between them are left, it stops iterating and finishes each of them in
+`_resume_session`, resumed from the lane's state.
 Without numba it runs every replicated simulation; numba never compiles it.
 
 Randomness is a splitmix64 stream driven by explicit 64-bit state, so compiled
@@ -115,6 +118,20 @@ def _emit(events, k, t, kind, packet, attempt):
         events[k, 2] = packet
         events[k, 3] = attempt
     return k + 1
+
+
+@_njit(cache=True)
+def _cross(state, link_up, t_switch, arrival, up_mean, down_mean):
+    """The channel up to a packet's arrival: flip the link at every switch
+    time at or before `arrival`, drawing each new dwell from the stream.
+    Returns (state, link_up, t_switch); the one switch loop of both
+    protocols."""
+    while t_switch <= arrival:
+        link_up = not link_up
+        state, z = _mix64(state)
+        mean_d = up_mean if link_up else down_mean
+        t_switch += -mean_d * math.log(1.0 - _u01(z))
+    return state, link_up, t_switch
 
 
 @_njit(cache=True)
@@ -235,11 +252,8 @@ def _resume_session(
             if record:
                 k = _emit(events, k, t0, _SEND, packet, attempt)
             req_arr = t0 + tx_req + prop_delay
-            while t_switch <= req_arr:
-                link_up = not link_up
-                state, z = _mix64(state)
-                mean_d = up_mean if link_up else down_mean
-                t_switch += -mean_d * math.log(1.0 - _u01(z))
+            if t_switch <= req_arr:
+                state, link_up, t_switch = _cross(state, link_up, t_switch, req_arr, up_mean, down_mean)
             state, z = _mix64(state)
             req_ok = link_up and (_u01(z) < succ_p)
             if record:
@@ -248,11 +262,8 @@ def _resume_session(
                 rep_arr = req_arr + tx_rep + prop_delay
                 if record:
                     k = _emit(events, k, req_arr, _SEND, packet + 1, attempt)
-                while t_switch <= rep_arr:
-                    link_up = not link_up
-                    state, z = _mix64(state)
-                    mean_d = up_mean if link_up else down_mean
-                    t_switch += -mean_d * math.log(1.0 - _u01(z))
+                if t_switch <= rep_arr:
+                    state, link_up, t_switch = _cross(state, link_up, t_switch, rep_arr, up_mean, down_mean)
                 state, z = _mix64(state)
                 rep_ok = link_up and (_u01(z) < succ_p)
                 if record:
@@ -341,11 +352,16 @@ def run_sessions(
 # after the other (np.add.accumulate, never a pairwise sum such as np.sum).
 # A step costs a fixed number of numpy calls whatever the width, so the
 # operands are 0-d arrays, which numpy combines with arrays faster than it
-# does scalars. That fixed cost is what a few stragglers cannot repay, so the
-# last of them finish in the scalar protocol: a lane's state words are
-# exactly the scalar loop's variables, so _resume_session takes them over as
-# they stand. The protocol thus lives in _resume_session,
-# which session_kernel wraps and numba compiles, and in run_lanes.
+# does scalars. Link switches are the exception: few lanes cross one in a
+# step (2.7 a scan on average in a campaign_urban round, which finds none in
+# more than half its scans), too few to repay a dozen numpy calls per round
+# of switches, so each lane that crosses goes through _cross, the scalar
+# switch loop, for a few microseconds. The fixed cost is also what a few
+# stragglers cannot repay, so the last of them finish in the scalar
+# protocol: a lane's state words are exactly the scalar loop's variables, so
+# _resume_session takes them over as they stand. The protocol thus lives in
+# _resume_session, which session_kernel wraps and numba compiles, and in
+# run_lanes; its switch loop only in _cross.
 
 _GOLDEN_A, _MIX1_A, _MIX2_A = (np.array(int(c), np.uint64) for c in (_GOLDEN, _MIX1, _MIX2))
 _R11, _R27, _R30, _R31 = (np.array(k, np.uint64) for k in (11, 27, 30, 31))
@@ -419,7 +435,8 @@ def _session_seeds(seeds, n_sessions):
 
 
 def _dwells(up, u, up_mean, down_mean):
-    """Exponential dwell times of the new link states `up` from uniforms `u`."""
+    """Exponential dwell times of the link states `up` from uniforms `u`:
+    every lane's first dwell, at the stationary start."""
     return [
         -(up_mean if lu else down_mean) * math.log(1.0 - x)
         for lu, x in zip(up.tolist(), u.tolist())
@@ -427,27 +444,28 @@ def _dwells(up, u, up_mean, down_mean):
 
 
 def _cross_switches(mask, arrival, state, up, t_switch, up_mean, down_mean):
-    """session_kernel's `while t_switch <= arrival` loop for the lanes in
-    `mask`, one switch of every such lane per round."""
-    idx = np.flatnonzero(mask)
-    while idx.size:
-        lu = ~up[idx]
-        up[idx] = lu
-        s = state[idx] + _GOLDEN_A
-        state[idx] = s
-        t_switch[idx] += _dwells(lu, _u01_lanes(_mix_lanes(s)), up_mean, down_mean)
-        idx = idx[t_switch[idx] <= arrival[idx]]
+    """_cross for each lane in `mask`, one lane after the other, with the
+    argument types the scalar tail hands _resume_session. Every lane draws
+    its switches from its own stream, so the order of the lanes is free."""
+    for i in mask.nonzero()[0].tolist():
+        state[i], up[i], t_switch[i] = _cross(
+            U64(int(state[i])), bool(up[i]), float(t_switch[i]), float(arrival[i]), up_mean, down_mean
+        )
 
 
 def _attempt(state, up, t_switch, req_arr, rep_arr, k_pass, up_mean, down_mean):
     """One attempt of every lane in the scalar kernel's order: switches,
     request draw, switches, reply draw. Updates the arrays in place and
-    returns which replies got through."""
-    _cross_switches(t_switch <= req_arr, req_arr, state, up, t_switch, up_mean, down_mean)
+    returns which replies got through. A link that is always up never
+    switches, so it skips both switch scans."""
+    switching = not math.isinf(up_mean)
+    if switching:
+        _cross_switches(t_switch <= req_arr, req_arr, state, up, t_switch, up_mean, down_mean)
     state += _GOLDEN_A
     req_ok = (_mix_lanes(state) >> _R11) < k_pass
     req_ok &= up
-    _cross_switches(req_ok & (t_switch <= rep_arr), rep_arr, state, up, t_switch, up_mean, down_mean)
+    if switching:
+        _cross_switches(req_ok & (t_switch <= rep_arr), rep_arr, state, up, t_switch, up_mean, down_mean)
     np.add(state, _GOLDEN_A, out=state, where=req_ok)
     rep_ok = (_mix_lanes(state) >> _R11) < k_pass
     rep_ok &= up

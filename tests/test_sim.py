@@ -398,6 +398,10 @@ LANE_CASES = {
     "one_session": ("highway", None, 1),
     "one_attempt": ("highway", (8192, 1, 5.0), 20),
     "late_replies": ("urban", (524288, 3, 0.5), 20),
+    # a link that switches several times while a packet is in flight (dwell
+    # means of 6 ms and 3 ms against a 41 ms round trip), in attempts that
+    # get through and in those that time out
+    "switch_storm": ("urban", (25600, 6, 0.05), dict(link_up_mean_s=0.006, link_down_mean_s=0.003, sessions=5)),
     "reply_at_timeout": ("urban", (2048, 1, _HANDSHAKE_RTT), dict(base_loss_prob=0.0, link_up_mean_s=math.inf)),
     "tail_300_2_1": ("urban", (300, 2, 1.0), 5),
     "highway_tail_300_2_1": ("highway", (300, 2, 1.0), 20),
@@ -737,6 +741,102 @@ def test_clean_run_stops_before_a_reply_on_a_switch():
     assert lanes["t"].tolist() == [times[i, 4 * k] for i, k in enumerate(m)]
     assert lanes["state"].tolist() == [(s + 2 * k * gamma) % 2**64 for s, k in zip(seeds, m)]
     assert lanes["left"].tolist() == [8, 9, 2, 0, 2]
+
+
+def test_a_packet_arriving_on_a_switch_crosses_it():
+    """The link switches before any packet arriving at or after the switch
+    time, so a lane whose request (lane 0) or reply (lane 2) arrives exactly
+    on its switch crosses it, and one arriving an ulp earlier (lanes 1 and
+    3) does not. Each lane ends where the scalar order puts it: switches
+    up to the request, the request word, switches up to the reply, the
+    reply word, each switch loop in _cross."""
+    up_mean, down_mean = 0.5, 0.25
+    before = float(np.nextafter(1.0, -math.inf))
+    req_arr = np.array([1.0, before, 0.5, 0.5])
+    rep_arr = np.array([1.5, before, 1.0, before])
+    seeds = [7, 2**64 - 1, 12345, 2**63]
+    state, up, t_switch = np.array(seeds, np.uint64), np.ones(4, np.bool_), np.ones(4)
+    rep_ok = kernels._attempt(state, up, t_switch, req_arr, rep_arr, kernels._pass_threshold(1.0), up_mean, down_mean)
+    want = []
+    for seed, req, rep in zip(seeds, req_arr.tolist(), rep_arr.tolist()):
+        s, lu, ts = kernels.U64(seed), True, 1.0
+        if ts <= req:
+            s, lu, ts = kernels._cross(s, lu, ts, req, up_mean, down_mean)
+        s, _ = kernels._mix64(s)
+        ok = lu
+        if ok:
+            if ts <= rep:
+                s, lu, ts = kernels._cross(s, lu, ts, rep, up_mean, down_mean)
+            s, _ = kernels._mix64(s)
+            ok = lu
+        want.append((int(s), lu, ts, ok))
+    assert list(zip(state.tolist(), up.tolist(), t_switch.tolist(), rep_ok.tolist())) == want
+    assert (t_switch > 1.0).tolist() == [True, False, True, False]
+    assert kernels._cross(kernels.U64(7), True, 1.0, before, up_mean, down_mean) == (kernels.U64(7), True, 1.0)
+    assert kernels._cross(kernels.U64(7), True, 1.0, 1.0, up_mean, down_mean)[2] > 1.0
+
+
+def test_cross_keeps_state_words_above_2_63():
+    """Half of all state words are at or above 2^63, past the int64 range.
+    Each lane here crosses exactly one switch (due at its arrival, the next
+    one after it), so its word must come back as w + gamma mod 2^64 to the
+    bit, from _cross and in the uint64 array _cross_switches writes."""
+    gamma = int(kernels._GOLDEN)
+    words = [2**63, 2**63 + 1, 2**64 - 1, 2**64 - gamma - 1, 2**64 - 2**11]
+    width = len(words)
+    state, up, t_switch = np.array(words, np.uint64), np.ones(width, np.bool_), np.ones(width)
+    kernels._cross_switches(np.ones(width, np.bool_), np.ones(width), state, up, t_switch, 0.5, 0.25)
+    want = [(w + gamma) % 2**64 for w in words]
+    assert state.dtype == np.uint64 and state.tolist() == want
+    assert [int(kernels._cross(kernels.U64(w), True, 1.0, 1.0, 0.5, 0.25)[0]) for w in words] == want
+    assert not up.any() and (t_switch > 1.0).all()
+    assert min(want) < 2**63 <= max(want)
+
+
+def _switch_calls(monkeypatch, run):
+    """Run `run()` with spies on kernels._cross and _cross_switches; returns
+    the number of switches each _cross call crossed, from how far it moved
+    the state (each switch is one gamma), and the number of _cross_switches
+    calls."""
+    cross, cross_switches = kernels._cross, kernels._cross_switches
+    inverse = pow(int(kernels._GOLDEN), -1, 2**64)
+    crossed, scans = [], []
+
+    def cross_spy(state, *rest):
+        out = cross(state, *rest)
+        crossed.append((int(out[0]) - int(state)) * inverse % 2**64)
+        return out
+
+    def scan_spy(*args):
+        scans.append(1)
+        return cross_switches(*args)
+
+    monkeypatch.setattr(kernels, "_cross", cross_spy)
+    monkeypatch.setattr(kernels, "_cross_switches", scan_spy)
+    run()
+    monkeypatch.undo()
+    return crossed, len(scans)
+
+
+@pytest.mark.skipif(kernels.NUMBA_ENABLED, reason="the compiled protocol calls the compiled _cross")
+@pytest.mark.parametrize("case", ["highway_expert", "switch_storm", "always_up", "lossless"])
+def test_both_protocols_switch_the_link_in_cross(case, monkeypatch):
+    """session_kernel and run_lanes both cross every switch in _cross; on a
+    link that is always up neither reaches it, and the lane kernel does not
+    even scan for switches. The storm crosses several switches in one call."""
+    sc, args = _lane_case(case)
+    seeds = _replication_seeds(1)
+    words = kernels._session_seeds(seeds, sc.sessions).ravel().tolist()
+    no_events = np.empty((0, 4))
+    scalar, _ = _switch_calls(
+        monkeypatch, lambda: [kernels.session_kernel(*args, kernels.U64(z), no_events) for z in words]
+    )
+    lanes, scans = _switch_calls(monkeypatch, lambda: kernels.run_lanes(sc.sessions, *args, seeds))
+    switching = not math.isinf(sc.link_up_mean_s)
+    assert (bool(scalar), bool(lanes), bool(scans)) == (switching,) * 3
+    assert sum(scalar) == sum(lanes)
+    if case == "switch_storm":
+        assert max(lanes) >= 5
 
 
 def test_session_seeds_are_what_run_sessions_hands_the_kernel(monkeypatch):
