@@ -252,6 +252,8 @@ def _resume_session(
             if record:
                 k = _emit(events, k, t0, _SEND, packet, attempt)
             req_arr = t0 + tx_req + prop_delay
+            # testing before each _cross call spares the pure path a call per
+            # packet: without the tests run_sessions took 1.07-1.11x as long
             if t_switch <= req_arr:
                 state, link_up, t_switch = _cross(state, link_up, t_switch, req_arr, up_mean, down_mean)
             state, z = _mix64(state)
@@ -456,16 +458,12 @@ def _cross_switches(mask, arrival, state, up, t_switch, up_mean, down_mean):
 def _attempt(state, up, t_switch, req_arr, rep_arr, k_pass, up_mean, down_mean):
     """One attempt of every lane in the scalar kernel's order: switches,
     request draw, switches, reply draw. Updates the arrays in place and
-    returns which replies got through. A link that is always up never
-    switches, so it skips both switch scans."""
-    switching = not math.isinf(up_mean)
-    if switching:
-        _cross_switches(t_switch <= req_arr, req_arr, state, up, t_switch, up_mean, down_mean)
+    returns which replies got through."""
+    _cross_switches(t_switch <= req_arr, req_arr, state, up, t_switch, up_mean, down_mean)
     state += _GOLDEN_A
     req_ok = (_mix_lanes(state) >> _R11) < k_pass
     req_ok &= up
-    if switching:
-        _cross_switches(req_ok & (t_switch <= rep_arr), rep_arr, state, up, t_switch, up_mean, down_mean)
+    _cross_switches(req_ok & (t_switch <= rep_arr), rep_arr, state, up, t_switch, up_mean, down_mean)
     np.add(state, _GOLDEN_A, out=state, where=req_ok)
     rep_ok = (_mix_lanes(state) >> _R11) < k_pass
     rep_ok &= up

@@ -794,46 +794,40 @@ def test_cross_keeps_state_words_above_2_63():
 
 
 def _switch_calls(monkeypatch, run):
-    """Run `run()` with spies on kernels._cross and _cross_switches; returns
-    the number of switches each _cross call crossed, from how far it moved
-    the state (each switch is one gamma), and the number of _cross_switches
-    calls."""
-    cross, cross_switches = kernels._cross, kernels._cross_switches
+    """Run `run()` with a spy on kernels._cross; returns the number of
+    switches each _cross call crossed, from how far it moved the state (each
+    switch is one gamma)."""
+    cross = kernels._cross
     inverse = pow(int(kernels._GOLDEN), -1, 2**64)
-    crossed, scans = [], []
+    crossed = []
 
     def cross_spy(state, *rest):
         out = cross(state, *rest)
         crossed.append((int(out[0]) - int(state)) * inverse % 2**64)
         return out
 
-    def scan_spy(*args):
-        scans.append(1)
-        return cross_switches(*args)
-
     monkeypatch.setattr(kernels, "_cross", cross_spy)
-    monkeypatch.setattr(kernels, "_cross_switches", scan_spy)
     run()
     monkeypatch.undo()
-    return crossed, len(scans)
+    return crossed
 
 
 @pytest.mark.skipif(kernels.NUMBA_ENABLED, reason="the compiled protocol calls the compiled _cross")
 @pytest.mark.parametrize("case", ["highway_expert", "switch_storm", "always_up", "lossless"])
 def test_both_protocols_switch_the_link_in_cross(case, monkeypatch):
     """session_kernel and run_lanes both cross every switch in _cross; on a
-    link that is always up neither reaches it, and the lane kernel does not
-    even scan for switches. The storm crosses several switches in one call."""
+    link that is always up neither reaches it. The storm crosses several
+    switches in one call."""
     sc, args = _lane_case(case)
     seeds = _replication_seeds(1)
     words = kernels._session_seeds(seeds, sc.sessions).ravel().tolist()
     no_events = np.empty((0, 4))
-    scalar, _ = _switch_calls(
+    scalar = _switch_calls(
         monkeypatch, lambda: [kernels.session_kernel(*args, kernels.U64(z), no_events) for z in words]
     )
-    lanes, scans = _switch_calls(monkeypatch, lambda: kernels.run_lanes(sc.sessions, *args, seeds))
+    lanes = _switch_calls(monkeypatch, lambda: kernels.run_lanes(sc.sessions, *args, seeds))
     switching = not math.isinf(sc.link_up_mean_s)
-    assert (bool(scalar), bool(lanes), bool(scans)) == (switching,) * 3
+    assert (bool(scalar), bool(lanes)) == (switching,) * 2
     assert sum(scalar) == sum(lanes)
     if case == "switch_storm":
         assert max(lanes) >= 5
