@@ -14,22 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sim.scenario import Scenario
-from .sim.transfer import TransferOutcome, several_seeds, simulate_batch, simulate_replication
+from .sim.transfer import TransferOutcome, simulate_batch, simulate_replication
 from .space import VdtpConfig
 from .stats import mean
 
-__all__ = ["FitnessReport", "fitness_term", "aggregate_fitness", "evaluate", "make_objective"]
+__all__ = ["FitnessReport", "fitness_term", "evaluate", "make_objective"]
 
 C_CONSTANT = 2.0
 DEFAULT_REPLICATIONS = 10
 
 
-def fitness_term(time_s: float, lost_packets: float, data_kbytes: float, c: float = C_CONSTANT) -> float:
-    """Cost of a single replication: (time + losses) / log10(data + c)."""
-    return (time_s + lost_packets) / math.log10(data_kbytes + c)
-
-
-aggregate_fitness = mean  # the fitness of a candidate is its replications' mean term
+def fitness_term(time_s: float, lost_packets: float, data_kbytes: float) -> float:
+    """Cost of a single replication: (time + losses) / log10(data + C_CONSTANT)."""
+    return (time_s + lost_packets) / math.log10(data_kbytes + C_CONSTANT)
 
 
 @dataclass(frozen=True)
@@ -37,7 +34,11 @@ class FitnessReport:
     fitness: float
     replications: tuple
     config: VdtpConfig
-    n: int = DEFAULT_REPLICATIONS
+
+    @property
+    def n(self) -> int:
+        """Number of replications scored."""
+        return len(self.replications)
 
 
 def _outcome_term(outcome: TransferOutcome) -> float:
@@ -49,36 +50,35 @@ def _outcome_term(outcome: TransferOutcome) -> float:
 
 
 def _fitness(outcomes) -> float:
-    return aggregate_fitness(_outcome_term(o) for o in outcomes)
+    """A candidate's fitness: the mean term of its replications."""
+    return mean(_outcome_term(o) for o in outcomes)
 
 
 def _replication_seeds(seed, n: int, key: tuple = ()) -> list:
-    """The n children spawn(n) gives on a fresh SeedSequence with the
-    entropy, pool size and spawn key (plus `key`) of `seed`, an int or a
-    SeedSequence; built from their spawn keys, as spawn would advance `seed`."""
+    """Kernel seeds of the n children spawn(n) gives on a fresh SeedSequence
+    with the entropy, pool size and spawn key (plus `key`) of `seed`, an int
+    or a SeedSequence: each child's first uint64 word. The children are built
+    from their spawn keys, as spawn would advance `seed`. This is the one
+    place where a SeedSequence becomes a seed of the simulator."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
     base = ss.spawn_key + key
-    return [np.random.SeedSequence(ss.entropy, spawn_key=base + (j,), pool_size=ss.pool_size) for j in range(n)]
+    return [
+        np.random.SeedSequence(ss.entropy, spawn_key=base + (j,), pool_size=ss.pool_size).generate_state(1, np.uint64)[0]
+        for j in range(n)
+    ]
 
 
 def evaluate(config: VdtpConfig, scenario: Scenario, n: int = DEFAULT_REPLICATIONS, seed=0) -> FitnessReport:
     """Score one configuration with n independent replications.
 
-    `seed` may be an int or a numpy SeedSequence, whose first n children
-    seed the replications (the sequence itself is left as it was), or a
-    list, tuple or 1-D array of n seeds, one per replication. Counts as a
+    `seed` is an int or a numpy SeedSequence, whose first n children seed
+    the replications (the sequence itself is left as it was). Counts as a
     single unit of optimizer budget no matter what n is.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if several_seeds(seed):
-        if len(seed) != n:
-            raise ValueError(f"need one seed per replication: {len(seed)} seeds for n = {n}")
-        seeds = seed
-    else:
-        seeds = _replication_seeds(seed, n)
-    outcomes = tuple(simulate_replication(config, scenario, seeds))
-    return FitnessReport(fitness=_fitness(outcomes), replications=outcomes, config=config, n=n)
+    outcomes = tuple(simulate_replication(config, scenario, _replication_seeds(seed, n)))
+    return FitnessReport(fitness=_fitness(outcomes), replications=outcomes, config=config)
 
 
 def make_objective(scenario: Scenario, n: int, seed):
@@ -90,7 +90,7 @@ def make_objective(scenario: Scenario, n: int, seed):
     reproducible from `seed` while each evaluation still sees fresh channel
     randomness (the objective is stochastic, as a network simulator would
     be), and a fitness does not depend on how the rows were cut into
-    batches. Evaluation k scores with the n children of
+    batches. Evaluation k scores with the kernel seeds of the n children of
     SeedSequence(entropy, spawn_key=base + (1, k)), base being the seed's
     own spawn key, and with the seed's pool size.
     """

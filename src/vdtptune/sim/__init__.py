@@ -6,7 +6,6 @@ from .transfer import (
     effective_throughput,
     n_chunks,
     simulate_replication,
-    simulate_session,
     simulate_session_events,
     write_event_trace,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "preset",
     "preset_names",
     "simulate_replication",
-    "simulate_session",
     "simulate_session_events",
     "write_event_trace",
 ]

@@ -5,9 +5,9 @@ chunk by chunk (DRQ/DRP). Unanswered requests are retransmitted after the
 timeout; exhausting the attempt budget on any one request refuses the session.
 
 `simulate_batch` is the one entry point for replicated runs: several
-configurations, each with its own replication seeds. Without numba it hands
-all sessions of all replications of all configurations to the lane kernel
-in one call; with numba it runs the compiled `run_sessions` once per
+configurations, each with its own integer replication seeds. Without numba
+it hands all sessions of all replications of all configurations to the lane
+kernel in one call; with numba it runs the compiled `run_sessions` once per
 replication. Both give the same bits, and this is the one place that
 branches on the backend. `simulate_replication` is its one-configuration
 form.
@@ -31,7 +31,6 @@ __all__ = [
     "TransferOutcome",
     "SessionResult",
     "n_chunks",
-    "simulate_session",
     "simulate_session_events",
     "simulate_batch",
     "simulate_replication",
@@ -111,31 +110,13 @@ def _kernel_args(config, scenario: Scenario):
 
 
 def _as_kernel_seed(seed) -> np.uint64:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed.generate_state(1, np.uint64)[0]
     return np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-
-
-def simulate_session(config, scenario: Scenario, seed) -> SessionResult:
-    """Simulate a single transfer session.
-
-    `config` is either a VdtpConfig (quantized here) or an already-quantized
-    (chunk_bytes, attempts, timeout_s) triple.
-    """
-    args = _kernel_args(config, scenario)
-    t, lost, delivered, refused, _ = session_kernel(*args, _as_kernel_seed(seed), np.empty((0, 4)))
-    return SessionResult(float(t), int(lost), int(delivered), bool(refused))
-
-
-def several_seeds(seed) -> bool:
-    """A list, tuple or 1-D array holds one seed per replication; anything else is one seed."""
-    return isinstance(seed, (list, tuple)) or (isinstance(seed, np.ndarray) and seed.ndim > 0)
 
 
 def simulate_batch(configs, scenario: Scenario, seeds) -> list:
     """One Replications per configuration: `configs[i]`, a VdtpConfig or a
     quantized (chunk_bytes, attempts, timeout_s) triple, run over
-    `scenario.sessions` sessions for each seed of the non-empty list
+    `scenario.sessions` sessions for each integer seed of the non-empty list
     `seeds[i]`. Every session of every configuration goes to one lane-kernel
     call; row for row the outcomes are those of separate runs.
     """
@@ -163,17 +144,14 @@ def simulate_batch(configs, scenario: Scenario, seeds) -> list:
 def simulate_replication(config, scenario: Scenario, seed):
     """Run `scenario.sessions` independent sessions and aggregate.
 
-    `seed` is one seed (an int, a numpy integer or 0-d array, a decimal
-    str or bytes, or a SeedSequence), which gives one TransferOutcome, or a
-    non-empty list, tuple or 1-D array of seeds, one per replication, which
-    gives their Replications. Refused sessions contribute their
-    time-until-refusal to the mean time; data is the total payload delivered
-    across all sessions, in kBytes.
+    `seed` is one integer seed, which gives one TransferOutcome, or a
+    non-empty list of integer seeds, one per replication, which gives their
+    Replications. Refused sessions contribute their time-until-refusal to the
+    mean time; data is the total payload delivered across all sessions, in
+    kBytes.
     """
-    several = several_seeds(seed)
-    if several and len(seed) == 0:
-        raise ValueError("simulate_replication needs at least one seed")
-    (outcomes,) = simulate_batch([config], scenario, [seed if several else (seed,)])
+    several = isinstance(seed, list)
+    (outcomes,) = simulate_batch([config], scenario, [seed if several else [seed]])
     return outcomes if several else outcomes[0]
 
 

@@ -79,10 +79,6 @@ class Bounds:
         u = np.asarray(u, dtype=float)
         return self.lower_array() + u * (self.upper_array() - self.lower_array())
 
-    def to_unit(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (x - self.lower_array()) / (self.upper_array() - self.lower_array())
-
 
 #: chunk_size 128..524288 bytes, total_attempts 1..250, retransmission_time 1..10 s
 DEFAULT_BOUNDS = Bounds(lower=(128.0, 1.0, 1.0), upper=(524288.0, 250.0, 10.0))

@@ -13,7 +13,7 @@ import pytest
 
 import conftest
 
-from vdtptune.fitness import aggregate_fitness, evaluate, fitness_term
+from vdtptune.fitness import evaluate, fitness_term
 from vdtptune.harness.benchfuncs import bench_bounds, random_search, sphere
 from vdtptune.harness.campaign import (
     ExperimentConfig,
@@ -27,12 +27,8 @@ from vdtptune.optimizers.de import accept_trial, binomial_mask, mutant_vector
 from vdtptune.optimizers.pso import velocity_update
 from vdtptune.optimizers.sa import acceptance_probability
 from vdtptune.sim.scenario import Scenario, human_expert_config, preset
-from vdtptune.sim.transfer import (
-    n_chunks,
-    simulate_session,
-    simulate_session_events,
-)
-from vdtptune.stats import average_ranks, friedman_ranks, wilcoxon_signed_rank
+from vdtptune.sim.transfer import n_chunks, simulate_session_events
+from vdtptune.stats import average_ranks, friedman_ranks, mean, wilcoxon_signed_rank
 
 DESK_PRESETS = ("urban", "urban_a2", "urban_a3", "highway")
 
@@ -106,7 +102,7 @@ def test_criterion_1_equation_fidelity():
         worst = max(worst, rel_err(fitness_term(t, lost, data), (t + lost) / math.log10(data + 2.0)))
         checks += 1
     terms = rng.uniform(0.1, 5.0, size=10)
-    worst = max(worst, rel_err(aggregate_fitness(terms), float(np.mean(terms))))
+    worst = max(worst, rel_err(mean(terms), float(np.mean(terms))))
     checks += 1
 
     ok = worst <= 1e-12 and mask_ok and accept_ok
@@ -133,7 +129,7 @@ def test_criterion_2_lossless_closed_form():
             base_loss_prob=0.0, link_up_mean_s=math.inf, sessions=1,
             file_size_bytes=file,
         )
-        res = simulate_session((chunk, 1, 1e9), sc, seed=int(rng.integers(2**60)))
+        res = simulate_session_events((chunk, 1, 1e9), sc, seed=int(rng.integers(2**60)))[1]
         n = n_chunks(file, chunk)
         expect = (n + 1) * (2.0 * 64 * 8.0 / bw + 2.0 * prop) + file * 8.0 / bw
         worst = max(worst, abs(res.time_s - expect))
@@ -165,7 +161,7 @@ def test_criterion_3_refusal_semantics():
         attempts = int(rng.integers(1, 251))
         timeout = float(rng.uniform(1.0, 10.0))
         seed = int(rng.integers(2**32))
-        res = simulate_session((25600, attempts, timeout), sc, seed=seed)
+        res = simulate_session_events((25600, attempts, timeout), sc, seed=seed)[1]
         events, replay = simulate_session_events((25600, attempts, timeout), sc, seed=seed)
         firq_sends = sum(1 for e in events if e[2] == "send" and e[3] == "FIRQ")
         good = (
@@ -415,7 +411,7 @@ def test_criterion_8_expert_config_calibration():
     for name in ("urban", "highway"):
         sc = preset(name)
         cfg = human_expert_config(sc)
-        results = [simulate_session(cfg, sc, seed=s) for s in range(1000)]
+        results = [simulate_session_events(cfg, sc, seed=s)[1] for s in range(1000)]
         means[name] = float(np.mean([r.time_s for r in results]))
         done = [r for r in results if not r.refused]
         kb = float(np.mean([r.delivered_bytes for r in done])) / 1024.0

@@ -36,7 +36,8 @@ def test_unit_mapping_round_trip():
     for _ in range(100):
         u = rng.random(3)
         x = DEFAULT_BOUNDS.from_unit(u)
-        assert np.allclose(DEFAULT_BOUNDS.to_unit(x), u, atol=1e-12)
+        lo, hi = DEFAULT_BOUNDS.lower_array(), DEFAULT_BOUNDS.upper_array()
+        assert np.allclose((x - lo) / (hi - lo), u, atol=1e-12)
         assert np.all(x >= DEFAULT_BOUNDS.lower_array())
         assert np.all(x <= DEFAULT_BOUNDS.upper_array())
 

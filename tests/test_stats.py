@@ -9,6 +9,7 @@ from vdtptune.stats import (
     EXACT_LIMIT,
     average_ranks,
     friedman_ranks,
+    mean,
     summarize,
     wilcoxon_signed_rank,
 )
@@ -34,6 +35,20 @@ def brute_force_signed_rank_p(a, b):
 
 
 # --- summaries ---------------------------------------------------------------
+
+
+def test_mean_hand_values_and_order():
+    terms = [3.0, 1.0, 2.0]
+    assert mean(terms) == pytest.approx(2.0)
+    assert mean(reversed(terms)) == mean(terms)
+    assert mean([7.5]) == 7.5
+    # added left to right: 1e16 + 1.0 rounds back to 1e16 (a compensated sum gives 1/3)
+    assert mean([1e16, 1.0, -1e16]) == 0.0
+
+
+def test_mean_rejects_empty():
+    with pytest.raises(ValueError):
+        mean([])
 
 
 def test_summarize_hand_values():
