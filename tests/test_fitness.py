@@ -31,9 +31,13 @@ def test_term_zero_data_is_finite():
     assert v == pytest.approx(15.0 / math.log10(2.0))
 
 
+def test_term_custom_constant():
+    # the divisor's constant is C_CONSTANT: log10(8 + C_CONSTANT) = 1
+    assert fitness_term(3.0, 0.0, 8.0) == 3.0
+
+
 def test_c_constant_default():
     assert C_CONSTANT == 2.0
-    assert fitness_term(3.0, 0.0, 8.0) == 3.0  # log10(8 + C_CONSTANT) = 1
 
 
 def test_evaluate_deterministic_per_seed():
