@@ -8,6 +8,7 @@ transferred. Lower is better.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,18 +55,136 @@ def _fitness(outcomes) -> float:
     return mean(_outcome_term(o) for o in outcomes)
 
 
-def _replication_seeds(seed, n: int, key: tuple = ()) -> list:
-    """Kernel seeds of the n children spawn(n) gives on a fresh SeedSequence
-    with the entropy, pool size and spawn key (plus `key`) of `seed`, an int
-    or a SeedSequence: each child's first uint64 word. The children are built
-    from their spawn keys, as spawn would advance `seed`. This is the one
-    place where a SeedSequence becomes a seed of the simulator."""
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
-    base = ss.spawn_key + key
-    return [
-        np.random.SeedSequence(ss.entropy, spawn_key=base + (j,), pool_size=ss.pool_size).generate_state(1, np.uint64)[0]
-        for j in range(n)
-    ]
+# numpy's SeedSequence (O'Neill's seed_seq, numpy/random/bit_generator.pyx)
+# in Python ints on 32-bit words. hashmix call i xors _HASH_A[i] and then
+# multiplies by _HASH_A[i + 1]: its constant depends only on how many words
+# were hashed before, so the constants are a table. mix(x, y) is
+# (_MIX_L * x - _MIX_R * y) with its high half folded in.
+_M32 = 0xFFFF_FFFF
+_MULT_A = 0x931E8875
+_HASH_A = (0x43B0D7E5,)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# generate_state hashes pool word 0 (the low half of a uint64) and pool word 1
+_OUT_X0 = 0x8B51F9DD
+_OUT_M0 = _OUT_X1 = _OUT_X0 * 0x58F38DED & _M32
+_OUT_M1 = _OUT_M0 * 0x58F38DED & _M32
+
+
+def _hash_a(end: int) -> tuple:
+    """_HASH_A, extended to hold index `end`. The table is rebound, never
+    grown in place, so a caller in another thread always reads a whole one."""
+    global _HASH_A
+    h = _HASH_A
+    if len(h) <= end:
+        grown = list(h)
+        while len(grown) <= end:
+            grown.append(grown[-1] * _MULT_A & _M32)
+        _HASH_A = h = tuple(grown)
+    return h
+
+
+def _hashmix(value: int, i: int) -> int:
+    h = _hash_a(i + 1)
+    value = (value ^ h[i]) * h[i + 1] & _M32
+    return value ^ value >> 16
+
+
+@functools.cache
+def _all_pairs(size: int) -> tuple:
+    """(src, dst, xor, multiply) of each step pool[dst] = mix(pool[dst],
+    hashmix(pool[src])) that mixes a filled pool, in order."""
+    h = _hash_a(size * size)
+    pairs = [(src, dst) for src in range(size) for dst in range(size) if src != dst]
+    return tuple((src, dst, h[i], h[i + 1]) for i, (src, dst) in enumerate(pairs, size))
+
+
+def _words(x) -> list:
+    """The uint32 words SeedSequence reads from an int (low word first) or a
+    sequence of ints and sequences."""
+    words = []
+    for v in [x] if isinstance(x, (int, np.integer)) else x:
+        if not isinstance(v, (int, np.integer)):
+            words += _words(v)
+            continue
+        v = int(v)
+        if v < 0:
+            raise ValueError(f"seed words must be non-negative, got {v}")
+        words.append(v & _M32)
+        while v := v >> 32:
+            words.append(v & _M32)
+    return words
+
+
+class _SeedPool:
+    """Pool words 0 and 1 of SeedSequence(entropy, spawn_key=base + key,
+    pool_size=size), where `seed` is an int or a SeedSequence with that
+    entropy, spawn key `base` and pool size. This is the one place where a
+    seed becomes uint64 words: the simulator's kernel seeds and a
+    campaign's run seeds. numpy's SeedSequence is its oracle in the tests.
+
+    The run entropy is zero-padded to the pool size, as SeedSequence does
+    for a non-empty spawn key (padding changes no pool word of an empty
+    one), so every spawn-key word lands past the pool and changes pool word
+    d through pool word d alone. generate_state(1, np.uint64) reads words 0
+    and 1 only, so they are all a later key word needs.
+    """
+
+    def __init__(self, seed, key: tuple = ()):
+        if isinstance(seed, np.random.SeedSequence):
+            entropy, base, self._size = seed.entropy, seed.spawn_key, seed.pool_size
+        else:
+            entropy, base, self._size = int(seed), (), 4
+        size = self._size
+        words = _words(entropy)
+        words += [0] * (size - len(words))
+        pool = [_hashmix(w, i) for i, w in enumerate(words[:size])]
+        for src, dst, x, m in _all_pairs(size):
+            v = (pool[src] ^ x) * m & _M32
+            v = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _M32
+            pool[dst] = v ^ v >> 16
+        words = words[size:] + _words(base) + _words(key)
+        self._p0, self._p1, self._calls = self._absorb(words, pool[0], pool[1], size * size)
+        self._terms = {}
+
+    def _absorb(self, words, p0: int, p1: int, calls: int) -> tuple:
+        """Pool words 0 and 1 and the hashmix count after `words`."""
+        h = _hash_a(calls + len(words) * self._size + 1)
+        for w in words:
+            a = (w ^ h[calls]) * h[calls + 1] & _M32
+            b = (w ^ h[calls + 1]) * h[calls + 2] & _M32
+            p0 = (_MIX_L * p0 - _MIX_R * (a ^ a >> 16)) & _M32
+            p1 = (_MIX_L * p1 - _MIX_R * (b ^ b >> 16)) & _M32
+            p0 ^= p0 >> 16
+            p1 ^= p1 >> 16
+            calls += self._size
+        return p0, p1, calls
+
+    def word(self) -> np.uint64:
+        """generate_state(1, np.uint64)[0] of the sequence."""
+        lo = (self._p0 ^ _OUT_X0) * _OUT_M0 & _M32
+        hi = (self._p1 ^ _OUT_X1) * _OUT_M1 & _M32
+        return np.uint64(lo ^ lo >> 16 | (hi ^ hi >> 16) << 32)
+
+    def children(self, n: int, key: tuple = ()) -> list:
+        """The words of the n children spawn(n) gives on the sequence with
+        `key` appended to its spawn key: spawn keys base + key + (j,), j < n.
+        hashmix(j) at a given call count does not depend on `key`'s values,
+        so those terms are a table per call count."""
+        p0, p1, calls = self._absorb(_words(key), self._p0, self._p1, self._calls)
+        terms = self._terms.get(calls)
+        if terms is None or len(terms) < n:
+            terms = self._terms[calls] = [
+                (_MIX_R * _hashmix(j, calls), _MIX_R * _hashmix(j, calls + 1)) for j in range(n)
+            ]
+        l0, l1 = _MIX_L * p0, _MIX_L * p1
+        out = []
+        for r0, r1 in terms[:n]:
+            q0 = (l0 - r0) & _M32
+            q1 = (l1 - r1) & _M32
+            lo = (q0 ^ q0 >> 16 ^ _OUT_X0) * _OUT_M0 & _M32
+            hi = (q1 ^ q1 >> 16 ^ _OUT_X1) * _OUT_M1 & _M32
+            out.append(np.uint64(lo ^ lo >> 16 | (hi ^ hi >> 16) << 32))
+        return out
 
 
 def evaluate(config: VdtpConfig, scenario: Scenario, n: int = DEFAULT_REPLICATIONS, seed=0) -> FitnessReport:
@@ -77,7 +196,7 @@ def evaluate(config: VdtpConfig, scenario: Scenario, n: int = DEFAULT_REPLICATIO
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    outcomes = tuple(simulate_replication(config, scenario, _replication_seeds(seed, n)))
+    outcomes = tuple(simulate_replication(config, scenario, _SeedPool(seed).children(n)))
     return FitnessReport(fitness=_fitness(outcomes), replications=outcomes, config=config)
 
 
@@ -92,16 +211,17 @@ def make_objective(scenario: Scenario, n: int, seed):
     be), and a fitness does not depend on how the rows were cut into
     batches. Evaluation k scores with the kernel seeds of the n children of
     SeedSequence(entropy, spawn_key=base + (1, k)), base being the seed's
-    own spawn key, and with the seed's pool size.
+    own spawn key, and with the seed's pool size; the pool after base + (1,)
+    is hashed once per objective.
     """
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
+    pool = _SeedPool(seed, (1,))
     counter = [0]
 
     def objective(points) -> list:
         configs = [VdtpConfig.from_array(x) for x in points]
         first = counter[0]
         counter[0] += len(configs)
-        seeds = [_replication_seeds(ss, n, (1, first + i)) for i in range(len(configs))]
+        seeds = [pool.children(n, (first + i,)) for i in range(len(configs))]
         return [_fitness(outcomes) for outcomes in simulate_batch(configs, scenario, seeds)]
 
     return objective

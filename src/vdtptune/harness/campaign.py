@@ -23,7 +23,7 @@ import numpy as np
 
 from .. import optimizers
 from ..cfgfile import field_values, read_cfg
-from ..fitness import make_objective
+from ..fitness import _SeedPool, make_objective
 from ..optimizers import ALGORITHMS, OptimizerParams, RunRecord
 from ..sim.scenario import Scenario, load_scenario, preset
 from ..space import DEFAULT_BOUNDS
@@ -43,16 +43,16 @@ __all__ = [
 
 
 def run_seed(master_seed: int, run_index: int) -> int:
-    """Seed for run i, shared across algorithms (pairing by run index)."""
-    ss = np.random.SeedSequence(int(master_seed), spawn_key=(int(run_index),))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Seed for run i, shared across algorithms (pairing by run index): the
+    first uint64 word of SeedSequence(master_seed, spawn_key=(i,))."""
+    return int(_SeedPool(master_seed, (int(run_index),)).word())
 
 
 def qos_seed(master_seed: int) -> int:
-    """Seed for post-campaign scoring runs; the two-element spawn key keeps
-    it disjoint from every run stream."""
-    ss = np.random.SeedSequence(int(master_seed), spawn_key=(1, 0))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Seed for post-campaign scoring runs, the first uint64 word of
+    SeedSequence(master_seed, spawn_key=(1, 0)); the two-element spawn key
+    keeps it disjoint from every run stream."""
+    return int(_SeedPool(master_seed, (1, 0)).word())
 
 
 def resolve_scenario(name_or_path) -> Scenario:

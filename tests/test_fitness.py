@@ -95,15 +95,42 @@ _SPAWN_PARENTS = [
     np.random.SeedSequence(5, spawn_key=(3, 1)),
     np.random.SeedSequence(5, pool_size=8),
     np.random.SeedSequence(2**127 + 12345),
+    np.random.SeedSequence(2**200 + 7),
+    np.random.SeedSequence([3, 2**40]),
 ]
-_SPAWN_IDS = ["int", "seedsequence", "pool-size-8", "entropy-128"]
+_SPAWN_IDS = ["int", "seedsequence", "pool-size-8", "entropy-128", "entropy-past-pool", "list-entropy"]
 
 
 @pytest.mark.parametrize("n", [1, 3, 10])
 @pytest.mark.parametrize("seed", _SPAWN_PARENTS, ids=_SPAWN_IDS)
 def test_replication_seeds_are_the_spawned_children(seed, n):
-    for key in ((), (1, 4)):
-        _same_words(fitness._replication_seeds(seed, n, key), _spawned_words(_fresh(seed, key), n))
+    for key in ((), (1, 4), (2**32 + 5, 1)):
+        _same_words(fitness._SeedPool(seed, key).children(n), _spawned_words(_fresh(seed, key), n))
+
+
+def _state_word(entropy, spawn_key, pool_size):
+    return np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size).generate_state(1, np.uint64)[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    entropy=st.one_of(st.integers(0, 2**256 - 1), st.lists(st.integers(0, 2**64 - 1), max_size=4)),
+    pool_size=st.integers(4, 8),
+    base=st.lists(st.integers(0, 2**40), max_size=2).map(tuple),
+    k=st.integers(0, 2**40),
+    n=st.integers(1, 10),
+)
+def test_seed_pool_matches_seedsequence(entropy, pool_size, base, k, n):
+    """The hash in Python ints gives numpy's words: the sequence's own (as
+    run_seed takes it), its children (as evaluate takes them) and evaluation
+    k's children (as make_objective takes them); about 5000 words in all."""
+    parent = np.random.SeedSequence(entropy, spawn_key=base, pool_size=pool_size)
+    assert fitness._SeedPool(parent).word() == _state_word(entropy, base, pool_size)
+    want = [_state_word(entropy, base + (j,), pool_size) for j in range(n)]
+    _same_words(fitness._SeedPool(parent).children(n), want)
+    pool = fitness._SeedPool(parent, (1,))
+    want = [_state_word(entropy, base + (1, k, j), pool_size) for j in range(n)]
+    _same_words(pool.children(n, (k,)), want)
 
 
 def test_evaluate_rejects_bad_n():

@@ -143,6 +143,10 @@ def test_run_seed_matches_seed_sequence():
     assert run_seed(1, 4) != run_seed(2, 4)
 
 
+def test_qos_seed_matches_seed_sequence():
+    assert qos_seed(3) == int(np.random.SeedSequence(3, spawn_key=(1, 0)).generate_state(1, np.uint64)[0])
+
+
 def test_qos_seed_disjoint_from_run_seeds():
     assert qos_seed(1) not in {run_seed(1, i) for i in range(100)}
 

@@ -1069,29 +1069,45 @@ def test_jit_path_matches_parity_pin():
 # The compiled path's source run as Python: tests/jitstandin holds a numba
 # whose njit compiles nothing, so this runs everywhere, but it shows neither
 # that numba compiles the kernels nor how fast they run. The snippet prints,
-# as one JSON object, the rows of the golden lanes (argv[1]), the fitnesses of
-# a mixed batch through make_objective and one evaluate; the last two reach
-# simulate_batch's compiled branch with the kernel seeds fitness derives.
+# as one JSON object, the rows of the golden lanes (argv[1]), the outcomes of
+# a few MIXED_LANE_CASES (argv[2]) through simulate_batch, the fitnesses of a
+# mixed batch through make_objective, one evaluate, and the sha256 of a small
+# urban campaign's CSVs; all but the first reach simulate_batch's compiled
+# branch, the last three with the kernel seeds fitness derives.
 _STANDIN_SNIPPET = """
-import json, sys
+import dataclasses, hashlib, json, sys, tempfile
+from pathlib import Path
 import numpy as np
 from vdtptune import fitness
+from vdtptune.harness import campaign, reports
 from vdtptune.sim import kernels
 from vdtptune.sim.scenario import preset, human_expert_config
-from vdtptune.sim.transfer import _kernel_args
+from vdtptune.sim.transfer import _kernel_args, simulate_batch
 from vdtptune.space import VdtpConfig
-out = {"numba": kernels.NUMBA_ENABLED, "u64": kernels.U64.__name__, "lanes": {}}
+out = {"numba": kernels.NUMBA_ENABLED, "u64": kernels.U64.__name__, "lanes": {}, "mixed": {}}
 for lane, (name, config) in json.loads(sys.argv[1]).items():
     sc = preset(name)
     arrays = kernels.run_sessions(40, *_kernel_args(config or human_expert_config(sc), sc), np.uint64(777))
     out["lanes"][lane] = [[repr(float(t)), int(l), int(d), bool(r)] for t, l, d, r in zip(*arrays)]
+for case, (name, rows, change) in json.loads(sys.argv[2]).items():
+    sc = dataclasses.replace(preset(name), **change)
+    configs = [VdtpConfig(*row) if row else human_expert_config(sc) for row in rows]
+    seeds = [[np.uint64(2**63 + 7 * r + j) for j in range(2)] for r in range(len(rows))]
+    out["mixed"][case] = [repr(o) for outcomes in simulate_batch(configs, sc, seeds) for o in outcomes]
 sc = preset("urban")
 batch = [human_expert_config(sc).as_array(), [4096.0, 4.0, 3.0], [2048.0, 1.0, 4.0], [65536.0, 3.0, 0.5]]
 objective = fitness.make_objective(sc, 2, np.random.SeedSequence(2**127 + 5, pool_size=8))
 out["batch"] = [repr(f) for f in objective(np.array(batch))]
 out["evaluate"] = repr(fitness.evaluate(VdtpConfig(65536.0, 8.0, 6.0), preset("highway"), n=2, seed=9))
+with tempfile.TemporaryDirectory() as tmp:
+    config = campaign.ExperimentConfig(runs=1, max_evaluations=10, replications=1, output_dir=tmp)
+    paths = reports.write_campaign_outputs(campaign.run_campaign(config), Path(tmp) / "out")
+    csvs = sorted(p for p in paths if p.suffix == ".csv")
+    digest = hashlib.sha256(b"".join(p.name.encode() + p.read_bytes() for p in csvs)).hexdigest()
+    out["campaign"] = [[p.name for p in csvs], digest]
 print(json.dumps(out))
 """
+_STANDIN_MIXED = ("chunk128_next_to_experts", "budgets_and_timeouts", "refused_in_tail")
 
 
 def _run_standin_snippet(standin: bool) -> dict:
@@ -1100,8 +1116,9 @@ def _run_standin_snippet(standin: bool) -> dict:
         paths.insert(0, os.path.join(os.path.dirname(__file__), "jitstandin"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), VDTPTUNE_DISABLE_NUMBA="0" if standin else "1")
     lanes = json.dumps({lane: spec for lane, (spec, _) in GOLDEN_SESSIONS.items()})
+    mixed = json.dumps({case: MIXED_LANE_CASES[case] for case in _STANDIN_MIXED})
     proc = subprocess.run(
-        [sys.executable, "-c", _STANDIN_SNIPPET, lanes], env=env, capture_output=True, text=True
+        [sys.executable, "-c", _STANDIN_SNIPPET, lanes, mixed], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -1112,6 +1129,8 @@ def test_compiled_source_matches_pure_path_under_a_standin():
     assert (compiled.pop("numba"), compiled.pop("u64")) == (True, "uint64")
     assert (pure.pop("numba"), pure.pop("u64")) == (False, "int")
     assert compiled == pure
+    assert sorted(compiled["mixed"]) == sorted(_STANDIN_MIXED)
+    assert len(compiled["campaign"][0]) == 9  # summary, tests, ranks, qos and 5 traces
     lanes = compiled["lanes"]
     for lane, (_, digest) in GOLDEN_SESSIONS.items():
         rows = "\n".join(f"{t} {l} {d} {int(r)}" for t, l, d, r in lanes[lane])
