@@ -159,15 +159,16 @@ class _SeedPool:
             calls += self._size
         return p0, p1, calls
 
-    def word(self) -> np.uint64:
-        """generate_state(1, np.uint64)[0] of the sequence."""
+    def word(self) -> int:
+        """generate_state(1, np.uint64)[0] of the sequence, as a Python int."""
         lo = (self._p0 ^ _OUT_X0) * _OUT_M0 & _M32
         hi = (self._p1 ^ _OUT_X1) * _OUT_M1 & _M32
-        return np.uint64(lo ^ lo >> 16 | (hi ^ hi >> 16) << 32)
+        return lo ^ lo >> 16 | (hi ^ hi >> 16) << 32
 
     def children(self, n: int, key: tuple = ()) -> list:
-        """The words of the n children spawn(n) gives on the sequence with
-        `key` appended to its spawn key: spawn keys base + key + (j,), j < n.
+        """The words (Python ints) of the n children spawn(n) gives on the
+        sequence with `key` appended to its spawn key: spawn keys
+        base + key + (j,), j < n.
         hashmix(j) at a given call count does not depend on `key`'s values,
         so those terms are a table per call count."""
         p0, p1, calls = self._absorb(_words(key), self._p0, self._p1, self._calls)
@@ -183,7 +184,7 @@ class _SeedPool:
             q1 = (l1 - r1) & _M32
             lo = (q0 ^ q0 >> 16 ^ _OUT_X0) * _OUT_M0 & _M32
             hi = (q1 ^ q1 >> 16 ^ _OUT_X1) * _OUT_M1 & _M32
-            out.append(np.uint64(lo ^ lo >> 16 | (hi ^ hi >> 16) << 32))
+            out.append(lo ^ lo >> 16 | (hi ^ hi >> 16) << 32)
         return out
 
 

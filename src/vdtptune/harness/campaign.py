@@ -15,7 +15,6 @@ import dataclasses
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -265,6 +264,9 @@ def run_cells(config: ExperimentConfig, cells, objective_factory=None, progress=
         for fingerprint in pending:
             land(fingerprint, execute_run(*args(fingerprint)))
     else:
+        # imported here: loading the pool machinery costs every process that never uses it
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             futures = {pool.submit(execute_run, *args(fingerprint)): fingerprint for fingerprint in pending}
             for fut in as_completed(futures):

@@ -23,6 +23,7 @@ __all__ = [
     "OptimizerParams",
     "RunRecord",
     "blend_crossover",
+    "make_children",
     "reset_one_gene",
     "tournament_pick",
 ]
@@ -39,15 +40,19 @@ class ObjectiveHandle:
 
     `fn` takes a (k, dim) array of physical points and returns their k
     fitnesses in row order, as any iterable. evaluate_batch() maps the rows
-    of a unit-cube batch into the physical bounds, calls fn once on the rows
-    the budget still holds, and appends (evaluation_index, best_so_far) to
-    the trace per row as its fitness arrives. A batch that overruns
-    max_evaluations is scored up to the budget, then BudgetExhausted is
-    raised, which the run loop treats as clean termination; fn never sees
-    an empty batch. So the trace does not depend on how a run cuts its
-    candidates into batches. time_to_best_s is taken when the best
-    fitness arrives: the end of its batch for a scorer that returns a
-    list, the row itself for a lazy one such as map.
+    of a unit-cube batch into the physical bounds with one multiply-add
+    (Bounds.from_unit), calls fn once on the rows the budget still holds,
+    and appends (evaluation_index, best_so_far) to the trace per row as its
+    fitness arrives; a scorer that returns more or fewer fitnesses than
+    rows is refused with ValueError. A batch that overruns max_evaluations
+    is scored up to the budget, then BudgetExhausted is raised, which the
+    run loop treats as clean termination; fn never sees an empty batch. So
+    the trace does not depend on how a run cuts its candidates into
+    batches. The trace is the handle's count and its best fitness:
+    evaluations_used is its length and best_fitness its last best-so-far.
+    time_to_best_s is taken when the best fitness arrives: the end of its
+    batch for a scorer that returns a list, the row itself for a lazy one
+    such as map.
     """
 
     def __init__(self, fn, bounds: Bounds, max_evaluations: int = 1000):
@@ -56,36 +61,45 @@ class ObjectiveHandle:
         self.fn = fn
         self.bounds = bounds
         self.max_evaluations = max_evaluations
-        self.evaluations_used = 0
         self.trace = []
-        self.best_fitness = math.inf
         self.best_position = None
         self.best_eval_index = 0
         self.time_to_best_s = 0.0
+        self._dim = bounds.dim
         self._t_start = time.perf_counter()
+
+    @property
+    def evaluations_used(self) -> int:
+        return len(self.trace)
+
+    @property
+    def best_fitness(self) -> float:
+        return self.trace[-1][1] if self.trace else math.inf
 
     def evaluate_batch(self, points) -> np.ndarray:
         """Fitness of each row of `points`, a (k, dim) unit-cube array."""
         points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.bounds.dim:
-            raise ValueError(f"evaluate_batch needs a (k, {self.bounds.dim}) array, got shape {points.shape}")
-        room = self.max_evaluations - self.evaluations_used
+        if points.ndim != 2 or points.shape[1] != self._dim:
+            raise ValueError(f"evaluate_batch needs a (k, {self._dim}) array, got shape {points.shape}")
+        trace = self.trace
+        used = len(trace)
+        room = self.max_evaluations - used
         physical = self.bounds.from_unit(points[:room])
-        fits = np.empty(len(physical))
+        fits = []
         if len(physical):
-            for k, f in zip(range(len(physical)), self.fn(physical), strict=True):
+            best = self.best_fitness
+            for index, f in zip(range(used + 1, used + len(physical) + 1), self.fn(physical), strict=True):
                 f = float(f)
-                self.evaluations_used += 1
-                if f < self.best_fitness:
-                    self.best_fitness = f
-                    self.best_position = np.array(physical[k], dtype=float)
-                    self.best_eval_index = self.evaluations_used
+                if f < best:
+                    best = f
+                    self.best_position = physical[index - used - 1].copy()
+                    self.best_eval_index = index
                     self.time_to_best_s = time.perf_counter() - self._t_start
-                self.trace.append((self.evaluations_used, self.best_fitness))
-                fits[k] = f
+                trace.append((index, best))
+                fits.append(f)
         if len(points) > room:
             raise BudgetExhausted
-        return fits
+        return np.array(fits)
 
 
 #: Knobs each algorithm reads besides `generations`; every other knob must
@@ -210,10 +224,23 @@ class RunRecord:
 # --- shared variation operators (unit-cube coordinates) ----------------------
 
 
-def blend_crossover(a, b, rng) -> np.ndarray:
-    """Per-coordinate convex blend with a fresh weight per coordinate."""
-    beta = rng.random(len(a))
+def blend_crossover(a, b, beta) -> np.ndarray:
+    """Per-coordinate convex blend beta * a + (1 - beta) * b: a weight per
+    coordinate, and a row of weights per child when a and b hold a row per
+    child."""
     return beta * a + (1.0 - beta) * b
+
+
+def make_children(first, second, cross, beta, gene, value) -> np.ndarray:
+    """A generation of children at once, from the draws GA and ES record
+    child by child. Child k is blend_crossover(first[k], second[k],
+    beta[k]) where cross[k], else a clone of first[k]; where gene[k] >= 0
+    its coordinate gene[k] is then reset to value[k] (as reset_one_gene
+    does); last, every child is clipped to the unit cube."""
+    children = np.where(cross[:, None], blend_crossover(first, second, beta), first)
+    reset = np.flatnonzero(gene >= 0)
+    children[reset, gene[reset]] = value[reset]
+    return np.clip(children, 0.0, 1.0, out=children)
 
 
 def reset_one_gene(x, rng) -> np.ndarray:

@@ -6,26 +6,27 @@ import numpy as np
 
 from .common import ObjectiveHandle, OptimizerParams
 
-__all__ = ["accept_trial", "binomial_mask", "mutant_vector", "run_de"]
+__all__ = ["accept_trials", "binomial_mask", "mutant_vector", "run_de"]
 
 
 def mutant_vector(base, top, bottom, mu):
-    """base + mu * (top - bottom), all arrays."""
+    """base + mu * (top - bottom): one mutant per row of the arrays."""
     return np.asarray(base, dtype=float) + mu * (
         np.asarray(top, dtype=float) - np.asarray(bottom, dtype=float)
     )
 
 
 def binomial_mask(draws, forced_index, cr):
-    """Coordinates taken from the mutant: draw <= cr, plus one forced index."""
-    mask = np.asarray(draws, dtype=float) <= cr
-    mask[forced_index] = True
-    return mask
+    """Coordinates taken from the mutant: draw <= cr, plus one forced index
+    per row (`draws` is one row or a (k, dim) array, `forced_index` one
+    index or k of them)."""
+    draws = np.asarray(draws, dtype=float)
+    return (draws <= cr) | (np.arange(draws.shape[-1]) == np.asarray(forced_index)[..., None])
 
 
-def accept_trial(trial_fitness: float, target_fitness: float) -> bool:
-    """Greedy one-to-one selection; ties go to the trial."""
-    return bool(trial_fitness <= target_fitness)
+def accept_trials(trial_fitness, target_fitness) -> np.ndarray:
+    """Greedy one-to-one selection of a generation; ties go to the trial."""
+    return np.asarray(trial_fitness, dtype=float) <= np.asarray(target_fitness, dtype=float)
 
 
 def run_de(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> None:
@@ -38,23 +39,30 @@ def run_de(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> N
     the chance that a coordinate comes from the mutant, contracts the
     population even without selection (Zaharie 2002), so such settings stall
     early on small budgets.
+
+    Each target draws its three donor picks, its forced coordinate and its
+    crossover draws in that order; the mutants, masks and trials of a
+    generation are then made at once.
     """
     pop = params.population_size
     pos = rng.random((pop, dim))
     fit = handle.evaluate_batch(pos)
+    targets = np.arange(pop)[:, None]
 
     while True:
-        trials = np.empty((pop, dim))
+        donors = np.empty((pop, 3), dtype=np.intp)
+        forced = np.empty(pop, dtype=np.intp)
+        draws = np.empty((pop, dim))
         for i in range(pop):
-            picks = rng.choice(pop - 1, size=3, replace=False)
-            # skip-index trick keeps the three donors distinct from target i
-            r1, r2, r3 = (int(p) + 1 if p >= i else int(p) for p in picks)
-            trial_src = mutant_vector(pos[r1], pos[r2], pos[r3], params.mu_de)
-            forced = int(rng.integers(dim))
-            mask = binomial_mask(rng.random(dim), forced, params.cr)
-            trials[i] = np.where(mask, trial_src, pos[i])
+            donors[i] = rng.choice(pop - 1, size=3, replace=False)
+            forced[i] = rng.integers(dim)
+            draws[i] = rng.random(dim)
+        # skip-index trick keeps the three donors distinct from their target
+        donors += donors >= targets
+        mutants = mutant_vector(pos[donors[:, 0]], pos[donors[:, 1]], pos[donors[:, 2]], params.mu_de)
+        trials = np.where(binomial_mask(draws, forced, params.cr), mutants, pos)
         np.clip(trials, 0.0, 1.0, out=trials)
         trial_fit = handle.evaluate_batch(trials)
-        accepted = np.array([accept_trial(t, f) for t, f in zip(trial_fit, fit)])
+        accepted = accept_trials(trial_fit, fit)
         pos[accepted] = trials[accepted]
         fit[accepted] = trial_fit[accepted]

@@ -9,12 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import (
-    ObjectiveHandle,
-    OptimizerParams,
-    blend_crossover,
-    reset_one_gene,
-)
+from .common import ObjectiveHandle, OptimizerParams, make_children
 
 __all__ = ["run_es", "select_survivors"]
 
@@ -34,25 +29,35 @@ def select_survivors(parents, parent_fit, offspring, offspring_fit, mu: int, sel
 
 
 def run_es(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> None:
-    """Runs until the handle raises BudgetExhausted."""
+    """Runs until the handle raises BudgetExhausted.
+
+    Per child: with prob p_cross (and mu >= 2) a blend of two distinct
+    parents, else a clone of one, then a single-gene reset with prob p_mut.
+    The draws run child by child in that order; the generation's children
+    are then made at once (make_children).
+    """
     mu = params.mu_es
     lam = params.lambda_es
     parents = rng.random((mu, dim))
     parent_fit = handle.evaluate_batch(parents)
 
     while True:
-        off = np.empty((lam, dim))
+        picks = np.zeros((2, lam), dtype=np.intp)
+        cross = np.zeros(lam, dtype=bool)
+        beta = np.zeros((lam, dim))
+        gene = np.full(lam, -1, dtype=np.intp)
+        value = np.zeros(lam)
         for k in range(lam):
-            do_cross = rng.random() < params.p_cross
-            if do_cross and mu >= 2:
-                a, b = (int(v) for v in rng.choice(mu, size=2, replace=False))
-                child = blend_crossover(parents[a], parents[b], rng)
+            if rng.random() < params.p_cross and mu >= 2:
+                picks[:, k] = rng.choice(mu, size=2, replace=False)
+                cross[k] = True
+                beta[k] = rng.random(dim)
             else:
-                child = np.array(parents[int(rng.integers(mu))], dtype=float)
+                picks[0, k] = rng.integers(mu)
             if rng.random() < params.p_mut:
-                child = reset_one_gene(child, rng)
-            off[k] = child
-        np.clip(off, 0.0, 1.0, out=off)
+                gene[k] = rng.integers(dim)
+                value[k] = rng.random()
+        off = make_children(parents[picks[0]], parents[picks[1]], cross, beta, gene, value)
         off_fit = handle.evaluate_batch(off)
 
         parents, parent_fit = select_survivors(

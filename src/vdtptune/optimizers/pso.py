@@ -30,7 +30,8 @@ def run_pso(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> 
     Coefficients are 2 * U(0,1) drawn per particle per dimension. Velocities
     are clamped to [-1, 1]; positions are clamped to the cube and the
     velocity coordinate is zeroed on boundary contact. The leader moves once
-    per generation, after the whole swarm has been scored.
+    per generation, after the whole swarm has been scored. A generation is
+    one draw of all its coefficients and whole-swarm array arithmetic.
     """
     pop = params.population_size
     pos = rng.random((pop, dim))

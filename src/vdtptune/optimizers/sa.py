@@ -46,7 +46,9 @@ def run_sa(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> N
     """Runs until the handle raises BudgetExhausted.
 
     The temperature probe evaluations consume budget. Each temperature level
-    holds for markov_chain_length proposals, then cools by alpha_temp.
+    holds for markov_chain_length proposals, then cools by alpha_temp. Every
+    proposal starts from the state the last one left, so each is a batch of
+    one row, and SA pays the handle's cost per batch on every evaluation.
     """
     current = rng.random(dim)
     current_fit = float(handle.evaluate_batch(current[None])[0])

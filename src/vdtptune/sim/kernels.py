@@ -451,7 +451,7 @@ def _cross_switches(mask, arrival, state, up, t_switch, up_mean, down_mean):
     its switches from its own stream, so the order of the lanes is free."""
     for i in mask.nonzero()[0].tolist():
         state[i], up[i], t_switch[i] = _cross(
-            U64(int(state[i])), bool(up[i]), float(t_switch[i]), float(arrival[i]), up_mean, down_mean
+            U64(state.item(i)), up.item(i), t_switch.item(i), arrival.item(i), up_mean, down_mean
         )
 
 

@@ -109,8 +109,11 @@ def _kernel_args(config, scenario: Scenario):
     return _protocol_args(config) + _scenario_args(scenario)
 
 
+_SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
+
+
 def _as_kernel_seed(seed) -> np.uint64:
-    return np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    return np.uint64(int(seed) & _SEED_MASK)
 
 
 def simulate_batch(configs, scenario: Scenario, seeds) -> list:
@@ -126,17 +129,15 @@ def simulate_batch(configs, scenario: Scenario, seeds) -> list:
     if not all(counts):
         raise ValueError("simulate_batch needs at least one seed per configuration")
     protocol = [_protocol_args(c) for c in configs]
-    kernel_seeds = [[_as_kernel_seed(s) for s in row] for row in seeds]
+    kernel_seeds = np.array([int(s) & _SEED_MASK for row in seeds for s in row], np.uint64)
     scene = _scenario_args(scenario)
     if NUMBA_ENABLED:
-        rows = [
-            run_sessions(scenario.sessions, *args, *scene, s) for args, row in zip(protocol, kernel_seeds) for s in row
-        ]
+        per_seed = [args for args, count in zip(protocol, counts) for _ in range(count)]
+        rows = [run_sessions(scenario.sessions, *args, *scene, s) for args, s in zip(per_seed, kernel_seeds)]
         arrays = (np.stack(column) for column in zip(*rows))
     else:
         per_row = (np.repeat(column, counts) for column in zip(*protocol))
-        flat_seeds = [s for row in kernel_seeds for s in row]
-        arrays = run_lanes(scenario.sessions, *per_row, *scene, flat_seeds)
+        arrays = run_lanes(scenario.sessions, *per_row, *scene, kernel_seeds)
     outcomes = iter(_outcomes(*arrays))
     return [Replications(itertools.islice(outcomes, count)) for count in counts]
 

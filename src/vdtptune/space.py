@@ -63,6 +63,14 @@ class Bounds:
                 raise ValueError(f"lower[{i}]={a} must be < upper[{i}]={b}")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        # from_unit's operands, made once: the lower corner and the edge
+        # lengths, as (1, dim) rows because numpy maps a one-row batch
+        # faster with operands of its own shape than by broadcasting
+        lower = np.asarray([lo], dtype=float)
+        span = np.asarray([hi], dtype=float) - lower
+        lower.flags.writeable = span.flags.writeable = False
+        object.__setattr__(self, "_lower", lower)
+        object.__setattr__(self, "_span", span)
 
     @property
     def dim(self) -> int:
@@ -75,9 +83,10 @@ class Bounds:
         return np.asarray(self.upper, dtype=float)
 
     def from_unit(self, u) -> np.ndarray:
-        """Map a point in the unit cube to physical coordinates."""
+        """Map a point, or a (k, dim) batch of points, in the unit cube to
+        physical coordinates: lower + u * (upper - lower)."""
         u = np.asarray(u, dtype=float)
-        return self.lower_array() + u * (self.upper_array() - self.lower_array())
+        return (self._lower + u * self._span).reshape(u.shape)
 
 
 #: chunk_size 128..524288 bytes, total_attempts 1..250, retransmission_time 1..10 s

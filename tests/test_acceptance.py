@@ -23,7 +23,7 @@ from vdtptune.harness.campaign import (
 )
 from vdtptune.harness.reports import write_campaign_outputs
 from vdtptune.optimizers import ALGORITHMS, OptimizerParams, run
-from vdtptune.optimizers.de import accept_trial, binomial_mask, mutant_vector
+from vdtptune.optimizers.de import accept_trials, binomial_mask, mutant_vector
 from vdtptune.optimizers.pso import velocity_update
 from vdtptune.optimizers.sa import acceptance_probability
 from vdtptune.sim.scenario import Scenario, human_expert_config, preset
@@ -81,8 +81,7 @@ def test_criterion_1_equation_fidelity():
         oracle_mask = [(d <= cr) or (j == forced) for j, d in enumerate(draws)]
         mask_ok &= got_mask.tolist() == oracle_mask
         fa, fb = rng.normal(size=2)
-        accept_ok &= accept_trial(fa, fb) == (fa <= fb)
-        accept_ok &= accept_trial(fa, fa) is True
+        accept_ok &= accept_trials([fa, fa], [fb, fa]).tolist() == [bool(fa <= fb), True]
         checks += 2
 
     # worsening-move acceptance probability

@@ -87,7 +87,7 @@ def _spawned_words(parent, n):
 
 
 def _same_words(got, want):
-    assert [(type(w), int(w)) for w in got] == [(np.uint64, int(w)) for w in want]
+    assert [(type(w), int(w)) for w in got] == [(int, int(w)) for w in want]
 
 
 _SPAWN_PARENTS = [

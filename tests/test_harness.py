@@ -1,11 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vdtptune
 from vdtptune.harness import cli
 from vdtptune.harness.benchfuncs import (
     bench_bounds,
@@ -385,6 +389,19 @@ def test_campaign_parallel_matches_sequential(tmp_path):
         for x, y in zip(r_seq.records[a], r_par.records[a]):
             assert x.trace == y.trace
             assert np.array_equal(x.best_position, y.best_position)
+
+
+def test_importing_the_harness_loads_no_process_pool():
+    """run_cells imports the pool machinery only when it starts a pool."""
+    src = os.path.dirname(os.path.dirname(vdtptune.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, vdtptune.harness\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_campaign_constant_objective_degenerates_cleanly(tmp_path):

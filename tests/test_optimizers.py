@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vdtptune.harness.benchfuncs import bench_bounds, random_search, sphere
 from vdtptune.optimizers import (
@@ -16,9 +17,9 @@ from vdtptune.optimizers import (
     run_batched,
     tournament_pick,
 )
-from vdtptune.optimizers.de import binomial_mask, mutant_vector
-from vdtptune.optimizers.es import select_survivors
-from vdtptune.optimizers.ga import make_offspring
+from vdtptune.optimizers.de import binomial_mask, mutant_vector, run_de
+from vdtptune.optimizers.es import run_es, select_survivors
+from vdtptune.optimizers.ga import make_offspring, run_ga
 from vdtptune.optimizers.pso import velocity_update
 from vdtptune.optimizers.sa import acceptance_probability, initial_temperature
 from vdtptune.space import Bounds
@@ -207,6 +208,9 @@ def test_binomial_mask_semantics():
     # inclusive threshold, and the forced coordinate always crosses
     assert binomial_mask(np.array([1.0, 0.9]), 0, 0.9).tolist() == [True, True]
     assert binomial_mask(np.array([0.3, 0.7, 0.5]), 1, 0.0).tolist() == [False, True, False]
+    # a generation at once: one forced index per row
+    got = binomial_mask(np.array([[0.5, 0.95], [0.95, 0.95]]), np.array([1, 0]), 0.9)
+    assert got.tolist() == [[True, True], [True, False]]
 
 
 def test_blend_crossover_convex():
@@ -214,10 +218,10 @@ def test_blend_crossover_convex():
     a = np.array([0.0, 1.0, 0.5])
     b = np.array([1.0, 0.0, 0.5])
     for _ in range(20):
-        child = blend_crossover(a, b, rng)
+        child = blend_crossover(a, b, rng.random(3))
         assert np.all(child >= np.minimum(a, b) - 1e-15)
         assert np.all(child <= np.maximum(a, b) + 1e-15)
-    same = blend_crossover(a, a, rng)
+    same = blend_crossover(a, a, rng.random(3))
     assert np.allclose(same, a)
 
 
@@ -243,8 +247,7 @@ def test_make_offspring_without_variation_is_a_clone():
     rng = np.random.default_rng(3)
     pos = np.random.default_rng(1).random((6, 3))
     fit = np.arange(6.0)
-    for _ in range(10):
-        child = make_offspring(pos, fit, 0.0, 0.0, rng)
+    for child in make_offspring(pos, fit, 10, 0.0, 0.0, rng):
         assert any(np.array_equal(child, row) for row in pos)
 
 
@@ -252,9 +255,9 @@ def test_make_offspring_stays_in_unit_cube():
     rng = np.random.default_rng(4)
     pos = np.random.default_rng(2).random((8, 3))
     fit = np.random.default_rng(3).random(8)
-    for _ in range(50):
-        child = make_offspring(pos, fit, 1.0, 1.0, rng)
-        assert np.all((child >= 0.0) & (child <= 1.0))
+    children = make_offspring(pos, fit, 50, 1.0, 1.0, rng)
+    assert children.shape == (50, 3)
+    assert np.all((children >= 0.0) & (children <= 1.0))
 
 
 def test_select_survivors_plus_keeps_parent_on_tie():
@@ -309,6 +312,163 @@ def test_sa_initial_temperature_inverts_target():
     assert initial_temperature([-1.0, -2.0], target_accept=0.8) == 1.0
     # the mean adds left to right, so both 1.0s round away against 1e16
     assert initial_temperature([1e16, 1.0, 1.0], target_accept=0.8) == (1e16 / 3) / math.log(1.5)
+
+
+# --- whole generations against per-child references --------------------------
+#
+# DE, GA and ES draw child by child but build, clip and select a generation at
+# once. The references below build each child as it is drawn, with the same
+# draws in the same order; both must hand the scorer the same batches, bit for
+# bit, and leave the generator in the same state.
+
+
+def _ref_blend(a, b, rng):
+    beta = rng.random(len(a))
+    return beta * a + (1.0 - beta) * b
+
+
+def _ref_reset(x, rng):
+    y = np.array(x, dtype=float)
+    j = int(rng.integers(len(y)))
+    y[j] = rng.random()
+    return y
+
+
+def _ref_tournament(fitness, rng):
+    i = int(rng.integers(len(fitness)))
+    j = int(rng.integers(len(fitness)))
+    return i if fitness[i] <= fitness[j] else j
+
+
+def _ref_ga_child(pos, fit, p_cross, p_mut, rng):
+    a = _ref_tournament(fit, rng)
+    b = _ref_tournament(fit, rng)
+    if rng.random() < p_cross:
+        child = _ref_blend(pos[a], pos[b], rng)
+    else:
+        child = np.array(pos[a], dtype=float)
+    if rng.random() < p_mut:
+        child = _ref_reset(child, rng)
+    return np.clip(child, 0.0, 1.0)
+
+
+def _ref_de(handle, params, rng, dim):
+    pop = params.population_size
+    pos = rng.random((pop, dim))
+    fit = handle.evaluate_batch(pos)
+    while True:
+        trials = np.empty((pop, dim))
+        for i in range(pop):
+            picks = rng.choice(pop - 1, size=3, replace=False)
+            r1, r2, r3 = (int(p) + 1 if p >= i else int(p) for p in picks)
+            mutant = pos[r1] + params.mu_de * (pos[r2] - pos[r3])
+            forced = int(rng.integers(dim))
+            mask = rng.random(dim) <= params.cr
+            mask[forced] = True
+            trials[i] = np.where(mask, mutant, pos[i])
+        np.clip(trials, 0.0, 1.0, out=trials)
+        trial_fit = handle.evaluate_batch(trials)
+        for i in range(pop):
+            if trial_fit[i] <= fit[i]:
+                pos[i], fit[i] = trials[i], trial_fit[i]
+
+
+def _ref_ga(handle, params, rng, dim):
+    pop = params.population_size
+    pos = rng.random((pop, dim))
+    fit = handle.evaluate_batch(pos)
+    if params.ga_variant == "steady":
+        while True:
+            child = _ref_ga_child(pos, fit, params.p_cross, params.p_mut, rng)
+            (f,) = handle.evaluate_batch(child[None])
+            worst = int(np.argmax(fit))
+            if f < fit[worst]:
+                pos[worst], fit[worst] = child, f
+    while True:
+        off = np.array([_ref_ga_child(pos, fit, params.p_cross, params.p_mut, rng) for _ in range(pop)])
+        off_fit = handle.evaluate_batch(off)
+        elite = int(np.argmin(fit))
+        if fit[elite] < off_fit.min():
+            worst_child = int(np.argmax(off_fit))
+            off[worst_child], off_fit[worst_child] = pos[elite], fit[elite]
+        pos, fit = off, off_fit
+
+
+def _ref_es(handle, params, rng, dim):
+    mu, lam = params.mu_es, params.lambda_es
+    parents = rng.random((mu, dim))
+    parent_fit = handle.evaluate_batch(parents)
+    while True:
+        off = np.empty((lam, dim))
+        for k in range(lam):
+            do_cross = rng.random() < params.p_cross
+            if do_cross and mu >= 2:
+                a, b = (int(v) for v in rng.choice(mu, size=2, replace=False))
+                child = _ref_blend(parents[a], parents[b], rng)
+            else:
+                child = np.array(parents[int(rng.integers(mu))], dtype=float)
+            if rng.random() < params.p_mut:
+                child = _ref_reset(child, rng)
+            off[k] = child
+        np.clip(off, 0.0, 1.0, out=off)
+        off_fit = handle.evaluate_batch(off)
+        parents, parent_fit = select_survivors(parents, parent_fit, off, off_fit, mu, params.es_selection)
+
+
+def _scored_batches(search, params, dim, seed, budget, levels):
+    """The unit-cube batches a run hands its scorer, and the generator's
+    state at the end. levels > 0 rounds the fitness down to multiples of
+    1 / levels, so that ties, and the rules that break them, come up often."""
+    batches = []
+
+    def score(points):
+        batches.append(points.copy())
+        d = ((points - 0.3) ** 2).sum(axis=1)
+        return np.floor(d * levels) if levels else d
+
+    handle = ObjectiveHandle(score, Bounds((0.0,) * dim, (1.0,) * dim), budget)
+    rng = np.random.default_rng(seed)
+    with pytest.raises(BudgetExhausted):
+        search(handle, params, rng, dim)
+    return [(b.shape, b.tobytes()) for b in batches], rng.bit_generator.state
+
+
+_PROBABILITIES = st.sampled_from([0.0, 0.5, 1.0])
+
+
+@st.composite
+def _generation_params(draw):
+    kind = draw(st.sampled_from(["de", "ga", "ga-steady", "es-comma", "es-plus"]))
+    if kind == "de":
+        return OptimizerParams(
+            "de", population_size=draw(st.integers(4, 30)), cr=draw(_PROBABILITIES), mu_de=draw(st.floats(0.01, 2.0))
+        )
+    variation = dict(p_cross=draw(_PROBABILITIES), p_mut=draw(_PROBABILITIES))
+    if kind.startswith("ga"):
+        variant = "steady" if kind == "ga-steady" else "generational"
+        return OptimizerParams("ga", population_size=draw(st.integers(4, 30)), ga_variant=variant, **variation)
+    selection = kind[3:]
+    mu = draw(st.integers(1, 6))
+    lam = draw(st.integers(mu + (selection == "comma"), 30))
+    return OptimizerParams("es", mu_es=mu, lambda_es=lam, es_selection=selection, **variation)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    params=_generation_params(),
+    dim=st.integers(1, 5),
+    seed=st.integers(0, 2**32),
+    levels=st.sampled_from([0, 2, 16]),
+    data=st.data(),
+)
+def test_generations_match_per_child_references(params, dim, seed, levels, data):
+    first = params.mu_es if params.algorithm == "es" else params.population_size
+    budget = data.draw(st.integers(first + 1, first + 4 * params.generation_size()), label="budget")
+    search, reference = {"de": (run_de, _ref_de), "ga": (run_ga, _ref_ga), "es": (run_es, _ref_es)}[params.algorithm]
+    got = _scored_batches(search, params, dim, seed, budget, levels)
+    want = _scored_batches(reference, params, dim, seed, budget, levels)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
 
 
 # --- end-to-end runs ---------------------------------------------------------
