@@ -19,7 +19,7 @@ from .sim.transfer import TransferOutcome, simulate_batch, simulate_replication
 from .space import VdtpConfig
 from .stats import mean
 
-__all__ = ["FitnessReport", "fitness_term", "evaluate", "make_objective"]
+__all__ = ["FitnessReport", "PendingFitness", "fitness_term", "evaluate", "make_objective", "resolve"]
 
 C_CONSTANT = 2.0
 DEFAULT_REPLICATIONS = 10
@@ -201,28 +201,82 @@ def evaluate(config: VdtpConfig, scenario: Scenario, n: int = DEFAULT_REPLICATIO
     return FitnessReport(fitness=_fitness(outcomes), replications=outcomes, config=config)
 
 
+class PendingFitness:
+    """The fitnesses of one batch an objective from make_objective was
+    handed: its rows' configurations and replication seeds, not yet scored.
+    It reads as the list of those fitnesses. The first read scores it
+    alone, in one simulate_batch call, unless resolve() has scored it
+    already together with other batches; either way the values are the
+    same, bit for bit."""
+
+    __slots__ = ("scenario", "configs", "seeds", "_fits")
+
+    def __init__(self, scenario: Scenario, configs: list, seeds: list):
+        self.scenario = scenario
+        self.configs = configs
+        self.seeds = seeds
+        self._fits = None
+
+    def fits(self) -> list:
+        if self._fits is None:
+            resolve([self])
+        return self._fits
+
+    def __len__(self) -> int:
+        return len(self.configs)
+
+    def __iter__(self):
+        return iter(self.fits())
+
+    def __getitem__(self, index):
+        return self.fits()[index]
+
+    def __eq__(self, other):
+        return self.fits() == other
+
+
+def resolve(pending) -> None:
+    """Scores the unscored batches of the list `pending`, those of one
+    scenario in one simulate_batch call with their rows in list order, and
+    hands each batch its own fitnesses."""
+    groups = {}
+    for batch in pending:
+        if batch._fits is None:
+            groups.setdefault(id(batch.scenario), []).append(batch)
+    for group in groups.values():
+        configs = [c for batch in group for c in batch.configs]
+        seeds = [s for batch in group for s in batch.seeds]
+        outcomes = iter(simulate_batch(configs, group[0].scenario, seeds))
+        for batch in group:
+            batch._fits = [_fitness(next(outcomes)) for _ in batch.configs]
+
+
 def make_objective(scenario: Scenario, n: int, seed):
-    """Batch objective for the optimizers: (k, 3) physical array -> list of
-    k fitnesses, scored in one simulate_batch call.
+    """Batch objective for the optimizers: (k, 3) physical array -> the
+    PendingFitness of its k rows, which reads as the list of their
+    fitnesses and is scored in one simulate_batch call, alone or, in
+    optimizers.lockstep, together with the other runs' batches of a tick.
 
     Successive rows, within a batch and across batches, use successive
     evaluation indices to derive replication seeds, so the whole run is
     reproducible from `seed` while each evaluation still sees fresh channel
     randomness (the objective is stochastic, as a network simulator would
     be), and a fitness does not depend on how the rows were cut into
-    batches. Evaluation k scores with the kernel seeds of the n children of
-    SeedSequence(entropy, spawn_key=base + (1, k)), base being the seed's
-    own spawn key, and with the seed's pool size; the pool after base + (1,)
-    is hashed once per objective.
+    batches or which batches were scored together. Evaluation k scores
+    with the kernel seeds of the n children of SeedSequence(entropy,
+    spawn_key=base + (1, k)), base being the seed's own spawn key, and with
+    the seed's pool size; the pool after base + (1,) is hashed once per
+    objective, and a batch's seeds are derived when the objective is
+    called.
     """
     pool = _SeedPool(seed, (1,))
     counter = [0]
 
-    def objective(points) -> list:
+    def objective(points) -> PendingFitness:
         configs = [VdtpConfig.from_array(x) for x in points]
         first = counter[0]
         counter[0] += len(configs)
         seeds = [pool.children(n, (first + i,)) for i in range(len(configs))]
-        return [_fitness(outcomes) for outcomes in simulate_batch(configs, scenario, seeds)]
+        return PendingFitness(scenario, configs, seeds)
 
     return objective

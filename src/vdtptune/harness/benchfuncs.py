@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ..optimizers import RunRecord, _recorded_run
+from ..optimizers import RunRecord, _recorded_run, lockstep
 from ..space import Bounds
 
 __all__ = ["BENCH_FUNCTIONS", "bench_bounds", "get_function", "random_search"]
@@ -59,6 +59,8 @@ def random_search(objective, bounds: Bounds, seed: int = 0, max_evaluations: int
     """Uniform sampling over the box, same budget accounting as the optimizers."""
 
     def search(handle, rng):
-        handle.evaluate_batch(rng.random((max_evaluations, bounds.dim)))
+        yield from handle.evaluate_batch(rng.random((max_evaluations, bounds.dim)))
 
-    return _recorded_run("random", search, functools.partial(map, objective), bounds, seed, max_evaluations)
+    run = _recorded_run("random", search, functools.partial(map, objective), bounds, seed, max_evaluations)
+    ((_, record),) = lockstep([run])
+    return record

@@ -203,11 +203,25 @@ def _load_checkpoint(path: Path, fingerprint: str) -> RunRecord:
 # --- execution ---------------------------------------------------------------
 
 
+def _cell_run(params, scenario, replications, seed, max_evaluations, objective_factory=None):
+    """One cell's optimizer run, as a generator for optimizers.lockstep."""
+    score = (objective_factory or make_objective)(scenario, replications, seed)
+    return optimizers.run_steps(params, score, DEFAULT_BOUNDS, seed=seed, max_evaluations=max_evaluations)
+
+
+def execute_share(jobs) -> list:
+    """Records of `jobs`, argument tuples of execute_run, in order, all run
+    in lockstep. Top-level so worker processes can call it."""
+    records = [None] * len(jobs)
+    for k, rec in optimizers.lockstep([_cell_run(*job) for job in jobs]):
+        records[k] = rec
+    return records
+
+
 def execute_run(params, scenario, replications, seed, max_evaluations, objective_factory=None) -> RunRecord:
-    """One cell's optimizer run. Top-level so worker processes can call it."""
-    factory = objective_factory or make_objective
-    score = factory(scenario, replications, seed)
-    return optimizers.run_batched(params, score, DEFAULT_BOUNDS, seed=seed, max_evaluations=max_evaluations)
+    """One cell's optimizer run on its own."""
+    (rec,) = execute_share([(params, scenario, replications, seed, max_evaluations, objective_factory)])
+    return rec
 
 
 def run_cells(config: ExperimentConfig, cells, objective_factory=None, progress=None) -> list:
@@ -217,12 +231,18 @@ def run_cells(config: ExperimentConfig, cells, objective_factory=None, progress=
     directory; an existing checkpoint is resumed if its fingerprint matches
     and refused if not. Cells with equal fingerprints (twins, such as a value
     listed twice in a sweep grid) give one record: it runs once, or is read
-    from any twin's checkpoint, and lands in every twin's checkpoint. The rest
-    run serially, or on `config.workers` processes.
+    from any twin's checkpoint, and lands in every twin's checkpoint.
+    The rest run in lockstep (optimizers.lockstep): one tick advances every
+    live run to its next batch and scores the batches of all of them in one
+    simulate_batch call. A run lands as it finishes, and runs that finish in
+    the same tick land in cell order. With `config.workers` > 1 the pending
+    runs are dealt round-robin into one share per worker process; each
+    share runs in lockstep and lands, in cell order, when all of it is done.
     `objective_factory(scenario, replications, seed)` returns a batch
     objective, a function of a (k, 3) array of physical points that returns
-    their k fitnesses; it defaults to the simulation-backed `make_objective`,
-    and tests inject cheap stand-ins.
+    their k fitnesses or a fitness.PendingFitness of them; it defaults to the
+    simulation-backed `make_objective`, and tests inject cheap stand-ins,
+    which score their batches inside the tick that asks for them.
     `progress(name, record)` is called as each cell lands.
     """
     scenario = resolve_scenario(config.scenario)
@@ -260,17 +280,20 @@ def run_cells(config: ExperimentConfig, cells, objective_factory=None, progress=
         _, params, seed = cells[twins[fingerprint][0]]
         return params, scenario, config.replications, seed, config.max_evaluations, objective_factory
 
+    jobs = [args(fingerprint) for fingerprint in pending]
     if config.workers == 1 or len(pending) <= 1:
-        for fingerprint in pending:
-            land(fingerprint, execute_run(*args(fingerprint)))
+        for k, rec in optimizers.lockstep([_cell_run(*job) for job in jobs]):
+            land(pending[k], rec)
     else:
         # imported here: loading the pool machinery costs every process that never uses it
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
+        shares = [range(w, len(jobs), config.workers) for w in range(min(config.workers, len(jobs)))]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = {pool.submit(execute_run, *args(fingerprint)): fingerprint for fingerprint in pending}
+            futures = {pool.submit(execute_share, [jobs[k] for k in share]): share for share in shares}
             for fut in as_completed(futures):
-                land(futures[fut], fut.result())
+                for k, rec in zip(futures[fut], fut.result()):
+                    land(pending[k], rec)
     return records
 
 

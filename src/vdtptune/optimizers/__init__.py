@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 
+from ..fitness import resolve
 from ..space import Bounds
 from .common import (
     ALGORITHMS,
@@ -31,9 +32,11 @@ __all__ = [
     "OptimizerParams",
     "RunRecord",
     "blend_crossover",
+    "lockstep",
     "reset_one_gene",
     "run",
     "run_batched",
+    "run_steps",
     "tournament_pick",
 ]
 
@@ -67,32 +70,66 @@ def run_batched(
     max_evaluations: int = 1000,
 ) -> RunRecord:
     """One optimizer run against a batch objective: `score` takes a (k, dim)
-    array of physical points and returns their k fitnesses.
+    array of physical points and returns their k fitnesses, or a
+    fitness.PendingFitness of them. It is lockstep() with one run.
 
     The search happens in the unit cube; `bounds` maps each batch to
     physical coordinates right before it is scored. The run always spends
     the whole budget (or the generations cap, when one is set) and returns
     the per-evaluation best-so-far trace.
     """
+    ((_, record),) = lockstep([run_steps(params, score, bounds, seed, max_evaluations)])
+    return record
+
+
+def run_steps(params: OptimizerParams, score, bounds: Bounds, seed: int = 0, max_evaluations: int = 1000):
+    """The run of run_batched as a generator for lockstep(): it yields each
+    pending request of its batches and returns its RunRecord."""
     params.check_budget(max_evaluations)
     budget = max_evaluations
     if params.generations is not None:
         budget = min(budget, params.generation_size() * params.generations)
 
     def search(handle, rng):
-        _RUNNERS[params.algorithm](handle, params, rng, bounds.dim)
+        return _RUNNERS[params.algorithm](handle, params, rng, bounds.dim)
 
     return _recorded_run(params.algorithm, search, score, bounds, seed, budget)
 
 
-def _recorded_run(algorithm: str, search, score, bounds: Bounds, seed, budget: int) -> RunRecord:
-    """Runs search(handle, rng) until the budget is spent; the one place a RunRecord is built."""
+def lockstep(runs):
+    """Drives the generators `runs` together, one tick at a time, and yields
+    (index in `runs`, return value) for each run as it returns; runs that
+    return in the same tick come in list order. A tick advances every live
+    run to its next request, a fitness.PendingFitness, then scores all of
+    the tick's requests in one fitness.resolve call. Runs are independent,
+    so each gets the values it would get alone. An exception out of a run
+    ends the drive.
+    """
+    live = list(enumerate(runs))
+    while live:
+        requests, waiting = [], []
+        for k, run in live:
+            try:
+                requests.append(next(run))
+            except StopIteration as done:
+                yield k, done.value
+            else:
+                waiting.append((k, run))
+        resolve(requests)
+        live = waiting
+
+
+def _recorded_run(algorithm: str, search, score, bounds: Bounds, seed, budget: int):
+    """Generator running search(handle, rng), itself a generator, until the
+    budget is spent; it passes on the handle's requests and returns the
+    RunRecord, the one place one is built. Wall time runs from its first
+    step to its last, so in lockstep it includes the other runs' work."""
     handle = ObjectiveHandle(score, bounds, budget)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(0,)))
 
     t_start = time.perf_counter()
     try:
-        search(handle, rng)
+        yield from search(handle, rng)
     except BudgetExhausted:
         pass
     wall = time.perf_counter() - t_start

@@ -3,7 +3,9 @@
 All algorithms search the unit cube [0, 1]^d and hand whole generations, as
 (k, d) arrays, to the ObjectiveHandle, which maps them to physical coordinates,
 scores each within the evaluation budget in one call of a batch objective and
-records the best-so-far trace. Variation operators shared between GA, ES and SA live here.
+records the best-so-far trace. Each algorithm is a generator that passes the
+handle's pending requests on to optimizers.lockstep, which runs it. Variation
+operators shared between GA, ES and SA live here.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ..fitness import PendingFitness
 from ..space import Bounds, VdtpConfig
 
 __all__ = [
@@ -39,20 +42,26 @@ class ObjectiveHandle:
     """Budget-accounted batch objective over the unit cube.
 
     `fn` takes a (k, dim) array of physical points and returns their k
-    fitnesses in row order, as any iterable. evaluate_batch() maps the rows
-    of a unit-cube batch into the physical bounds with one multiply-add
-    (Bounds.from_unit), calls fn once on the rows the budget still holds,
-    and appends (evaluation_index, best_so_far) to the trace per row as its
-    fitness arrives; a scorer that returns more or fewer fitnesses than
-    rows is refused with ValueError. A batch that overruns max_evaluations
-    is scored up to the budget, then BudgetExhausted is raised, which the
-    run loop treats as clean termination; fn never sees an empty batch. So
-    the trace does not depend on how a run cuts its candidates into
-    batches. The trace is the handle's count and its best fitness:
-    evaluations_used is its length and best_fitness its last best-so-far.
-    time_to_best_s is taken when the best fitness arrives: the end of its
-    batch for a scorer that returns a list, the row itself for a lazy one
-    such as map.
+    fitnesses in row order: as any iterable, or as a fitness.PendingFitness
+    still to be scored. evaluate_batch() is a generator, driven by
+    optimizers.lockstep and called as `fits = yield from
+    handle.evaluate_batch(points)`. It maps the rows of a unit-cube batch
+    into the physical bounds with one multiply-add (Bounds.from_unit),
+    calls fn once on the rows the budget still holds, yields the result to
+    lockstep if it is pending (lockstep scores it with the other runs'
+    requests of the tick and resumes it) and reads any other result at
+    once, without yielding. It appends (evaluation_index, best_so_far) to
+    the trace per row as its fitness is read and returns the fitnesses; a
+    scorer that returns more or fewer fitnesses than rows is refused with
+    ValueError. A batch that overruns max_evaluations is scored up to the
+    budget, then BudgetExhausted is raised, which the run treats as clean
+    termination; fn never sees an empty batch. So the trace does not depend
+    on how a run cuts its candidates into batches. The trace is the
+    handle's count and its best fitness: evaluations_used is its length and
+    best_fitness its last best-so-far. time_to_best_s is taken when the
+    best fitness is read: after the tick that scored its batch for a
+    pending result, at the end of the batch for a list, at the row itself
+    for a lazy scorer such as map.
     """
 
     def __init__(self, fn, bounds: Bounds, max_evaluations: int = 1000):
@@ -76,8 +85,9 @@ class ObjectiveHandle:
     def best_fitness(self) -> float:
         return self.trace[-1][1] if self.trace else math.inf
 
-    def evaluate_batch(self, points) -> np.ndarray:
-        """Fitness of each row of `points`, a (k, dim) unit-cube array."""
+    def evaluate_batch(self, points):
+        """Generator returning the fitness of each row of `points`, a
+        (k, dim) unit-cube array, as one array."""
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self._dim:
             raise ValueError(f"evaluate_batch needs a (k, {self._dim}) array, got shape {points.shape}")
@@ -87,8 +97,11 @@ class ObjectiveHandle:
         physical = self.bounds.from_unit(points[:room])
         fits = []
         if len(physical):
+            scores = self.fn(physical)
+            if type(scores) is PendingFitness:
+                yield scores
             best = self.best_fitness
-            for index, f in zip(range(used + 1, used + len(physical) + 1), self.fn(physical), strict=True):
+            for index, f in zip(range(used + 1, used + len(physical) + 1), scores, strict=True):
                 f = float(f)
                 if f < best:
                     best = f

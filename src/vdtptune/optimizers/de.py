@@ -29,8 +29,8 @@ def accept_trials(trial_fitness, target_fitness) -> np.ndarray:
     return np.asarray(trial_fitness, dtype=float) <= np.asarray(target_fitness, dtype=float)
 
 
-def run_de(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> None:
-    """Runs until the handle raises BudgetExhausted.
+def run_de(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int):
+    """Generator; runs until the handle raises BudgetExhausted.
 
     Donors come from the current generation; replacements take effect only
     when the whole generation has been evaluated. A trial replaces its target
@@ -46,7 +46,7 @@ def run_de(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> N
     """
     pop = params.population_size
     pos = rng.random((pop, dim))
-    fit = handle.evaluate_batch(pos)
+    fit = yield from handle.evaluate_batch(pos)
     targets = np.arange(pop)[:, None]
 
     while True:
@@ -62,7 +62,7 @@ def run_de(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> N
         mutants = mutant_vector(pos[donors[:, 0]], pos[donors[:, 1]], pos[donors[:, 2]], params.mu_de)
         trials = np.where(binomial_mask(draws, forced, params.cr), mutants, pos)
         np.clip(trials, 0.0, 1.0, out=trials)
-        trial_fit = handle.evaluate_batch(trials)
+        trial_fit = yield from handle.evaluate_batch(trials)
         accepted = accept_trials(trial_fit, fit)
         pos[accepted] = trials[accepted]
         fit[accepted] = trial_fit[accepted]

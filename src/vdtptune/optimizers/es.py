@@ -28,8 +28,8 @@ def select_survivors(parents, parent_fit, offspring, offspring_fit, mu: int, sel
     return pool[order].copy(), pool_fit[order].copy()
 
 
-def run_es(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> None:
-    """Runs until the handle raises BudgetExhausted.
+def run_es(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int):
+    """Generator; runs until the handle raises BudgetExhausted.
 
     Per child: with prob p_cross (and mu >= 2) a blend of two distinct
     parents, else a clone of one, then a single-gene reset with prob p_mut.
@@ -39,7 +39,7 @@ def run_es(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> N
     mu = params.mu_es
     lam = params.lambda_es
     parents = rng.random((mu, dim))
-    parent_fit = handle.evaluate_batch(parents)
+    parent_fit = yield from handle.evaluate_batch(parents)
 
     while True:
         picks = np.zeros((2, lam), dtype=np.intp)
@@ -58,7 +58,7 @@ def run_es(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> N
                 gene[k] = rng.integers(dim)
                 value[k] = rng.random()
         off = make_children(parents[picks[0]], parents[picks[1]], cross, beta, gene, value)
-        off_fit = handle.evaluate_batch(off)
+        off_fit = yield from handle.evaluate_batch(off)
 
         parents, parent_fit = select_survivors(
             parents, parent_fit, off, off_fit, mu, params.es_selection

@@ -38,8 +38,8 @@ def make_offspring(pos, fit, count, p_cross, p_mut, rng) -> np.ndarray:
     return make_children(pos[parents[0]], pos[parents[1]], cross, beta, gene, value)
 
 
-def run_ga(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> None:
-    """Runs until the handle raises BudgetExhausted.
+def run_ga(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int):
+    """Generator; runs until the handle raises BudgetExhausted.
 
     Generational: each generation is population_size children from
     make_offspring, scored in one batch; the best parent replaces the worst
@@ -48,13 +48,13 @@ def run_ga(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> N
     """
     pop = params.population_size
     pos = rng.random((pop, dim))
-    fit = handle.evaluate_batch(pos)
+    fit = yield from handle.evaluate_batch(pos)
 
     if params.ga_variant == "steady":
         # one child per call: each proposal reads the population the last one updated
         while True:
             child = make_offspring(pos, fit, 1, params.p_cross, params.p_mut, rng)
-            (f,) = handle.evaluate_batch(child)
+            (f,) = yield from handle.evaluate_batch(child)
             worst = int(np.argmax(fit))
             if f < fit[worst]:
                 pos[worst] = child[0]
@@ -63,7 +63,7 @@ def run_ga(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> N
     # generational with one elite carried over
     while True:
         off = make_offspring(pos, fit, pop, params.p_cross, params.p_mut, rng)
-        off_fit = handle.evaluate_batch(off)
+        off_fit = yield from handle.evaluate_batch(off)
         elite = int(np.argmin(fit))
         if fit[elite] < off_fit.min():
             worst_child = int(np.argmax(off_fit))

@@ -24,8 +24,8 @@ def velocity_update(velocity, position, personal_best, leader, w, phi1, phi2):
     )
 
 
-def run_pso(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> None:
-    """Runs until the handle raises BudgetExhausted.
+def run_pso(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int):
+    """Generator; runs until the handle raises BudgetExhausted.
 
     Coefficients are 2 * U(0,1) drawn per particle per dimension. Velocities
     are clamped to [-1, 1]; positions are clamped to the cube and the
@@ -37,7 +37,7 @@ def run_pso(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> 
     pos = rng.random((pop, dim))
     vel = rng.uniform(-1.0, 1.0, (pop, dim))
     pbest = pos.copy()
-    pbest_fit = handle.evaluate_batch(pos)
+    pbest_fit = yield from handle.evaluate_batch(pos)
     leader_idx = int(np.argmin(pbest_fit))
     leader = pbest[leader_idx].copy()
     leader_fit = float(pbest_fit[leader_idx])
@@ -51,7 +51,7 @@ def run_pso(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> 
         hit = (pos < 0.0) | (pos > 1.0)
         np.clip(pos, 0.0, 1.0, out=pos)
         vel[hit] = 0.0
-        fit = handle.evaluate_batch(pos)
+        fit = yield from handle.evaluate_batch(pos)
         improved = fit < pbest_fit
         pbest_fit[improved] = fit[improved]
         pbest[improved] = pos[improved]

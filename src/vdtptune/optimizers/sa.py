@@ -42,25 +42,27 @@ def initial_temperature(deltas, target_accept: float = 0.8) -> float:
     return d / math.log(2.0 / target_accept - 1.0)
 
 
-def run_sa(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int) -> None:
-    """Runs until the handle raises BudgetExhausted.
+def run_sa(handle: ObjectiveHandle, params: OptimizerParams, rng, dim: int):
+    """Generator; runs until the handle raises BudgetExhausted.
 
     The temperature probe evaluations consume budget. Each temperature level
     holds for markov_chain_length proposals, then cools by alpha_temp. Every
     proposal starts from the state the last one left, so each is a batch of
-    one row, and SA pays the handle's cost per batch on every evaluation.
+    one row: SA pays the handle's cost on every evaluation, and in a
+    campaign each proposal takes a tick of optimizers.lockstep, where it is
+    scored together with the other runs' batches of that tick.
     """
     current = rng.random(dim)
-    current_fit = float(handle.evaluate_batch(current[None])[0])
+    current_fit = float((yield from handle.evaluate_batch(current[None]))[0])
 
     probes = np.array([reset_one_gene(current, rng) for _ in range(params.temp_probes)])
-    temperature = initial_temperature(handle.evaluate_batch(probes) - current_fit, params.target_accept)
+    temperature = initial_temperature((yield from handle.evaluate_batch(probes)) - current_fit, params.target_accept)
 
     # one candidate per call: each proposal starts from the state the last one left
     while True:
         for _ in range(params.markov_chain_length):
             candidate = reset_one_gene(current, rng)
-            f = float(handle.evaluate_batch(candidate[None])[0])
+            f = float((yield from handle.evaluate_batch(candidate[None]))[0])
             delta = f - current_fit
             if delta <= 0.0:
                 current, current_fit = candidate, f

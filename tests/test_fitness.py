@@ -15,7 +15,7 @@ from vdtptune.fitness import (
 from vdtptune.sim.kernels import run_sessions
 from vdtptune.sim.scenario import human_expert_config, preset
 from vdtptune.sim.transfer import TransferOutcome, _kernel_args
-from vdtptune.optimizers import ObjectiveHandle
+from vdtptune.optimizers import ObjectiveHandle, lockstep
 from vdtptune.space import DEFAULT_BOUNDS, VdtpConfig
 from vdtptune.stats import mean
 
@@ -232,7 +232,7 @@ def test_objective_builds_the_spawned_replication_seeds(monkeypatch, seed, n):
     obj = make_objective(preset("urban"), n=n, seed=seed)
     x = np.asarray(human_expert_config("urban").as_array())
     for k in (1, 2, 1):
-        obj(np.tile(x, (k, 1)))
+        list(obj(np.tile(x, (k, 1))))  # a batch is scored when it is read
     for k, seeds in enumerate(handed):
         _same_words(seeds, _spawned_words(_fresh(seed, (1, k)), n))
     assert len(handed) == 4
@@ -248,6 +248,33 @@ def test_objective_matches_evaluate_seed_derivation():
     assert second == want.fitness
 
 
+def test_pending_batches_read_alone_as_in_a_tick(monkeypatch):
+    """Indexing or iterating a batch outside lockstep scores it alone and
+    gives the values it gets when resolve() scores it with other runs'
+    batches, one simulate_batch call per scenario."""
+    calls = []
+    real = fitness.simulate_batch
+
+    def counted(configs, *rest):
+        calls.append(len(configs))
+        return real(configs, *rest)
+
+    monkeypatch.setattr(fitness, "simulate_batch", counted)
+    sc = preset("urban")
+    points = np.array([human_expert_config(sc).as_array(), [4096.0, 4.0, 3.0], [65536.0, 3.0, 0.5]])
+    ticked = make_objective(sc, n=2, seed=5)(points)
+    other = make_objective(sc, n=1, seed=6)(points[:1])
+    highway = make_objective(preset("highway"), n=1, seed=7)(points[1:])
+    fitness.resolve([ticked, highway, other])
+    assert calls == [4, 2]
+    indexed = make_objective(sc, n=2, seed=5)(points)
+    assert [indexed[i] for i in range(3)] == ticked.fits() and len(ticked) == 3
+    assert list(make_objective(sc, n=2, seed=5)(points)) == ticked.fits()
+    assert list(make_objective(sc, n=1, seed=6)(points[:1])) == other.fits()
+    assert list(make_objective(preset("highway"), n=1, seed=7)(points[1:])) == highway.fits()
+    assert calls == [4, 2, 3, 3, 1, 2]
+
+
 def test_objective_scores_are_invariant_to_how_a_run_cuts_its_batches():
     """The same 40 points scored as 1 x 40, 2 x 20 or 40 x 1 rows per batch
     give the same fitnesses and the same handle traces, bit for bit."""
@@ -256,7 +283,10 @@ def test_objective_scores_are_invariant_to_how_a_run_cuts_its_batches():
     results = []
     for rows in (40, 20, 1):
         handle = ObjectiveHandle(make_objective(sc, n=1, seed=11), DEFAULT_BOUNDS, 40)
-        fits = [f for start in range(0, 40, rows) for f in handle.evaluate_batch(points[start : start + rows])]
+        fits = []
+        for start in range(0, 40, rows):
+            ((_, batch),) = lockstep([handle.evaluate_batch(points[start : start + rows])])
+            fits += list(batch)
         results.append((repr(fits), handle.trace, handle.best_eval_index, repr(handle.best_position)))
         assert len(fits) == len(handle.trace) == 40
     assert results[0] == results[1] == results[2]

@@ -1,3 +1,5 @@
+import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,6 +12,8 @@ import numpy as np
 import pytest
 
 import vdtptune
+from vdtptune import fitness
+from vdtptune.fitness import make_objective
 from vdtptune.harness import cli
 from vdtptune.harness.benchfuncs import (
     bench_bounds,
@@ -31,6 +35,7 @@ from vdtptune.harness.campaign import (
     record_to_dict,
     resolve_scenario,
     run_campaign,
+    run_cells,
     run_seed,
 )
 from vdtptune.harness.reports import (
@@ -48,9 +53,11 @@ from vdtptune.harness.reports import (
     write_trace_csv,
 )
 from vdtptune.harness.sweep import parse_grid, render_sweep, run_sweep, sweep_rows
-from vdtptune.optimizers import OptimizerParams, RunRecord
+from vdtptune.optimizers import ALGORITHMS, OptimizerParams, RunRecord, lockstep, run_batched, run_steps
 from vdtptune.sim import scenario as scenario_module
+from vdtptune.sim import transfer
 from vdtptune.sim.scenario import Scenario, load_scenario, preset
+from vdtptune.space import DEFAULT_BOUNDS
 
 
 def per_point(factory):
@@ -389,6 +396,137 @@ def test_campaign_parallel_matches_sequential(tmp_path):
         for x, y in zip(r_seq.records[a], r_par.records[a]):
             assert x.trace == y.trace
             assert np.array_equal(x.best_position, y.best_position)
+
+
+def count_calls(monkeypatch, module, calls):
+    """Appends the row count of each simulate_batch call made through `module` to `calls`."""
+    real = module.simulate_batch
+
+    def counted(configs, *rest):
+        calls.append(len(configs))
+        return real(configs, *rest)
+
+    monkeypatch.setattr(module, "simulate_batch", counted)
+
+
+def assert_same_run(got, alone, what):
+    """Field for field but the two wall-clock fields, which follow the ticks."""
+    for f in dataclasses.fields(RunRecord):
+        if f.name == "best_position":
+            assert np.array_equal(got.best_position, alone.best_position), what
+        elif f.name not in ("wall_time_s", "time_to_best_s"):
+            assert getattr(got, f.name) == getattr(alone, f.name), (what, f.name)
+
+
+def test_cells_in_lockstep_match_each_cell_alone(tmp_path):
+    """run_cells drives its cells together; each record is the one
+    run_batched gives on the cell alone. The cells hold the five algorithms
+    at stock settings, steady-state GA and plus-selection ES on make_objective,
+    a twin of the first, and a cell resumed from its checkpoint."""
+    config = ExperimentConfig(max_evaluations=40, replications=1, output_dir=str(tmp_path))
+    variants = [OptimizerParams(a) for a in ALGORITHMS]
+    variants += [OptimizerParams("ga", ga_variant="steady"), OptimizerParams("es", es_selection="plus")]
+    cells = [(f"cell_{k}", params, run_seed(3, k)) for k, params in enumerate(variants)]
+    cells.append(("twin", cells[0][1], cells[0][2]))
+    (resumed,) = run_cells(config, [cells[1]])
+    records = run_cells(config, cells)
+    assert records[1].wall_time_s == resumed.wall_time_s and records[-1] is records[0]  # read, not re-run
+    for (name, params, seed), rec in zip(cells, records):
+        alone = run_batched(params, make_objective(preset("urban"), 1, seed), DEFAULT_BOUNDS, seed, 40)
+        assert_same_run(rec, alone, name)
+
+
+def test_campaign_scores_each_tick_in_one_call(tmp_path, monkeypatch):
+    """The benchmark's campaign_urban shape: its 10 cells hand over 60
+    batches in 21 ticks (SA's 21 batches), so the search makes 21
+    simulate_batch calls, and QoS re-scoring one per row; the CSVs keep the
+    benchmark's artifact fingerprint."""
+    search, qos = [], []
+    count_calls(monkeypatch, fitness, search)
+    count_calls(monkeypatch, transfer, qos)
+    config = ExperimentConfig(runs=2, max_evaluations=40, replications=1, master_seed=1, output_dir=str(tmp_path))
+    write_campaign_outputs(run_campaign(config), tmp_path)
+    assert len(search) == 21 and sum(search) == 400
+    assert search[:3] == [2 * (20 + 20 + 20 + 4 + 1), 2 * (20 + 20 + 20 + 20 + 20), 2 * (16 + 1)]
+    assert qos == [1] * 6
+    assert csv_digest(tmp_path) == "ab7d563e66fac490f92832a95ffb3d59222c0dcdaca9d7f6796fa1b79fd780d4"
+
+
+def test_stand_in_objectives_run_inside_ticks(monkeypatch):
+    """A per_point stand-in returns a list, which its run reads inline within
+    the tick that asks for it, next to make_objective's pending batches; every
+    run gets the record it gets alone, and only the pending ones are sent to
+    simulate_batch."""
+    calls = []
+    count_calls(monkeypatch, fitness, calls)
+    jobs = [(OptimizerParams("pso"), cheap_factory, 4), (OptimizerParams("sa"), make_objective, 5),
+            (OptimizerParams("ga"), cheap_factory, 6), (OptimizerParams("de"), make_objective, 7)]
+    runs = [run_steps(p, factory(preset("urban"), 1, seed), DEFAULT_BOUNDS, seed, 40) for p, factory, seed in jobs]
+    together = dict(lockstep(runs))
+    assert len(calls) == 21 and calls[0] == 1 + 20
+    for k, (params, factory, seed) in enumerate(jobs):
+        alone = run_batched(params, factory(preset("urban"), 1, seed), DEFAULT_BOUNDS, seed, 40)
+        assert_same_run(together[k], alone, params.algorithm)
+
+
+def test_miscounting_scorer_fails_run_cells_after_earlier_cells_land(tmp_path):
+    """SA's fifth batch comes back one fitness short: run_cells raises
+    ValueError, and PSO, listed after SA but finished in tick 3, has landed
+    with its checkpoint."""
+
+    def factory(scenario, replications, seed):
+        objective = make_objective(scenario, replications, seed)
+        batches = []
+
+        def score(points):
+            batches.append(points)
+            fits = objective(points)
+            return list(fits)[1:] if seed == 2 and len(batches) == 5 else fits
+
+        return score
+
+    config = tiny_config(tmp_path, max_evaluations=40)
+    with pytest.raises(ValueError):
+        run_cells(config, [("sa_0", OptimizerParams("sa"), 2), ("pso_0", OptimizerParams("pso"), 1)], factory)
+    ckpt_dir = Path(config.output_dir) / "checkpoints"
+    assert [p.name for p in ckpt_dir.glob("run_*.json")] == ["run_pso_0.json"]
+
+
+def test_worker_shares_run_in_lockstep(tmp_path, monkeypatch):
+    """With workers=2 the pending cells are dealt round-robin into two
+    shares, and each share runs in lockstep: one simulate_batch call per
+    tick of its own. The pool here runs the shares in this process, one
+    after the other; the records are those of workers=1."""
+    shares = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, jobs):
+            shares.append([(params.algorithm, seed) for params, _, _, seed, *_ in jobs])
+            future = concurrent.futures.Future()
+            future.set_result(fn(jobs))
+            return future
+
+    algorithms = (OptimizerParams("pso"), OptimizerParams("sa"))
+    seq = run_campaign(tiny_config(tmp_path / "seq", algorithms=algorithms, runs=2, max_evaluations=40))
+    calls = []
+    count_calls(monkeypatch, fitness, calls)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    par = run_campaign(tiny_config(tmp_path / "par", algorithms=algorithms, runs=2, max_evaluations=40, workers=2))
+    seeds = [run_seed(5, i) for i in range(2)]
+    assert shares == [[("pso", seeds[0]), ("sa", seeds[0])], [("pso", seeds[1]), ("sa", seeds[1])]]
+    assert len(calls) == 2 * 21 and calls[0] == calls[21] == 20 + 1
+    for a in ("pso", "sa"):
+        for x, y in zip(seq.records[a], par.records[a]):
+            assert_same_run(y, x, a)
 
 
 def test_importing_the_harness_loads_no_process_pool():

@@ -12,6 +12,7 @@ from vdtptune.optimizers import (
     ObjectiveHandle,
     OptimizerParams,
     blend_crossover,
+    lockstep,
     reset_one_gene,
     run,
     run_batched,
@@ -102,11 +103,17 @@ def per_row(f):
     return lambda points: [f(x) for x in points]
 
 
+def scored(handle, points):
+    """What handle.evaluate_batch(points) returns, driven as runs are."""
+    ((_, fits),) = lockstep([handle.evaluate_batch(points)])
+    return fits
+
+
 def test_handle_maps_unit_cube_to_physical():
     seen = []
     bounds = Bounds(lower=(10.0, -2.0), upper=(20.0, 2.0))
     h = ObjectiveHandle(per_row(lambda x: seen.append(np.array(x)) or 0.0), bounds, 10)
-    h.evaluate_batch(np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.25]]))
+    scored(h, np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.25]]))
     assert np.allclose(seen[0], [10.0, -2.0])
     assert np.allclose(seen[1], [20.0, 2.0])
     assert np.allclose(seen[2], [15.0, -1.0])
@@ -114,10 +121,10 @@ def test_handle_maps_unit_cube_to_physical():
 
 def test_handle_budget_and_trace():
     h = ObjectiveHandle(per_row(lambda x: float(x[0])), Bounds(lower=(0.0,), upper=(1.0,)), 3)
-    assert h.evaluate_batch(np.array([[0.5], [0.9]])).tolist() == [0.5, 0.9]
-    assert h.evaluate_batch(np.array([[0.1]]))[0] == pytest.approx(0.1)
+    assert scored(h, np.array([[0.5], [0.9]])).tolist() == [0.5, 0.9]
+    assert scored(h, np.array([[0.1]]))[0] == pytest.approx(0.1)
     with pytest.raises(BudgetExhausted):
-        h.evaluate_batch(np.array([[0.2]]))
+        scored(h, np.array([[0.2]]))
     assert h.evaluations_used == 3
     assert [i for i, _ in h.trace] == [1, 2, 3]
     assert [b for _, b in h.trace] == [0.5, 0.5, pytest.approx(0.1)]
@@ -132,12 +139,12 @@ def test_handle_batch_straddling_budget_scores_the_rows_that_fit():
         return points[:, 0]
 
     h = ObjectiveHandle(score, Bounds(lower=(0.0,), upper=(1.0,)), 3)
-    h.evaluate_batch(np.array([[0.5]]))
+    scored(h, np.array([[0.5]]))
     with pytest.raises(BudgetExhausted):
-        h.evaluate_batch(np.array([[0.9], [0.1], [0.05], [0.0]]))
+        scored(h, np.array([[0.9], [0.1], [0.05], [0.0]]))
     # one call per batch, cut to the budget; none once the budget is spent
     with pytest.raises(BudgetExhausted):
-        h.evaluate_batch(np.array([[0.3]]))
+        scored(h, np.array([[0.3]]))
     assert batches == [[0.5], [0.9, pytest.approx(0.1)]]
     assert h.evaluations_used == 3
     assert [b for _, b in h.trace] == [0.5, 0.5, pytest.approx(0.1)]
@@ -147,7 +154,7 @@ def test_handle_batch_straddling_budget_scores_the_rows_that_fit():
 def test_handle_refuses_a_scorer_that_miscounts():
     h = ObjectiveHandle(lambda points: [0.0], BOUNDS3, 10)
     with pytest.raises(ValueError):
-        h.evaluate_batch(np.zeros((2, 3)))
+        scored(h, np.zeros((2, 3)))
 
 
 def test_pso_never_hands_the_scorer_an_empty_batch():
@@ -169,7 +176,7 @@ def test_handle_refuses_points_not_shaped_k_by_dim(shape):
     seen = []
     h = ObjectiveHandle(lambda points: seen.append(points) or [0.0] * len(points), BOUNDS3, 10)
     with pytest.raises(ValueError, match="evaluate_batch needs a"):
-        h.evaluate_batch(np.zeros(shape))
+        scored(h, np.zeros(shape))
     assert seen == [] and h.evaluations_used == 0
 
 
@@ -355,7 +362,7 @@ def _ref_ga_child(pos, fit, p_cross, p_mut, rng):
 def _ref_de(handle, params, rng, dim):
     pop = params.population_size
     pos = rng.random((pop, dim))
-    fit = handle.evaluate_batch(pos)
+    fit = yield from handle.evaluate_batch(pos)
     while True:
         trials = np.empty((pop, dim))
         for i in range(pop):
@@ -367,7 +374,7 @@ def _ref_de(handle, params, rng, dim):
             mask[forced] = True
             trials[i] = np.where(mask, mutant, pos[i])
         np.clip(trials, 0.0, 1.0, out=trials)
-        trial_fit = handle.evaluate_batch(trials)
+        trial_fit = yield from handle.evaluate_batch(trials)
         for i in range(pop):
             if trial_fit[i] <= fit[i]:
                 pos[i], fit[i] = trials[i], trial_fit[i]
@@ -376,17 +383,17 @@ def _ref_de(handle, params, rng, dim):
 def _ref_ga(handle, params, rng, dim):
     pop = params.population_size
     pos = rng.random((pop, dim))
-    fit = handle.evaluate_batch(pos)
+    fit = yield from handle.evaluate_batch(pos)
     if params.ga_variant == "steady":
         while True:
             child = _ref_ga_child(pos, fit, params.p_cross, params.p_mut, rng)
-            (f,) = handle.evaluate_batch(child[None])
+            (f,) = yield from handle.evaluate_batch(child[None])
             worst = int(np.argmax(fit))
             if f < fit[worst]:
                 pos[worst], fit[worst] = child, f
     while True:
         off = np.array([_ref_ga_child(pos, fit, params.p_cross, params.p_mut, rng) for _ in range(pop)])
-        off_fit = handle.evaluate_batch(off)
+        off_fit = yield from handle.evaluate_batch(off)
         elite = int(np.argmin(fit))
         if fit[elite] < off_fit.min():
             worst_child = int(np.argmax(off_fit))
@@ -397,7 +404,7 @@ def _ref_ga(handle, params, rng, dim):
 def _ref_es(handle, params, rng, dim):
     mu, lam = params.mu_es, params.lambda_es
     parents = rng.random((mu, dim))
-    parent_fit = handle.evaluate_batch(parents)
+    parent_fit = yield from handle.evaluate_batch(parents)
     while True:
         off = np.empty((lam, dim))
         for k in range(lam):
@@ -411,7 +418,7 @@ def _ref_es(handle, params, rng, dim):
                 child = _ref_reset(child, rng)
             off[k] = child
         np.clip(off, 0.0, 1.0, out=off)
-        off_fit = handle.evaluate_batch(off)
+        off_fit = yield from handle.evaluate_batch(off)
         parents, parent_fit = select_survivors(parents, parent_fit, off, off_fit, mu, params.es_selection)
 
 
@@ -429,7 +436,7 @@ def _scored_batches(search, params, dim, seed, budget, levels):
     handle = ObjectiveHandle(score, Bounds((0.0,) * dim, (1.0,) * dim), budget)
     rng = np.random.default_rng(seed)
     with pytest.raises(BudgetExhausted):
-        search(handle, params, rng, dim)
+        list(lockstep([search(handle, params, rng, dim)]))
     return [(b.shape, b.tobytes()) for b in batches], rng.bit_generator.state
 
 
