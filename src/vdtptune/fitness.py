@@ -202,60 +202,42 @@ def evaluate(config: VdtpConfig, scenario: Scenario, n: int = DEFAULT_REPLICATIO
 
 
 class PendingFitness:
-    """The fitnesses of one batch an objective from make_objective was
-    handed: its rows' configurations and replication seeds, not yet scored.
-    It reads as the list of those fitnesses. The first read scores it
-    alone, in one simulate_batch call, unless resolve() has scored it
-    already together with other batches; either way the values are the
-    same, bit for bit."""
+    """A request for the fitnesses of one batch an objective from
+    make_objective was handed: its rows' configurations and replication
+    seeds. resolve() scores it."""
 
-    __slots__ = ("scenario", "configs", "seeds", "_fits")
+    __slots__ = ("scenario", "configs", "seeds")
 
     def __init__(self, scenario: Scenario, configs: list, seeds: list):
         self.scenario = scenario
         self.configs = configs
         self.seeds = seeds
-        self._fits = None
-
-    def fits(self) -> list:
-        if self._fits is None:
-            resolve([self])
-        return self._fits
-
-    def __len__(self) -> int:
-        return len(self.configs)
-
-    def __iter__(self):
-        return iter(self.fits())
-
-    def __getitem__(self, index):
-        return self.fits()[index]
-
-    def __eq__(self, other):
-        return self.fits() == other
 
 
-def resolve(pending) -> None:
-    """Scores the unscored batches of the list `pending`, those of one
-    scenario in one simulate_batch call with their rows in list order, and
-    hands each batch its own fitnesses."""
+def resolve(requests) -> list:
+    """The fitness list of each PendingFitness of `requests`, in order. The
+    rows of all requests on one scenario are scored in one simulate_batch
+    call, in list order; a request's fitnesses do not depend on the other
+    requests it is scored with."""
     groups = {}
-    for batch in pending:
-        if batch._fits is None:
-            groups.setdefault(id(batch.scenario), []).append(batch)
-    for group in groups.values():
-        configs = [c for batch in group for c in batch.configs]
-        seeds = [s for batch in group for s in batch.seeds]
+    for k, request in enumerate(requests):
+        groups.setdefault(id(request.scenario), []).append(k)
+    fits = [None] * len(requests)
+    for ks in groups.values():
+        group = [requests[k] for k in ks]
+        configs = [c for request in group for c in request.configs]
+        seeds = [s for request in group for s in request.seeds]
         outcomes = iter(simulate_batch(configs, group[0].scenario, seeds))
-        for batch in group:
-            batch._fits = [_fitness(next(outcomes)) for _ in batch.configs]
+        for k, request in zip(ks, group):
+            fits[k] = [_fitness(next(outcomes)) for _ in request.configs]
+    return fits
 
 
 def make_objective(scenario: Scenario, n: int, seed):
     """Batch objective for the optimizers: (k, 3) physical array -> the
-    PendingFitness of its k rows, which reads as the list of their
-    fitnesses and is scored in one simulate_batch call, alone or, in
-    optimizers.lockstep, together with the other runs' batches of a tick.
+    PendingFitness of its k rows, a request that optimizers.lockstep scores
+    with resolve(), in one simulate_batch call with the other runs'
+    requests of its tick.
 
     Successive rows, within a batch and across batches, use successive
     evaluation indices to derive replication seeds, so the whole run is

@@ -210,18 +210,12 @@ def _cell_run(params, scenario, replications, seed, max_evaluations, objective_f
 
 
 def execute_share(jobs) -> list:
-    """Records of `jobs`, argument tuples of execute_run, in order, all run
+    """Records of `jobs`, argument tuples of _cell_run, in order, all run
     in lockstep. Top-level so worker processes can call it."""
     records = [None] * len(jobs)
     for k, rec in optimizers.lockstep([_cell_run(*job) for job in jobs]):
         records[k] = rec
     return records
-
-
-def execute_run(params, scenario, replications, seed, max_evaluations, objective_factory=None) -> RunRecord:
-    """One cell's optimizer run on its own."""
-    (rec,) = execute_share([(params, scenario, replications, seed, max_evaluations, objective_factory)])
-    return rec
 
 
 def run_cells(config: ExperimentConfig, cells, objective_factory=None, progress=None) -> list:
@@ -240,9 +234,10 @@ def run_cells(config: ExperimentConfig, cells, objective_factory=None, progress=
     share runs in lockstep and lands, in cell order, when all of it is done.
     `objective_factory(scenario, replications, seed)` returns a batch
     objective, a function of a (k, 3) array of physical points that returns
-    their k fitnesses or a fitness.PendingFitness of them; it defaults to the
-    simulation-backed `make_objective`, and tests inject cheap stand-ins,
-    which score their batches inside the tick that asks for them.
+    their k fitnesses or a fitness.PendingFitness request for them, which
+    the tick scores; it defaults to the simulation-backed `make_objective`,
+    and tests inject cheap stand-ins, whose fitnesses their runs read inside
+    the tick that asks for them.
     `progress(name, record)` is called as each cell lands.
     """
     scenario = resolve_scenario(config.scenario)

@@ -35,7 +35,6 @@ __all__ = [
     "lockstep",
     "reset_one_gene",
     "run",
-    "run_batched",
     "run_steps",
     "tournament_pick",
 ]
@@ -57,34 +56,24 @@ def run(
     max_evaluations: int = 1000,
 ) -> RunRecord:
     """One optimizer run against a physical-coordinate objective, a function
-    of one point; run_batched with that objective mapped over each batch,
-    lazily, so it is still called row by row."""
-    return run_batched(params, functools.partial(map, objective), bounds, seed, max_evaluations)
+    of one point: run_steps, driven by lockstep, with that objective mapped
+    lazily over each batch, so it is still called row by row. The handle
+    reads a map inline, so the whole run takes one tick."""
+    ((_, record),) = lockstep([run_steps(params, functools.partial(map, objective), bounds, seed, max_evaluations)])
+    return record
 
 
-def run_batched(
-    params: OptimizerParams,
-    score,
-    bounds: Bounds,
-    seed: int = 0,
-    max_evaluations: int = 1000,
-) -> RunRecord:
-    """One optimizer run against a batch objective: `score` takes a (k, dim)
-    array of physical points and returns their k fitnesses, or a
-    fitness.PendingFitness of them. It is lockstep() with one run.
+def run_steps(params: OptimizerParams, score, bounds: Bounds, seed: int = 0, max_evaluations: int = 1000):
+    """One optimizer run against a batch objective, as a generator for
+    lockstep(): it yields the pending requests of its batches and returns
+    its RunRecord. `score` takes a (k, dim) array of physical points and
+    returns their k fitnesses, or a fitness.PendingFitness request for them.
 
     The search happens in the unit cube; `bounds` maps each batch to
     physical coordinates right before it is scored. The run always spends
     the whole budget (or the generations cap, when one is set) and returns
     the per-evaluation best-so-far trace.
     """
-    ((_, record),) = lockstep([run_steps(params, score, bounds, seed, max_evaluations)])
-    return record
-
-
-def run_steps(params: OptimizerParams, score, bounds: Bounds, seed: int = 0, max_evaluations: int = 1000):
-    """The run of run_batched as a generator for lockstep(): it yields each
-    pending request of its batches and returns its RunRecord."""
     params.check_budget(max_evaluations)
     budget = max_evaluations
     if params.generations is not None:
@@ -99,24 +88,24 @@ def run_steps(params: OptimizerParams, score, bounds: Bounds, seed: int = 0, max
 def lockstep(runs):
     """Drives the generators `runs` together, one tick at a time, and yields
     (index in `runs`, return value) for each run as it returns; runs that
-    return in the same tick come in list order. A tick advances every live
-    run to its next request, a fitness.PendingFitness, then scores all of
-    the tick's requests in one fitness.resolve call. Runs are independent,
-    so each gets the values it would get alone. An exception out of a run
-    ends the drive.
+    return in the same tick come in list order. A tick sends every live run
+    the fitness list of its last request (None at its start), which
+    advances it to its next request, a fitness.PendingFitness, then scores
+    all of the tick's requests in one fitness.resolve call. Runs are
+    independent, so each gets the values it would get alone. An exception
+    out of a run ends the drive.
     """
-    live = list(enumerate(runs))
+    live = [(k, run, None) for k, run in enumerate(runs)]
     while live:
         requests, waiting = [], []
-        for k, run in live:
+        for k, run, fits in live:
             try:
-                requests.append(next(run))
+                requests.append(run.send(fits))
             except StopIteration as done:
                 yield k, done.value
             else:
                 waiting.append((k, run))
-        resolve(requests)
-        live = waiting
+        live = [(k, run, fits) for (k, run), fits in zip(waiting, resolve(requests))]
 
 
 def _recorded_run(algorithm: str, search, score, bounds: Bounds, seed, budget: int):

@@ -42,26 +42,26 @@ class ObjectiveHandle:
     """Budget-accounted batch objective over the unit cube.
 
     `fn` takes a (k, dim) array of physical points and returns their k
-    fitnesses in row order: as any iterable, or as a fitness.PendingFitness
-    still to be scored. evaluate_batch() is a generator, driven by
+    fitnesses in row order: as any iterable, or as a fitness.PendingFitness,
+    a request still to be scored. evaluate_batch() is a generator, driven by
     optimizers.lockstep and called as `fits = yield from
     handle.evaluate_batch(points)`. It maps the rows of a unit-cube batch
     into the physical bounds with one multiply-add (Bounds.from_unit),
     calls fn once on the rows the budget still holds, yields the result to
-    lockstep if it is pending (lockstep scores it with the other runs'
-    requests of the tick and resumes it) and reads any other result at
-    once, without yielding. It appends (evaluation_index, best_so_far) to
-    the trace per row as its fitness is read and returns the fitnesses; a
-    scorer that returns more or fewer fitnesses than rows is refused with
-    ValueError. A batch that overruns max_evaluations is scored up to the
-    budget, then BudgetExhausted is raised, which the run treats as clean
-    termination; fn never sees an empty batch. So the trace does not depend
-    on how a run cuts its candidates into batches. The trace is the
-    handle's count and its best fitness: evaluations_used is its length and
-    best_fitness its last best-so-far. time_to_best_s is taken when the
-    best fitness is read: after the tick that scored its batch for a
-    pending result, at the end of the batch for a list, at the row itself
-    for a lazy scorer such as map.
+    lockstep if it is a request (lockstep scores it with the other runs'
+    requests of the tick and sends back its fitness list) and reads any
+    other result at once, without yielding. It appends (evaluation_index,
+    best_so_far) to the trace per row as its fitness is read and returns
+    the fitnesses; a scorer that returns more or fewer fitnesses than rows
+    is refused with ValueError. A batch that overruns max_evaluations is
+    scored up to the budget, then BudgetExhausted is raised, which the run
+    treats as clean termination; fn never sees an empty batch. So the trace
+    does not depend on how a run cuts its candidates into batches. The
+    trace is the handle's count and its best fitness: evaluations_used is
+    its length and best_fitness its last best-so-far. time_to_best_s is
+    taken when the best fitness is read: after the tick that scored its
+    batch for a request, at the end of the batch for a list, at the row
+    itself for a lazy scorer such as map.
     """
 
     def __init__(self, fn, bounds: Bounds, max_evaluations: int = 1000):
@@ -99,7 +99,7 @@ class ObjectiveHandle:
         if len(physical):
             scores = self.fn(physical)
             if type(scores) is PendingFitness:
-                yield scores
+                scores = yield scores
             best = self.best_fitness
             for index, f in zip(range(used + 1, used + len(physical) + 1), scores, strict=True):
                 f = float(f)

@@ -619,10 +619,21 @@ def run_lanes(
             lost_out[out] = lost[done]
             refused[out] = to_go > 0
             delivered[out] = np.where(to_go > 0, np.maximum(n[done] - to_go, 0) * chunk[done], file_size)
+            # one array at a time, so each old array is freed before the next copy is made
             keep = ~done
-            lane, state, up, t_switch, t, todo, left, lost, chunk, budget, timeout_s, off, n = (
-                a[keep] for a in (lane, state, up, t_switch, t, todo, left, lost, chunk, budget, timeout_s, off, n)
-            )
+            lane = lane[keep]
+            state = state[keep]
+            up = up[keep]
+            t_switch = t_switch[keep]
+            t = t[keep]
+            todo = todo[keep]
+            left = left[keep]
+            lost = lost[keep]
+            chunk = chunk[keep]
+            budget = budget[keep]
+            timeout_s = timeout_s[keep]
+            off = off[keep]
+            n = n[keep]
             if not lane.size:
                 break
         if lane.size <= _TAIL_LANES and todo.sum() <= _TAIL_TODO:

@@ -194,6 +194,12 @@ def test_evaluate_simulates_all_replications_in_one_call(monkeypatch):
     assert refused > 0
 
 
+def scored(request) -> list:
+    """The fitness list of one request of make_objective's objective, resolved alone."""
+    (fits,) = fitness.resolve([request])
+    return fits
+
+
 def test_objective_replays_identically():
     """The objective scores (k, 3) batches; three rows in one batch score as
     three batches of one row, since the evaluation index seeds each row."""
@@ -201,8 +207,8 @@ def test_objective_replays_identically():
     x = np.asarray(human_expert_config(sc).as_array())
     f1 = make_objective(sc, n=2, seed=42)
     f2 = make_objective(sc, n=2, seed=42)
-    seq1 = f1(np.array([x, x, x]))
-    seq2 = [f for _ in range(3) for f in f2(x[None])]
+    seq1 = scored(f1(np.array([x, x, x])))
+    seq2 = [f for _ in range(3) for f in scored(f2(x[None]))]
     assert seq1 == seq2 and len(seq1) == 3
     # evaluation index is part of the seed: same x, later row, new randomness
     assert len(set(seq1)) == 3
@@ -211,7 +217,7 @@ def test_objective_replays_identically():
 def test_objective_seed_separation():
     sc = preset("urban")
     x = np.asarray(human_expert_config(sc).as_array())[None]
-    assert make_objective(sc, n=2, seed=1)(x) != make_objective(sc, n=2, seed=2)(x)
+    assert scored(make_objective(sc, n=2, seed=1)(x)) != scored(make_objective(sc, n=2, seed=2)(x))
 
 
 @pytest.mark.parametrize("n", [1, 3, 10])
@@ -232,7 +238,7 @@ def test_objective_builds_the_spawned_replication_seeds(monkeypatch, seed, n):
     obj = make_objective(preset("urban"), n=n, seed=seed)
     x = np.asarray(human_expert_config("urban").as_array())
     for k in (1, 2, 1):
-        list(obj(np.tile(x, (k, 1))))  # a batch is scored when it is read
+        scored(obj(np.tile(x, (k, 1))))  # a request reaches simulate_batch when it is resolved
     for k, seeds in enumerate(handed):
         _same_words(seeds, _spawned_words(_fresh(seed, (1, k)), n))
     assert len(handed) == 4
@@ -242,16 +248,17 @@ def test_objective_matches_evaluate_seed_derivation():
     sc = preset("urban")
     cfg = human_expert_config(sc)
     obj = make_objective(sc, n=3, seed=5)
-    first, second = obj(np.array([cfg.as_array(), VdtpConfig(4096.0, 4.0, 3.0).as_array()]))
+    first, second = scored(obj(np.array([cfg.as_array(), VdtpConfig(4096.0, 4.0, 3.0).as_array()])))
     assert first == evaluate(cfg, sc, n=3, seed=np.random.SeedSequence(5, spawn_key=(1, 0))).fitness
     want = evaluate(VdtpConfig(4096.0, 4.0, 3.0), sc, n=3, seed=np.random.SeedSequence(5, spawn_key=(1, 1)))
     assert second == want.fitness
 
 
-def test_pending_batches_read_alone_as_in_a_tick(monkeypatch):
-    """Indexing or iterating a batch outside lockstep scores it alone and
-    gives the values it gets when resolve() scores it with other runs'
-    batches, one simulate_batch call per scenario."""
+def test_resolve_scores_each_scenario_in_one_call(monkeypatch):
+    """resolve() scores the requests of one scenario in one simulate_batch
+    call and returns each its own fitness list, in request order: the list
+    that request gets when resolved alone. Requests are not lists, so a
+    test cannot read one as its fitnesses by mistake."""
     calls = []
     real = fitness.simulate_batch
 
@@ -262,17 +269,18 @@ def test_pending_batches_read_alone_as_in_a_tick(monkeypatch):
     monkeypatch.setattr(fitness, "simulate_batch", counted)
     sc = preset("urban")
     points = np.array([human_expert_config(sc).as_array(), [4096.0, 4.0, 3.0], [65536.0, 3.0, 0.5]])
-    ticked = make_objective(sc, n=2, seed=5)(points)
-    other = make_objective(sc, n=1, seed=6)(points[:1])
-    highway = make_objective(preset("highway"), n=1, seed=7)(points[1:])
-    fitness.resolve([ticked, highway, other])
+    requests = [
+        make_objective(sc, n=2, seed=5)(points),
+        make_objective(preset("highway"), n=1, seed=7)(points[1:]),
+        make_objective(sc, n=1, seed=6)(points[:1]),
+    ]
+    together = fitness.resolve(requests)
     assert calls == [4, 2]
-    indexed = make_objective(sc, n=2, seed=5)(points)
-    assert [indexed[i] for i in range(3)] == ticked.fits() and len(ticked) == 3
-    assert list(make_objective(sc, n=2, seed=5)(points)) == ticked.fits()
-    assert list(make_objective(sc, n=1, seed=6)(points[:1])) == other.fits()
-    assert list(make_objective(preset("highway"), n=1, seed=7)(points[1:])) == highway.fits()
-    assert calls == [4, 2, 3, 3, 1, 2]
+    assert [len(fits) for fits in together] == [3, 2, 1]
+    assert [scored(request) for request in requests] == together
+    assert calls == [4, 2, 3, 2, 1]
+    with pytest.raises(TypeError):
+        iter(requests[0])
 
 
 def test_objective_scores_are_invariant_to_how_a_run_cuts_its_batches():

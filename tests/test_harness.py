@@ -28,7 +28,7 @@ from vdtptune.harness.campaign import (
     _load_checkpoint,
     _run_fingerprint,
     _save_checkpoint,
-    execute_run,
+    execute_share,
     load_experiment_config,
     qos_seed,
     record_from_dict,
@@ -53,7 +53,7 @@ from vdtptune.harness.reports import (
     write_trace_csv,
 )
 from vdtptune.harness.sweep import parse_grid, render_sweep, run_sweep, sweep_rows
-from vdtptune.optimizers import ALGORITHMS, OptimizerParams, RunRecord, lockstep, run_batched, run_steps
+from vdtptune.optimizers import ALGORITHMS, OptimizerParams, RunRecord, lockstep, run_steps
 from vdtptune.sim import scenario as scenario_module
 from vdtptune.sim import transfer
 from vdtptune.sim.scenario import Scenario, load_scenario, preset
@@ -350,7 +350,7 @@ def test_campaign_refuses_checkpoints_of_another_config(tmp_path):
 def test_cli_refuses_checkpoint_without_fingerprint(tmp_path, capsys):
     ckpt_dir = tmp_path / "out" / "checkpoints"
     ckpt_dir.mkdir(parents=True)
-    rec = execute_run(OptimizerParams("pso"), preset("urban"), 1, 7, 5, cheap_factory)
+    (rec,) = execute_share([(OptimizerParams("pso"), preset("urban"), 1, 7, 5, cheap_factory)])
     (ckpt_dir / "run_pso_0.json").write_text(json.dumps(record_to_dict(rec)))
     rc = cli.main([
         "compare", "--algorithms", "pso,ga", "--runs", "1", "--budget", "5",
@@ -420,7 +420,7 @@ def assert_same_run(got, alone, what):
 
 def test_cells_in_lockstep_match_each_cell_alone(tmp_path):
     """run_cells drives its cells together; each record is the one
-    run_batched gives on the cell alone. The cells hold the five algorithms
+    execute_share gives on the cell alone. The cells hold the five algorithms
     at stock settings, steady-state GA and plus-selection ES on make_objective,
     a twin of the first, and a cell resumed from its checkpoint."""
     config = ExperimentConfig(max_evaluations=40, replications=1, output_dir=str(tmp_path))
@@ -432,7 +432,7 @@ def test_cells_in_lockstep_match_each_cell_alone(tmp_path):
     records = run_cells(config, cells)
     assert records[1].wall_time_s == resumed.wall_time_s and records[-1] is records[0]  # read, not re-run
     for (name, params, seed), rec in zip(cells, records):
-        alone = run_batched(params, make_objective(preset("urban"), 1, seed), DEFAULT_BOUNDS, seed, 40)
+        (alone,) = execute_share([(params, preset("urban"), 1, seed, 40)])
         assert_same_run(rec, alone, name)
 
 
@@ -454,7 +454,7 @@ def test_campaign_scores_each_tick_in_one_call(tmp_path, monkeypatch):
 
 def test_stand_in_objectives_run_inside_ticks(monkeypatch):
     """A per_point stand-in returns a list, which its run reads inline within
-    the tick that asks for it, next to make_objective's pending batches; every
+    the tick that asks for it, next to make_objective's requests; every
     run gets the record it gets alone, and only the pending ones are sent to
     simulate_batch."""
     calls = []
@@ -465,7 +465,7 @@ def test_stand_in_objectives_run_inside_ticks(monkeypatch):
     together = dict(lockstep(runs))
     assert len(calls) == 21 and calls[0] == 1 + 20
     for k, (params, factory, seed) in enumerate(jobs):
-        alone = run_batched(params, factory(preset("urban"), 1, seed), DEFAULT_BOUNDS, seed, 40)
+        (alone,) = execute_share([(params, preset("urban"), 1, seed, 40, factory)])
         assert_same_run(together[k], alone, params.algorithm)
 
 
@@ -480,8 +480,8 @@ def test_miscounting_scorer_fails_run_cells_after_earlier_cells_land(tmp_path):
 
         def score(points):
             batches.append(points)
-            fits = objective(points)
-            return list(fits)[1:] if seed == 2 and len(batches) == 5 else fits
+            request = objective(points)
+            return fitness.resolve([request])[0][1:] if seed == 2 and len(batches) == 5 else request
 
         return score
 
@@ -554,14 +554,15 @@ def test_campaign_constant_objective_degenerates_cleanly(tmp_path):
     assert result.friedman.statistic == pytest.approx(0.0)
 
 
-def test_execute_run_shape():
-    rec = execute_run(OptimizerParams("pso"), preset("urban"), 1, 42, 20, cheap_factory)
-    assert rec.seed == 42
-    assert rec.evaluations == 20
+def test_execute_share_shape():
+    jobs = [(OptimizerParams("pso"), preset("urban"), 1, 42, 20, cheap_factory),
+            (OptimizerParams("sa"), preset("urban"), 1, 43, 25, cheap_factory)]
+    records = execute_share(jobs)
+    assert [(rec.algorithm, rec.seed, rec.evaluations) for rec in records] == [("pso", 42, 20), ("sa", 43, 25)]
 
 
 def test_record_dict_round_trip():
-    rec = execute_run(OptimizerParams("sa"), preset("urban"), 1, 7, 25, cheap_factory)
+    (rec,) = execute_share([(OptimizerParams("sa"), preset("urban"), 1, 7, 25, cheap_factory)])
     back = record_from_dict(json.loads(json.dumps(record_to_dict(rec))))
     assert back.algorithm == rec.algorithm
     assert back.seed == rec.seed

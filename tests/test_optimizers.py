@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vdtptune import optimizers
 from vdtptune.harness.benchfuncs import bench_bounds, random_search, sphere
 from vdtptune.optimizers import (
     ALGORITHMS,
@@ -15,7 +16,7 @@ from vdtptune.optimizers import (
     lockstep,
     reset_one_gene,
     run,
-    run_batched,
+    run_steps,
     tournament_pick,
 )
 from vdtptune.optimizers.de import binomial_mask, mutant_vector, run_de
@@ -166,9 +167,27 @@ def test_pso_never_hands_the_scorer_an_empty_batch():
         sizes.append(len(points))
         return [sphere(x) for x in points]
 
-    rec = run_batched(OptimizerParams("pso"), score, BOUNDS3, seed=1, max_evaluations=40)
+    ((_, rec),) = lockstep([run_steps(OptimizerParams("pso"), score, BOUNDS3, seed=1, max_evaluations=40)])
     assert sizes == [20, 20]
     assert rec.evaluations == 40
+
+
+@pytest.mark.parametrize("alg", ["sa", "pso"])
+def test_inline_scorers_take_one_tick(monkeypatch, alg):
+    """run() maps a one-point function over each batch; the handle reads
+    such a scorer inline, without yielding, so lockstep drives the whole
+    run in one tick: one resolve() call, holding no request."""
+    calls = []
+    real = optimizers.resolve
+
+    def counted(requests):
+        calls.append(len(requests))
+        return real(requests)
+
+    monkeypatch.setattr(optimizers, "resolve", counted)
+    rec = run(OptimizerParams(alg), sphere, BOUNDS3, seed=3, max_evaluations=1000)
+    assert rec.evaluations == 1000
+    assert calls == [0]
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 2), (1, 1, 3)])

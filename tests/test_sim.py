@@ -1097,7 +1097,8 @@ for case, (name, rows, change) in json.loads(sys.argv[2]).items():
 sc = preset("urban")
 batch = [human_expert_config(sc).as_array(), [4096.0, 4.0, 3.0], [2048.0, 1.0, 4.0], [65536.0, 3.0, 0.5]]
 objective = fitness.make_objective(sc, 2, np.random.SeedSequence(2**127 + 5, pool_size=8))
-out["batch"] = [repr(f) for f in objective(np.array(batch))]
+(fits,) = fitness.resolve([objective(np.array(batch))])
+out["batch"] = [repr(f) for f in fits]
 out["evaluate"] = repr(fitness.evaluate(VdtpConfig(65536.0, 8.0, 6.0), preset("highway"), n=2, seed=9))
 with tempfile.TemporaryDirectory() as tmp:
     config = campaign.ExperimentConfig(runs=1, max_evaluations=10, replications=1, output_dir=tmp)
@@ -1130,6 +1131,7 @@ def test_compiled_source_matches_pure_path_under_a_standin():
     assert (pure.pop("numba"), pure.pop("u64")) == (False, "int")
     assert compiled == pure
     assert sorted(compiled["mixed"]) == sorted(_STANDIN_MIXED)
+    assert len(compiled["batch"]) == 4 and all(float(f) > 0.0 for f in compiled["batch"])
     assert len(compiled["campaign"][0]) == 9  # summary, tests, ranks, qos and 5 traces
     lanes = compiled["lanes"]
     for lane, (_, digest) in GOLDEN_SESSIONS.items():
