@@ -145,26 +145,18 @@ def record_to_dict(rec: RunRecord) -> dict:
         "algorithm": rec.algorithm,
         "seed": rec.seed,
         "best_position": [float(v) for v in rec.best_position],
-        "best_fitness": rec.best_fitness,
         "trace": [[int(i), float(f)] for i, f in rec.trace],
-        "evaluations": rec.evaluations,
-        "best_eval_index": rec.best_eval_index,
-        "wall_time_s": rec.wall_time_s,
-        "time_to_best_s": rec.time_to_best_s,
     }
 
 
 def record_from_dict(data: dict) -> RunRecord:
+    """The record of a checkpoint's dict; other keys, such as the derived
+    figures and clocks older checkpoints hold, are ignored."""
     return RunRecord(
         algorithm=data["algorithm"],
         seed=int(data["seed"]),
         best_position=np.array(data["best_position"], dtype=float),
-        best_fitness=float(data["best_fitness"]),
         trace=tuple((int(i), float(f)) for i, f in data["trace"]),
-        evaluations=int(data["evaluations"]),
-        best_eval_index=int(data["best_eval_index"]),
-        wall_time_s=float(data["wall_time_s"]),
-        time_to_best_s=float(data["time_to_best_s"]),
     )
 
 
@@ -190,14 +182,23 @@ def _save_checkpoint(path: Path, rec: RunRecord, fingerprint: str) -> None:
 
 
 def _load_checkpoint(path: Path, fingerprint: str) -> RunRecord:
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        rec = record_from_dict(data)
+        if not rec.trace:
+            raise ValueError("empty trace")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(
+            f"checkpoint {path} is damaged ({type(exc).__name__}: {exc}); "
+            "delete it to run its cell again, or use another output directory"
+        ) from exc
     if data.get("fingerprint") != fingerprint:
         raise ValueError(
             f"checkpoint {path} was not written under this scenario, optimizer "
             "settings, budget, replications and seed; use another output directory"
         )
-    return record_from_dict(data)
+    return rec
 
 
 # --- execution ---------------------------------------------------------------
@@ -309,10 +310,6 @@ class CampaignResult:
 
 
 def _assemble(config: ExperimentConfig, scenario: Scenario, records: dict) -> CampaignResult:
-    for recs in records.values():
-        for rec in recs:
-            assert rec.best_fitness == rec.trace[-1][1], "trace must end at the best fitness"
-
     names = config.algorithm_names
     samples = {a: [r.best_fitness for r in records[a]] for a in names}
     summaries = {a: summarize(samples[a]) for a in names}

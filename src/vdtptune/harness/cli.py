@@ -181,8 +181,6 @@ def cmd_compare(args) -> int:
     print()
     _, qos = reports.read_csv(Path(config.output_dir) / "qos.csv")
     print(reports.render_qos([(label, chunk, attempts, *map(float, rest)) for label, chunk, attempts, *rest in qos]))
-    print()
-    print(reports.render_timing(result))
     print(f"\nwrote {len(written)} files under {config.output_dir}")
     return 0
 

@@ -3,8 +3,7 @@
 Five CSV files describe a campaign: per-run traces, the per-algorithm
 summary, the pairwise signed-rank matrix, the Friedman ranking and the
 QoS table for the best found configurations. Floats are written with
-repr() so the files parse back to bit-identical values. Wall-clock timing
-is intentionally kept out of them (timing.txt is informational).
+repr() so the files parse back to bit-identical values.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "render_summary",
     "render_table",
     "render_tests",
-    "render_timing",
     "trace_filename",
     "write_campaign_outputs",
     "write_csv",
@@ -141,7 +139,7 @@ RANKS_HEADER = ["algorithm", "mean_rank", "blocks", "statistic"]
 
 
 def write_campaign_outputs(result: CampaignResult, out_dir) -> list:
-    """Writes traces plus the four table CSVs and timing.txt; returns paths."""
+    """Writes traces plus the four table CSVs; returns paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -166,11 +164,6 @@ def write_campaign_outputs(result: CampaignResult, out_dir) -> list:
 
     path = out / "qos.csv"
     write_csv(path, QOS_HEADER, qos_rows(result))
-    written.append(path)
-
-    path = out / "timing.txt"
-    with open(path, "w") as fh:
-        fh.write(render_timing(result) + "\n")
     written.append(path)
     return written
 
@@ -244,11 +237,3 @@ def render_qos(rows) -> str:
         ["config", "chunk_B", "attempts", "timeout_s", "fitness", "time_s", "lost", "data_kB", "kB_per_s", "refused"],
         shown,
     )
-
-
-def render_timing(result: CampaignResult) -> str:
-    rows = [
-        (a, _f(mean(r.time_to_best_s for r in recs), 3), _f(mean(r.wall_time_s for r in recs), 3))
-        for a, recs in result.records.items()
-    ]
-    return render_table(["algorithm", "mean_T_best_s", "mean_T_run_s"], rows)

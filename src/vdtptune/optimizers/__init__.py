@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import time
 
 import numpy as np
 
@@ -111,26 +110,12 @@ def lockstep(runs):
 def _recorded_run(algorithm: str, search, score, bounds: Bounds, seed, budget: int):
     """Generator running search(handle, rng), itself a generator, until the
     budget is spent; it passes on the handle's requests and returns the
-    RunRecord, the one place one is built. Wall time runs from its first
-    step to its last, so in lockstep it includes the other runs' work."""
+    RunRecord, the one place one is built."""
     handle = ObjectiveHandle(score, bounds, budget)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(0,)))
 
-    t_start = time.perf_counter()
     try:
         yield from search(handle, rng)
     except BudgetExhausted:
         pass
-    wall = time.perf_counter() - t_start
-
-    return RunRecord(
-        algorithm=algorithm,
-        seed=int(seed),
-        best_position=handle.best_position,
-        best_fitness=handle.best_fitness,
-        trace=tuple(handle.trace),
-        evaluations=handle.evaluations_used,
-        best_eval_index=handle.best_eval_index,
-        wall_time_s=wall,
-        time_to_best_s=handle.time_to_best_s,
-    )
+    return RunRecord(algorithm, int(seed), handle.best_position, tuple(handle.trace))

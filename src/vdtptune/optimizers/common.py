@@ -11,7 +11,6 @@ operators shared between GA, ES and SA live here.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -57,11 +56,8 @@ class ObjectiveHandle:
     scored up to the budget, then BudgetExhausted is raised, which the run
     treats as clean termination; fn never sees an empty batch. So the trace
     does not depend on how a run cuts its candidates into batches. The
-    trace is the handle's count and its best fitness: evaluations_used is
-    its length and best_fitness its last best-so-far. time_to_best_s is
-    taken when the best fitness is read: after the tick that scored its
-    batch for a request, at the end of the batch for a list, at the row
-    itself for a lazy scorer such as map.
+    trace is the handle's count and its best fitness (best_fitness is its
+    last best-so-far); besides it the handle keeps only the best position.
     """
 
     def __init__(self, fn, bounds: Bounds, max_evaluations: int = 1000):
@@ -72,14 +68,7 @@ class ObjectiveHandle:
         self.max_evaluations = max_evaluations
         self.trace = []
         self.best_position = None
-        self.best_eval_index = 0
-        self.time_to_best_s = 0.0
         self._dim = bounds.dim
-        self._t_start = time.perf_counter()
-
-    @property
-    def evaluations_used(self) -> int:
-        return len(self.trace)
 
     @property
     def best_fitness(self) -> float:
@@ -106,8 +95,6 @@ class ObjectiveHandle:
                 if f < best:
                     best = f
                     self.best_position = physical[index - used - 1].copy()
-                    self.best_eval_index = index
-                    self.time_to_best_s = time.perf_counter() - self._t_start
                 trace.append((index, best))
                 fits.append(f)
         if len(points) > room:
@@ -212,19 +199,42 @@ class OptimizerParams:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RunRecord:
-    """Result of one optimizer run."""
+    """Result of one optimizer run: its best position and its best-so-far
+    trace, ((evaluation_index, best_fitness), ...) from index 1, one entry
+    per evaluation. Everything else about the run is read from the trace."""
 
     algorithm: str
     seed: int
     best_position: np.ndarray
-    best_fitness: float
     trace: tuple
-    evaluations: int
-    best_eval_index: int
-    wall_time_s: float
-    time_to_best_s: float
+
+    def __init__(self, algorithm: str, seed: int, best_position: np.ndarray, trace: tuple, best_fitness=None):
+        """best_fitness is not stored; a caller that still passes it, as
+        dataclasses.replace(rec, best_fitness=...) does, must pass the
+        trace's last best."""
+        if best_fitness is not None and best_fitness != trace[-1][1]:
+            raise ValueError(f"best_fitness {best_fitness!r} is not the trace's last best {trace[-1][1]!r}")
+        object.__setattr__(self, "algorithm", algorithm)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "best_position", best_position)
+        object.__setattr__(self, "trace", trace)
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.trace)
+
+    @property
+    def best_fitness(self) -> float:
+        return self.trace[-1][1]
+
+    @property
+    def best_eval_index(self) -> int:
+        """Index of the evaluation that found the best fitness: the first
+        trace entry that reaches it."""
+        best = self.best_fitness
+        return next(i for i, f in self.trace if f == best)
 
     @property
     def best_config(self):

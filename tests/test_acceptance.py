@@ -7,6 +7,7 @@ asserts, so the pass/fail table survives in the captured output either way.
 import itertools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,10 +376,11 @@ def desk_campaigns(tmp_path_factory):
 
 
 def _artifact_bytes(result, out_dir) -> dict:
-    paths = write_campaign_outputs(result, out_dir)
-    return {
-        p.name: p.read_bytes() for p in paths if p.name != "timing.txt"  # wall clock
-    }
+    """The campaign's CSVs written to `out_dir`, plus its checkpoints."""
+    files = {p.name: p.read_bytes() for p in write_campaign_outputs(result, out_dir)}
+    for p in (Path(result.config.output_dir) / "checkpoints").iterdir():
+        files[f"checkpoints/{p.name}"] = p.read_bytes()
+    return files
 
 
 def test_criterion_7_desk_campaign_reproducible(desk_campaigns, tmp_path):
@@ -388,6 +390,7 @@ def test_criterion_7_desk_campaign_reproducible(desk_campaigns, tmp_path):
     names = set(first)
     kinds_ok = {"summary.csv", "tests.csv", "ranks.csv", "qos.csv"} <= names
     kinds_ok &= sum(1 for n in names if n.startswith("trace_")) == 25
+    kinds_ok &= sum(1 for n in first if n.startswith("checkpoints/")) == 25
 
     rerun = run_campaign(desk_config("urban", tmp_path / "fresh"))
     second = _artifact_bytes(rerun, tmp_path / "b")
@@ -397,7 +400,7 @@ def test_criterion_7_desk_campaign_reproducible(desk_campaigns, tmp_path):
     assert verdict(
         7, ok,
         f"5 algorithms x 5 runs x budget 200 on urban in {elapsed:.1f} s (< 600), "
-        f"all artifact kinds present: {kinds_ok}, fresh rerun bit-identical: {identical}",
+        f"all artifact kinds present: {kinds_ok}, fresh rerun bit-identical (CSVs and checkpoints): {identical}",
     )
 
 

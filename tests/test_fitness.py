@@ -295,7 +295,7 @@ def test_objective_scores_are_invariant_to_how_a_run_cuts_its_batches():
         for start in range(0, 40, rows):
             ((_, batch),) = lockstep([handle.evaluate_batch(points[start : start + rows])])
             fits += list(batch)
-        results.append((repr(fits), handle.trace, handle.best_eval_index, repr(handle.best_position)))
+        results.append((repr(fits), handle.trace, repr(handle.best_position)))
         assert len(fits) == len(handle.trace) == 40
     assert results[0] == results[1] == results[2]
 

@@ -1,6 +1,10 @@
+import ast
 import concurrent.futures
 import dataclasses
 import hashlib
+import importlib
+import importlib.util
+import inspect
 import json
 import math
 import os
@@ -14,7 +18,7 @@ import pytest
 import vdtptune
 from vdtptune import fitness
 from vdtptune.fitness import make_objective
-from vdtptune.harness import cli
+from vdtptune.harness import campaign, cli
 from vdtptune.harness.benchfuncs import (
     bench_bounds,
     get_function,
@@ -46,7 +50,6 @@ from vdtptune.harness.reports import (
     render_ranks,
     render_summary,
     render_tests,
-    render_timing,
     trace_filename,
     write_campaign_outputs,
     write_csv,
@@ -92,6 +95,11 @@ def sweep_config(tmp_path, algorithm, **kw):
     defaults = dict(runs=2, max_evaluations=30, replications=1, master_seed=1, output_dir=str(tmp_path / "sweep"))
     defaults.update(kw)
     return ExperimentConfig(scenario="urban", algorithms=(OptimizerParams(algorithm),), **defaults)
+
+
+def checkpoint_bytes(out_dir):
+    """Name -> bytes of every file in a campaign's checkpoints directory."""
+    return {p.name: p.read_bytes() for p in sorted((Path(out_dir) / "checkpoints").iterdir())}
 
 
 def tiny_config(tmp_path, **kw):
@@ -300,6 +308,8 @@ def test_campaign_is_deterministic_across_fresh_dirs(tmp_path):
             assert x.trace == y.trace
             assert x.best_fitness == y.best_fitness
             assert np.array_equal(x.best_position, y.best_position)
+    ckpt = checkpoint_bytes(r1.config.output_dir)
+    assert len(ckpt) == 8 and ckpt == checkpoint_bytes(r2.config.output_dir)
 
 
 def test_campaign_resumes_from_checkpoints(tmp_path):
@@ -360,6 +370,60 @@ def test_cli_refuses_checkpoint_without_fingerprint(tmp_path, capsys):
     assert "run_pso_0.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["truncated", "no trace", "empty trace"])
+def test_cli_refuses_damaged_checkpoint(tmp_path, capsys, damage):
+    """A checkpoint that does not parse back to a record is refused like one
+    of other inputs: exit 1, naming the file, not a runtime failure."""
+    args = ["tune", "--algorithm", "pso", "--seed", "3", "--budget", "5", "--replications", "1",
+            "--out", str(tmp_path)]
+    assert run_cli(args) == 0
+    ckpt = tmp_path / "checkpoints" / "run_pso_0.json"
+    data = json.loads(ckpt.read_text())
+    if damage == "truncated":
+        ckpt.write_text(ckpt.read_text()[:24])
+    elif damage == "no trace":
+        del data["trace"]
+        ckpt.write_text(json.dumps(data))
+    else:
+        ckpt.write_text(json.dumps(dict(data, trace=[])))
+    capsys.readouterr()
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "damaged" in err
+
+
+# written by the code that still stored the figures a trace gives and two clocks
+OLD_FORMAT_CHECKPOINT = (
+    '{"algorithm": "sa", "best_eval_index": 4, "best_fitness": 0.5120792831012138, "best_position": '
+    '[366533.9483844918, 44.40954482190086, 8.59920595509369], "evaluations": 6, "fingerprint": '
+    '"1bcf085c1888618f8ac446c689f773daea8d39d10ebf27e604134d9bd9109168", "seed": 1, "time_to_best_s": '
+    '0.003518549994623754, "trace": [[1, 0.9009377075406845], [2, 0.9009377075406845], [3, '
+    '0.9009377075406845], [4, 0.5120792831012138], [5, 0.5120792831012138], [6, 0.5120792831012138]], '
+    '"wall_time_s": 0.0034235079947393388}'
+)
+
+
+def test_old_format_checkpoint_resumes_without_rerun(tmp_path, monkeypatch):
+    """An old-format checkpoint resumes to the record a fresh run gives and
+    is not run again; it is read, not rewritten."""
+    cell = ("sa_0", OptimizerParams("sa"), 1)
+    fresh_config = ExperimentConfig(max_evaluations=6, replications=1, output_dir=str(tmp_path / "fresh"))
+    (fresh,) = run_cells(fresh_config, [cell])
+    config = ExperimentConfig(max_evaluations=6, replications=1, output_dir=str(tmp_path / "old"))
+    ckpt_dir = tmp_path / "old" / "checkpoints"
+    ckpt_dir.mkdir(parents=True)
+    (ckpt_dir / "run_sa_0.json").write_text(OLD_FORMAT_CHECKPOINT)
+    ran = []
+    monkeypatch.setattr(campaign, "_cell_run", lambda *args: ran.append(args))
+    (rec,) = run_cells(config, [cell])
+    assert ran == []
+    assert_same_run(rec, fresh, "old format")
+    old = json.loads(OLD_FORMAT_CHECKPOINT)
+    assert (rec.best_fitness, rec.evaluations, rec.best_eval_index) == (
+        old["best_fitness"], old["evaluations"], old["best_eval_index"])
+    assert (ckpt_dir / "run_sa_0.json").read_text() == OLD_FORMAT_CHECKPOINT
+
+
 def test_run_fingerprint_pinned():
     # checkpoints already on disk resume only while this digest holds
     fp = _run_fingerprint(
@@ -374,16 +438,11 @@ def test_checkpoint_bytes_pinned(tmp_path):
         algorithm="de",
         seed=2**63 + 11,
         best_position=np.array([1536.0, 3.0, 0.1 + 0.2]),
-        best_fitness=1 / 3,
         trace=((0, 12.5), (7, 2 / 3), (19, 1e-17)),
-        evaluations=20,
-        best_eval_index=19,
-        wall_time_s=0.125,
-        time_to_best_s=1.1,
     )
     path = tmp_path / "run_de_0.json"
     _save_checkpoint(path, rec, "f" * 64)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == "a3df9730dc5847b9868d3282f5e263871622f0f0198eb2c34be7c611d2ee1a68"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == "e335d456434f6afb22218b2b222b8db3f63f083b1c1205c9ffb77e508b87e3dd"
     assert record_to_dict(_load_checkpoint(path, "f" * 64)) == record_to_dict(rec)
 
 
@@ -396,6 +455,16 @@ def test_campaign_parallel_matches_sequential(tmp_path):
         for x, y in zip(r_seq.records[a], r_par.records[a]):
             assert x.trace == y.trace
             assert np.array_equal(x.best_position, y.best_position)
+    # checkpoints are byte for byte the same, also when half of them are resumed
+    half = tiny_config(tmp_path / "half", runs=2, max_evaluations=20)
+    ckpt = checkpoint_bytes(seq.output_dir)
+    (Path(half.output_dir) / "checkpoints").mkdir(parents=True)
+    for name in list(ckpt)[::2]:
+        (Path(half.output_dir) / "checkpoints" / name).write_bytes(ckpt[name])
+    run_campaign(half)
+    assert len(ckpt) == 4
+    assert checkpoint_bytes(par.output_dir) == ckpt
+    assert checkpoint_bytes(half.output_dir) == ckpt
 
 
 def count_calls(monkeypatch, module, calls):
@@ -410,15 +479,15 @@ def count_calls(monkeypatch, module, calls):
 
 
 def assert_same_run(got, alone, what):
-    """Field for field but the two wall-clock fields, which follow the ticks."""
+    """Field for field."""
     for f in dataclasses.fields(RunRecord):
         if f.name == "best_position":
             assert np.array_equal(got.best_position, alone.best_position), what
-        elif f.name not in ("wall_time_s", "time_to_best_s"):
+        else:
             assert getattr(got, f.name) == getattr(alone, f.name), (what, f.name)
 
 
-def test_cells_in_lockstep_match_each_cell_alone(tmp_path):
+def test_cells_in_lockstep_match_each_cell_alone(tmp_path, monkeypatch):
     """run_cells drives its cells together; each record is the one
     execute_share gives on the cell alone. The cells hold the five algorithms
     at stock settings, steady-state GA and plus-selection ES on make_objective,
@@ -428,9 +497,18 @@ def test_cells_in_lockstep_match_each_cell_alone(tmp_path):
     variants += [OptimizerParams("ga", ga_variant="steady"), OptimizerParams("es", es_selection="plus")]
     cells = [(f"cell_{k}", params, run_seed(3, k)) for k, params in enumerate(variants)]
     cells.append(("twin", cells[0][1], cells[0][2]))
-    (resumed,) = run_cells(config, [cells[1]])
+    run_cells(config, [cells[1]])
+    ran, real = [], campaign._cell_run
+
+    def spy(params, scenario, replications, seed, *rest):
+        ran.append(seed)
+        return real(params, scenario, replications, seed, *rest)
+
+    monkeypatch.setattr(campaign, "_cell_run", spy)
     records = run_cells(config, cells)
-    assert records[1].wall_time_s == resumed.wall_time_s and records[-1] is records[0]  # read, not re-run
+    # the resumed cell is read and the twin shares its first cell's run
+    assert ran == [seed for k, (_, _, seed) in enumerate(cells[:-1]) if k != 1]
+    assert records[-1] is records[0]
     for (name, params, seed), rec in zip(cells, records):
         (alone,) = execute_share([(params, preset("urban"), 1, seed, 40)])
         assert_same_run(rec, alone, name)
@@ -569,7 +647,6 @@ def test_record_dict_round_trip():
     assert back.trace == rec.trace
     assert back.best_fitness == rec.best_fitness
     assert np.array_equal(back.best_position, rec.best_position)
-    assert back.wall_time_s == rec.wall_time_s
 
 
 # --- reports ------------------------------------------------------------------
@@ -625,7 +702,8 @@ def test_write_campaign_outputs_files(small_result, tmp_path):
     out = tmp_path / "artifacts"
     written = write_campaign_outputs(small_result, out)
     names = {p.name for p in written}
-    assert {"summary.csv", "tests.csv", "ranks.csv", "qos.csv", "timing.txt"} <= names
+    assert {"summary.csv", "tests.csv", "ranks.csv", "qos.csv"} <= names
+    assert all(p.suffix == ".csv" for p in written)
     assert {"trace_pso_0.csv", "trace_pso_1.csv", "trace_de_0.csv", "trace_de_1.csv"} <= names
     header, rows = read_csv(out / "summary.csv")
     assert header[0] == "algorithm"
@@ -639,7 +717,6 @@ def test_render_tables_smoke(small_result):
     assert "p=" in render_tests(small_result)
     assert "mean_rank" in render_ranks(small_result)
     assert "experts" in render_qos(qos_rows(small_result))
-    assert "mean_T_best_s" in render_timing(small_result)
 
 
 # --- sweeps -------------------------------------------------------------------
@@ -742,7 +819,7 @@ def run_cli(args):
 
 
 def csv_digest(out):
-    """sha256 over a campaign's CSVs in name order; timing.txt holds wall clock."""
+    """sha256 over a campaign's CSVs in name order."""
     h = hashlib.sha256()
     for path in sorted(out.glob("*.csv")):
         h.update(path.name.encode())
@@ -797,6 +874,7 @@ def test_cli_tune_byte_identical_reruns(tmp_path, capsys):
     assert run_cli(args + ["--out", str(out_b)]) == 0  # resumed from its checkpoint
     for name in ("trace_de_0.csv", "best_de.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    assert checkpoint_bytes(out_a) == checkpoint_bytes(out_b)
     assert file_digest(out_a / "trace_de_0.csv") == "0543b9507aaca3c1ddc837cd071bc555c840551d2af5ea7f35f217b3e5dedf11"
     assert file_digest(out_a / "best_de.json") == "73b59b2cadd918ea33ac6426bf0887800010edd2e33df06df37b7647fcee7c44"
     capsys.readouterr()
@@ -846,7 +924,7 @@ def test_cli_compare_small_campaign(tmp_path, capsys, replications):
         "--replications", str(replications), "--seed", "2", "--out", str(out),
     ])
     assert rc == 0
-    for name in ("summary.csv", "tests.csv", "ranks.csv", "qos.csv", "timing.txt"):
+    for name in ("summary.csv", "tests.csv", "ranks.csv", "qos.csv"):
         assert (out / name).exists()
     stdout = capsys.readouterr().out
     assert "algorithm" in stdout
@@ -967,3 +1045,44 @@ def test_cli_runtime_failure_is_exit_2(tmp_path, capsys):
     ])
     assert rc == 2
     assert "runtime failure" in capsys.readouterr().err
+
+
+# --- the benchmark's reach into the package -------------------------------------
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "vdtpbench"
+
+
+def test_benchmark_names_resolve():
+    """vdtpbench/ patches the functions its tracing.TRACED lists and reads
+    RunRecord attributes in checks.py and workloads.py; each must exist, or
+    the benchmark's traced run or its checks break with nothing here failing."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH_DIR / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)  # standard library only
+    for module, attr in tracing.TRACED:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+    read = set()  # rec.<name> and record.<name>: those files' names for a RunRecord
+    for name in ("checks.py", "workloads.py", "test_bench.py"):
+        for node in ast.walk(ast.parse((BENCH_DIR / name).read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("rec", "record"):
+                read.add(node.attr)
+    assert {"evaluations", "best_fitness", "best_eval_index", "best_config", "trace"} <= read
+    (rec,) = execute_share([(OptimizerParams("pso"), preset("urban"), 1, 7, 5, cheap_factory)])
+    assert [attr for attr in sorted(read) if not hasattr(rec, attr)] == []
+
+
+def test_benchmark_own_unparametrized_tests_pass(monkeypatch):
+    """The benchmark's own tests that take no argument, run here: they build
+    records and reports with dataclasses.replace, whose keywords the scan
+    above does not see, so a change that breaks them fails here too."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # test_bench.py puts src/ and vdtpbench/ first
+    spec = importlib.util.spec_from_file_location("bench_test_bench", BENCH_DIR / "test_bench.py")
+    test_bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(test_bench)
+    ran = []
+    for name, fn in vars(test_bench).items():
+        if name.startswith("test_") and callable(fn) and not inspect.signature(fn).parameters:
+            fn()
+            ran.append(name)
+    assert "test_trace_and_sphere_checks_reject_perturbed_records" in ran

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -126,10 +127,10 @@ def test_handle_budget_and_trace():
     assert scored(h, np.array([[0.1]]))[0] == pytest.approx(0.1)
     with pytest.raises(BudgetExhausted):
         scored(h, np.array([[0.2]]))
-    assert h.evaluations_used == 3
+    assert len(h.trace) == 3
     assert [i for i, _ in h.trace] == [1, 2, 3]
     assert [b for _, b in h.trace] == [0.5, 0.5, pytest.approx(0.1)]
-    assert h.best_eval_index == 3
+    assert next(i for i, b in h.trace if b == h.best_fitness) == 3  # where the best was found
 
 
 def test_handle_batch_straddling_budget_scores_the_rows_that_fit():
@@ -147,9 +148,9 @@ def test_handle_batch_straddling_budget_scores_the_rows_that_fit():
     with pytest.raises(BudgetExhausted):
         scored(h, np.array([[0.3]]))
     assert batches == [[0.5], [0.9, pytest.approx(0.1)]]
-    assert h.evaluations_used == 3
+    assert len(h.trace) == 3
     assert [b for _, b in h.trace] == [0.5, 0.5, pytest.approx(0.1)]
-    assert h.best_eval_index == 3
+    assert next(i for i, b in h.trace if b == h.best_fitness) == 3  # where the best was found
 
 
 def test_handle_refuses_a_scorer_that_miscounts():
@@ -196,7 +197,7 @@ def test_handle_refuses_points_not_shaped_k_by_dim(shape):
     h = ObjectiveHandle(lambda points: seen.append(points) or [0.0] * len(points), BOUNDS3, 10)
     with pytest.raises(ValueError, match="evaluate_batch needs a"):
         scored(h, np.zeros(shape))
-    assert seen == [] and h.evaluations_used == 0
+    assert seen == [] and len(h.trace) == 0
 
 
 def test_handle_rejects_empty_budget():
@@ -512,6 +513,17 @@ def test_run_spends_exact_budget(alg):
     assert rec.trace[rec.best_eval_index - 1][1] == rec.best_fitness
     assert rec.algorithm == alg
     assert len(rec.best_position) == 3
+
+
+def test_record_takes_best_fitness_only_as_its_trace_end():
+    """A RunRecord's best fitness is its trace's last entry; a passed
+    best_fitness is checked against it and not stored."""
+    rec = run(OptimizerParams("de"), sphere, BOUNDS3, seed=3, max_evaluations=30)
+    assert [f.name for f in dataclasses.fields(rec)] == ["algorithm", "seed", "best_position", "trace"]
+    bent = rec.trace[:-1] + ((30, rec.best_fitness * 1.5),)
+    assert dataclasses.replace(rec, best_fitness=rec.best_fitness * 1.5, trace=bent).best_fitness == rec.best_fitness * 1.5
+    with pytest.raises(ValueError, match="trace's last best"):
+        dataclasses.replace(rec, best_fitness=rec.best_fitness * 1.5)
 
 
 @pytest.mark.parametrize("alg", ALGORITHMS)
