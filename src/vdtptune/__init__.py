@@ -6,14 +6,4 @@ a stochastic vehicular channel; a statistics harness compares algorithms
 across independent runs.
 """
 
-from .space import DEFAULT_BOUNDS, Bounds, VdtpConfig, quantize_for_protocol
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Bounds",
-    "DEFAULT_BOUNDS",
-    "VdtpConfig",
-    "quantize_for_protocol",
-    "__version__",
-]

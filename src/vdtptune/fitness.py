@@ -215,22 +215,19 @@ class PendingFitness:
 
 
 def resolve(requests) -> list:
-    """The fitness list of each PendingFitness of `requests`, in order. The
-    rows of all requests on one scenario are scored in one simulate_batch
-    call, in list order; a request's fitnesses do not depend on the other
-    requests it is scored with."""
-    groups = {}
-    for k, request in enumerate(requests):
-        groups.setdefault(id(request.scenario), []).append(k)
-    fits = [None] * len(requests)
-    for ks in groups.values():
-        group = [requests[k] for k in ks]
-        configs = [c for request in group for c in request.configs]
-        seeds = [s for request in group for s in request.seeds]
-        outcomes = iter(simulate_batch(configs, group[0].scenario, seeds))
-        for k, request in zip(ks, group):
-            fits[k] = [_fitness(next(outcomes)) for _ in request.configs]
-    return fits
+    """The fitness list of each PendingFitness of `requests`, in order, all
+    scored in one simulate_batch call. The requests of a tick share one
+    scenario, and one with another scenario is refused; a request's
+    fitnesses do not depend on the other requests it is scored with."""
+    if not requests:
+        return []
+    scenario = requests[0].scenario
+    if any(request.scenario != scenario for request in requests):
+        raise ValueError("the requests scored together must share one scenario")
+    configs = [c for request in requests for c in request.configs]
+    seeds = [s for request in requests for s in request.seeds]
+    outcomes = iter(simulate_batch(configs, scenario, seeds))
+    return [[_fitness(next(outcomes)) for _ in request.configs] for request in requests]
 
 
 def make_objective(scenario: Scenario, n: int, seed):

@@ -1,27 +1,1 @@
 """Experiment orchestration: campaigns, sweeps, reports and the CLI."""
-
-from .benchfuncs import BENCH_FUNCTIONS, bench_bounds, get_function, random_search
-from .campaign import (
-    CampaignResult,
-    ExperimentConfig,
-    load_experiment_config,
-    resolve_scenario,
-    run_campaign,
-    run_seed,
-)
-from .sweep import parse_grid, run_sweep
-
-__all__ = [
-    "BENCH_FUNCTIONS",
-    "CampaignResult",
-    "ExperimentConfig",
-    "bench_bounds",
-    "get_function",
-    "load_experiment_config",
-    "parse_grid",
-    "random_search",
-    "resolve_scenario",
-    "run_campaign",
-    "run_seed",
-    "run_sweep",
-]

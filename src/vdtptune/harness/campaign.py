@@ -3,8 +3,10 @@
 Every optimizer run on the simulation objective, in a campaign, a sweep or a
 single tune, is a named cell executed by `run_cells`. Run i of every
 algorithm shares one derived seed, which is what makes the paired
-signed-rank comparison by run index legitimate. Completed runs are written
-as JSON checkpoints; re-running the same command picks up where it stopped.
+signed-rank comparison by run index legitimate. Each run is written as a
+JSON checkpoint as soon as it finishes, in whichever process ran it, so
+re-running the same command after a failure or an interrupt picks up where
+it stopped.
 Each checkpoint carries a fingerprint of the run's inputs, and a checkpoint
 written under different inputs is refused, not resumed.
 """
@@ -210,12 +212,19 @@ def _cell_run(params, scenario, replications, seed, max_evaluations, objective_f
     return optimizers.run_steps(params, score, DEFAULT_BOUNDS, seed=seed, max_evaluations=max_evaluations)
 
 
-def execute_share(jobs) -> list:
+def execute_share(jobs, saves=None) -> list:
     """Records of `jobs`, argument tuples of _cell_run, in order, all run
-    in lockstep. Top-level so worker processes can call it."""
+    in lockstep. With `saves`, job k's record is written, as its run ends,
+    to every checkpoint path of saves[k], a (fingerprint, paths) pair, so a
+    run that has ended keeps its checkpoint whatever happens to the rest.
+    Top-level so worker processes can call it."""
     records = [None] * len(jobs)
     for k, rec in optimizers.lockstep([_cell_run(*job) for job in jobs]):
         records[k] = rec
+        if saves is not None:
+            fingerprint, paths = saves[k]
+            for path in paths:
+                _save_checkpoint(path, rec, fingerprint)
     return records
 
 
@@ -232,7 +241,10 @@ def run_cells(config: ExperimentConfig, cells, objective_factory=None, progress=
     simulate_batch call. A run lands as it finishes, and runs that finish in
     the same tick land in cell order. With `config.workers` > 1 the pending
     runs are dealt round-robin into one share per worker process; each
-    share runs in lockstep and lands, in cell order, when all of it is done.
+    share runs in lockstep and lands here, in cell order, when all of it is
+    done, but its worker writes each run's checkpoints as the run finishes.
+    Either way a run that raises, or an interrupt, loses only the runs that
+    had not finished, and re-running resumes the rest.
     `objective_factory(scenario, replications, seed)` returns a batch
     objective, a function of a (k, 3) array of physical points that returns
     their k fitnesses or a fitness.PendingFitness request for them, which
@@ -253,11 +265,12 @@ def run_cells(config: ExperimentConfig, cells, objective_factory=None, progress=
     def path(k):
         return ckpt_dir / f"run_{cells[k][0]}.json"
 
-    def land(fingerprint, rec):
+    def land(fingerprint, rec, saved=False):
         for k in twins[fingerprint]:
             if records[k] is None:
                 records[k] = rec
-                _save_checkpoint(path(k), rec, fingerprint)
+                if not saved:
+                    _save_checkpoint(path(k), rec, fingerprint)
                 if progress is not None:
                     progress(cells[k][0], rec)
 
@@ -284,12 +297,16 @@ def run_cells(config: ExperimentConfig, cells, objective_factory=None, progress=
         # imported here: loading the pool machinery costs every process that never uses it
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
+        saves = [(fingerprint, [path(k) for k in twins[fingerprint]]) for fingerprint in pending]
         shares = [range(w, len(jobs), config.workers) for w in range(min(config.workers, len(jobs)))]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = {pool.submit(execute_share, [jobs[k] for k in share]): share for share in shares}
+            futures = {
+                pool.submit(execute_share, [jobs[k] for k in share], [saves[k] for k in share]): share
+                for share in shares
+            }
             for fut in as_completed(futures):
                 for k, rec in zip(futures[fut], fut.result()):
-                    land(pending[k], rec)
+                    land(pending[k], rec, saved=True)
     return records
 
 

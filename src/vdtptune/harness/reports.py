@@ -199,6 +199,8 @@ def render_tests(result: CampaignResult) -> str:
     """Lower-triangle matrix; the cell marks the row algorithm against the
     column one: ** better and significant, * better not significant,
     -- worse and significant, - worse not significant, = tied medians."""
+    if result.config.runs < 2:
+        return "(signed-rank tests need at least 2 runs)"
     names = list(result.config.algorithm_names)
     rows = []
     for i, a in enumerate(names[1:], start=1):

@@ -8,35 +8,14 @@ import numpy as np
 
 from ..fitness import resolve
 from ..space import Bounds
-from .common import (
-    ALGORITHMS,
-    BudgetExhausted,
-    ObjectiveHandle,
-    OptimizerParams,
-    RunRecord,
-    blend_crossover,
-    reset_one_gene,
-    tournament_pick,
-)
+from .common import ALGORITHMS, BudgetExhausted, ObjectiveHandle, OptimizerParams, RunRecord
 from .de import run_de
 from .es import run_es
 from .ga import run_ga
 from .pso import run_pso
 from .sa import run_sa
 
-__all__ = [
-    "ALGORITHMS",
-    "BudgetExhausted",
-    "ObjectiveHandle",
-    "OptimizerParams",
-    "RunRecord",
-    "blend_crossover",
-    "lockstep",
-    "reset_one_gene",
-    "run",
-    "run_steps",
-    "tournament_pick",
-]
+__all__ = ["ALGORITHMS", "OptimizerParams", "RunRecord", "lockstep", "run", "run_steps"]
 
 _RUNNERS = {
     "pso": run_pso,

@@ -382,6 +382,9 @@ _ONE = np.array(1, np.int64)
 # (b = 4-5) blocks cut the time of highway lanes by 5-35 % and of urban lanes
 # by up to 20 %, so the gate admits b = 4: the 200-lane evaluations of
 # score_highway ran 8-13 % faster in the kernel than with b >= 8 (128 lanes).
+# Replayed on lockstep's calls (tools/replay_kernel.py), b >= 16 took
+# 0.83-0.85x on score_highway's but 1.16x on a desk urban campaign's, so the
+# gate stays at b = 4 until it can tell the channels apart.
 _CLEAN_RUN_CELLS = 1024
 _CLEAN_RUN_MIN = 4
 # Scalar tail: once at most _TAIL_LANES lanes are left and they have at most

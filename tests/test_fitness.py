@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,8 @@ from vdtptune.fitness import (
 from vdtptune.sim.kernels import run_sessions
 from vdtptune.sim.scenario import human_expert_config, preset
 from vdtptune.sim.transfer import TransferOutcome, _kernel_args
-from vdtptune.optimizers import ObjectiveHandle, lockstep
+from vdtptune.optimizers import lockstep
+from vdtptune.optimizers.common import ObjectiveHandle
 from vdtptune.space import DEFAULT_BOUNDS, VdtpConfig
 from vdtptune.stats import mean
 
@@ -97,8 +99,11 @@ _SPAWN_PARENTS = [
     np.random.SeedSequence(2**127 + 12345),
     np.random.SeedSequence(2**200 + 7),
     np.random.SeedSequence([3, 2**40]),
+    np.random.SeedSequence([[1, 2], 3]),
 ]
-_SPAWN_IDS = ["int", "seedsequence", "pool-size-8", "entropy-128", "entropy-past-pool", "list-entropy"]
+_SPAWN_IDS = [
+    "int", "seedsequence", "pool-size-8", "entropy-128", "entropy-past-pool", "list-entropy", "nested-entropy",
+]
 
 
 @pytest.mark.parametrize("n", [1, 3, 10])
@@ -254,11 +259,13 @@ def test_objective_matches_evaluate_seed_derivation():
     assert second == want.fitness
 
 
-def test_resolve_scores_each_scenario_in_one_call(monkeypatch):
-    """resolve() scores the requests of one scenario in one simulate_batch
+def test_resolve_scores_a_tick_in_one_call(monkeypatch):
+    """resolve() scores all the requests of a tick in one simulate_batch
     call and returns each its own fitness list, in request order: the list
-    that request gets when resolved alone. Requests are not lists, so a
-    test cannot read one as its fitnesses by mistake."""
+    that request gets when resolved alone. An equal scenario held in another
+    object counts as the same; an empty tick makes no call, and a tick whose
+    requests carry different scenarios is refused before any. Requests are
+    not lists, so a test cannot read one as its fitnesses by mistake."""
     calls = []
     real = fitness.simulate_batch
 
@@ -271,14 +278,19 @@ def test_resolve_scores_each_scenario_in_one_call(monkeypatch):
     points = np.array([human_expert_config(sc).as_array(), [4096.0, 4.0, 3.0], [65536.0, 3.0, 0.5]])
     requests = [
         make_objective(sc, n=2, seed=5)(points),
-        make_objective(preset("highway"), n=1, seed=7)(points[1:]),
+        make_objective(dataclasses.replace(sc), n=1, seed=7)(points[1:]),
         make_objective(sc, n=1, seed=6)(points[:1]),
     ]
     together = fitness.resolve(requests)
-    assert calls == [4, 2]
+    assert calls == [6]
     assert [len(fits) for fits in together] == [3, 2, 1]
     assert [scored(request) for request in requests] == together
-    assert calls == [4, 2, 3, 2, 1]
+    assert calls == [6, 3, 2, 1]
+    assert fitness.resolve([]) == []
+    mixed = [requests[0], make_objective(preset("highway"), n=1, seed=7)(points[1:])]
+    with pytest.raises(ValueError, match="share one scenario"):
+        fitness.resolve(mixed)
+    assert calls == [6, 3, 2, 1]
     with pytest.raises(TypeError):
         iter(requests[0])
 

@@ -570,11 +570,13 @@ def test_miscounting_scorer_fails_run_cells_after_earlier_cells_land(tmp_path):
     assert [p.name for p in ckpt_dir.glob("run_*.json")] == ["run_pso_0.json"]
 
 
-def test_worker_shares_run_in_lockstep(tmp_path, monkeypatch):
-    """With workers=2 the pending cells are dealt round-robin into two
-    shares, and each share runs in lockstep: one simulate_batch call per
-    tick of its own. The pool here runs the shares in this process, one
-    after the other; the records are those of workers=1."""
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Swaps the process pool for a stand-in that runs each share in this
+    process as it is submitted, one after the other, and keeps the share's
+    outcome, its records or its exception, in the future, as a worker's
+    would. Returns the (algorithm, seed) cells of each share, in the order
+    they were submitted."""
     shares = []
 
     class InlinePool:
@@ -587,32 +589,79 @@ def test_worker_shares_run_in_lockstep(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, jobs):
+        def submit(self, fn, jobs, *rest):
             shares.append([(params.algorithm, seed) for params, _, _, seed, *_ in jobs])
             future = concurrent.futures.Future()
-            future.set_result(fn(jobs))
+            try:
+                future.set_result(fn(jobs, *rest))
+            except Exception as exc:
+                future.set_exception(exc)
             return future
 
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return shares
+
+
+def test_worker_shares_run_in_lockstep(tmp_path, monkeypatch, inline_pool):
+    """With workers=2 the pending cells are dealt round-robin into two
+    shares, and each share runs in lockstep: one simulate_batch call per
+    tick of its own. The records are those of workers=1."""
     algorithms = (OptimizerParams("pso"), OptimizerParams("sa"))
     seq = run_campaign(tiny_config(tmp_path / "seq", algorithms=algorithms, runs=2, max_evaluations=40))
     calls = []
     count_calls(monkeypatch, fitness, calls)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     par = run_campaign(tiny_config(tmp_path / "par", algorithms=algorithms, runs=2, max_evaluations=40, workers=2))
     seeds = [run_seed(5, i) for i in range(2)]
-    assert shares == [[("pso", seeds[0]), ("sa", seeds[0])], [("pso", seeds[1]), ("sa", seeds[1])]]
+    assert inline_pool == [[("pso", seeds[0]), ("sa", seeds[0])], [("pso", seeds[1]), ("sa", seeds[1])]]
     assert len(calls) == 2 * 21 and calls[0] == calls[21] == 20 + 1
     for a in ("pso", "sa"):
         for x, y in zip(seq.records[a], par.records[a]):
             assert_same_run(y, x, a)
 
 
+def test_parallel_cells_keep_the_runs_that_finished(tmp_path, inline_pool):
+    """With workers=2, SA's run on seed 1 raises at its third batch. PSO's
+    run on seed 1, in the same share, has finished by then, and so has the
+    whole other share: each keeps its checkpoint, byte for byte the one a
+    sequential run writes. Running again resumes the three and runs only
+    the lost cell, and the directory is then the sequential one."""
+
+    def factory(scenario, replications, seed):
+        objective = cheap_factory(scenario, replications, seed)
+        calls = []
+
+        def score(points):
+            calls.append(len(points))
+            if seed == 1 and len(calls) == 3:
+                raise RuntimeError("scorer failed")
+            return objective(points)
+
+        return score
+
+    cells = [(f"{a}_{seed}", OptimizerParams(a), seed) for a in ("pso", "sa") for seed in (0, 1)]
+    seq = tiny_config(tmp_path / "seq", max_evaluations=40)
+    run_cells(seq, cells, cheap_factory)
+    want = checkpoint_bytes(seq.output_dir)
+    config = tiny_config(tmp_path / "par", max_evaluations=40, workers=2)
+    with pytest.raises(RuntimeError, match="scorer failed"):
+        run_cells(config, cells, factory)
+    assert inline_pool == [[("pso", 0), ("sa", 0)], [("pso", 1), ("sa", 1)]]
+    kept = checkpoint_bytes(config.output_dir)
+    assert sorted(kept) == ["run_pso_0.json", "run_pso_1.json", "run_sa_0.json"]
+    assert kept == {name: want[name] for name in kept}
+    made = []
+    run_cells(config, cells, lambda *args: made.append(args[2]) or cheap_factory(*args))
+    assert made == [1] and len(inline_pool) == 2
+    assert checkpoint_bytes(config.output_dir) == want
+
+
 def test_importing_the_harness_loads_no_process_pool():
-    """run_cells imports the pool machinery only when it starts a pool."""
+    """run_cells imports the pool machinery only when it starts a pool: the
+    CLI, which imports every harness module, loads none of it."""
     src = os.path.dirname(os.path.dirname(vdtptune.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
-        "import sys, vdtptune.harness\n"
+        "import sys, vdtptune.harness.cli\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('multiprocessing', 'concurrent')))"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
@@ -930,6 +979,24 @@ def test_cli_compare_small_campaign(tmp_path, capsys, replications):
     assert "algorithm" in stdout
     assert "experts" in stdout
     assert csv_digest(out) == COMPARE_DIGESTS[replications]
+
+
+def test_cli_compare_one_run(tmp_path, capsys):
+    """One run gives no signed-rank test and no Friedman ranking: tests.csv
+    and ranks.csv hold only their headers, and compare says why for each
+    instead of failing on the missing tests."""
+    out = tmp_path / "one"
+    rc = run_cli([
+        "compare", "--algorithms", "pso,de", "--runs", "1", "--budget", "20",
+        "--replications", "1", "--seed", "2", "--out", str(out),
+    ])
+    assert rc == 0
+    for name in ("tests.csv", "ranks.csv"):
+        header, rows = read_csv(out / name)
+        assert header and rows == [], name
+    stdout = capsys.readouterr().out
+    assert "(signed-rank tests need at least 2 runs)" in stdout
+    assert "(friedman ranking needs at least 2 runs)" in stdout
 
 
 def test_cli_compare_reads_config_file(tmp_path, capsys):

@@ -8,16 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from vdtptune import optimizers
 from vdtptune.harness.benchfuncs import bench_bounds, random_search, sphere
-from vdtptune.optimizers import (
-    ALGORITHMS,
+from vdtptune.optimizers import ALGORITHMS, OptimizerParams, lockstep, run, run_steps
+from vdtptune.optimizers.common import (
     BudgetExhausted,
     ObjectiveHandle,
-    OptimizerParams,
     blend_crossover,
-    lockstep,
     reset_one_gene,
-    run,
-    run_steps,
     tournament_pick,
 )
 from vdtptune.optimizers.de import binomial_mask, mutant_vector, run_de

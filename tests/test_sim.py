@@ -29,6 +29,7 @@ from vdtptune.sim.transfer import (
     _outcomes,
     effective_throughput,
     n_chunks,
+    simulate_batch,
     simulate_replication,
     simulate_session_events,
     write_event_trace,
@@ -866,6 +867,8 @@ def test_replication_of_several_seeds():
     assert many.refused_sessions == sum(o.refused_sessions for o in many)
     with pytest.raises(ValueError, match="at least one seed"):
         simulate_replication(cfg, sc, [])
+    with pytest.raises(ValueError, match="one seed list per configuration: 1 for 2"):
+        simulate_batch([cfg, cfg], sc, [seeds])
     refusing = simulate_replication((25600, 2, 1.0), total_loss(), [1, 2])
     assert (refusing.sessions, refusing.refused_sessions) == (4, 4)
 
@@ -930,6 +933,10 @@ def test_scenario_validation():
         Scenario(name="x", link_up_mean_s=0.0)
     with pytest.raises(ValueError):
         Scenario(name="x", sessions=0)
+    for field, value in [("header_bytes", -1), ("propagation_delay_s", -0.001), ("file_size_bytes", 0),
+                         ("density_scale", -0.5)]:
+        with pytest.raises(ValueError, match=field):
+            Scenario(name="x", **{field: value})
 
 
 def test_load_scenario_round_trip(tmp_path):
@@ -951,6 +958,10 @@ def test_load_scenario_round_trip(tmp_path):
     assert sc.sessions == 5
     with pytest.raises(ValueError):
         load_scenario(tmp_path / "missing.cfg")
+    sectionless = tmp_path / "sectionless.cfg"
+    sectionless.write_text("[channel]\nsessions = 5\n")
+    with pytest.raises(ValueError, match=r"sectionless\.cfg: missing \[scenario\] section"):
+        load_scenario(sectionless)
 
 
 def test_load_scenario_refuses_unknown_key(tmp_path):

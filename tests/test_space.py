@@ -29,6 +29,8 @@ def test_default_bounds_box():
 def test_bounds_reject_inverted_axis():
     with pytest.raises(ValueError):
         Bounds((0.0, 5.0), (1.0, 5.0))
+    with pytest.raises(ValueError, match="same length"):
+        Bounds((0.0, 0.0), (1.0, 1.0, 1.0))
 
 
 def test_unit_mapping_round_trip():

@@ -1,0 +1,192 @@
+"""Replay the lane-kernel calls of one round under variants of the kernel's constants.
+
+Run from the repository root:
+
+    python3 tools/replay_kernel.py score_highway _CLEAN_RUN_MIN=16 _CLEAN_RUN_MIN=100000
+    python3 tools/replay_kernel.py campaign_urban _TAIL_LANES=0 --reps 15
+
+The tool runs one round of SHAPE once, recording every `run_lanes` call that
+`transfer.simulate_batch` makes. The shapes:
+
+- campaign_urban: a round of the benchmark's campaign_urban workload, the
+  campaign of `vdtpbench/workloads.py::CAMPAIGN` and its reports (QoS
+  re-scoring included);
+- score_highway: the benchmark's score_highway evaluations, its 24
+  configurations at 10 replications on highway (`ScoreHighway.inputs`);
+- desk_urban, desk_highway: the acceptance tests' desk campaign (5
+  algorithms x 5 runs x 200 evaluations x 3 replications, master seed 1) and
+  its reports.
+
+It then replays the recorded calls through `vdtptune.sim.kernels.run_lanes`
+under each variant, the committed constants ("base") first. A variant is a
+comma-separated list of NAME=VALUE overrides of the module constants of
+`vdtptune.sim.kernels`, such as `_CLEAN_RUN_MIN=16,_TAIL_LANES=0`; VALUE is a
+Python literal, and `_GAMMAS` follows `_CLEAN_RUN_CELLS`. Each repetition
+replays every variant once, in turn, the order reversed on odd repetitions,
+and times the sum of the calls. Every replay's outputs must equal those of
+an untimed base replay made first, bit for bit and dtype for dtype; the tool
+exits 1 at the first that does not. It prints each variant's median and
+fastest round of calls, in ms and as a ratio to base's.
+
+The pure backend runs `run_lanes`; with numba installed, set
+VDTPTUNE_DISABLE_NUMBA=1. The tool changes no file under src/.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import copy
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "vdtpbench")]
+
+import numpy as np  # noqa: E402
+
+from vdtptune import fitness, optimizers  # noqa: E402
+from vdtptune.harness import campaign, reports  # noqa: E402
+from vdtptune.sim import kernels, transfer  # noqa: E402
+from vdtptune.sim.scenario import preset  # noqa: E402
+
+import workloads  # noqa: E402
+
+SEED = 1  # the benchmark's default --seed
+
+
+def _campaign_round(config_kwargs: dict) -> None:
+    with tempfile.TemporaryDirectory() as out:
+        config = campaign.ExperimentConfig(**config_kwargs, output_dir=out)
+        reports.write_campaign_outputs(campaign.run_campaign(config), out)
+
+
+def _desk(scenario: str) -> dict:
+    algorithms = tuple(optimizers.OptimizerParams(a) for a in optimizers.ALGORITHMS)
+    return dict(scenario=scenario, algorithms=algorithms, runs=5, max_evaluations=200, replications=3, master_seed=1)
+
+
+def _score_highway() -> None:
+    with tempfile.TemporaryDirectory() as out:
+        configs, seeds, _, _ = workloads.ScoreHighway(SEED, Path(out)).inputs()
+    scenario = preset("highway")
+    for config, seed in zip(configs, seeds):
+        fitness.evaluate(config, scenario, n=workloads.HIGHWAY_REPLICATIONS, seed=seed)
+
+
+SHAPES = {
+    "campaign_urban": lambda: _campaign_round(workloads.CAMPAIGN),
+    "score_highway": _score_highway,
+    "desk_urban": lambda: _campaign_round(_desk("urban")),
+    "desk_highway": lambda: _campaign_round(_desk("highway")),
+}
+
+
+def record(shape: str) -> list:
+    """Argument tuples of the run_lanes calls one round of `shape` makes."""
+    calls = []
+    real = transfer.run_lanes
+
+    def recorded(*args):
+        calls.append(copy.deepcopy(args))
+        return real(*args)
+
+    transfer.run_lanes = recorded
+    try:
+        SHAPES[shape]()
+    finally:
+        transfer.run_lanes = real
+    return calls
+
+
+def parse_variant(text: str) -> dict:
+    """NAME=VALUE[,NAME=VALUE...] -> {NAME: value}, each NAME a constant of kernels."""
+    overrides = {}
+    for item in text.split(","):
+        name, sep, value = item.partition("=")
+        name = name.strip()
+        if not sep or not name.lstrip("_").isupper() or not hasattr(kernels, name):
+            raise argparse.ArgumentTypeError(f"{item!r} is not NAME=VALUE for a constant of vdtptune.sim.kernels")
+        try:
+            overrides[name] = ast.literal_eval(value.strip())
+        except (ValueError, SyntaxError) as exc:
+            raise argparse.ArgumentTypeError(f"{item!r}: VALUE is not a Python literal") from exc
+    return overrides
+
+
+def replay(calls: list, overrides: dict) -> tuple:
+    """(seconds in run_lanes, outputs) of the recorded calls with `overrides` set."""
+    if "_CLEAN_RUN_CELLS" in overrides:
+        cells = overrides["_CLEAN_RUN_CELLS"]
+        overrides = dict(overrides, _GAMMAS=np.arange(2 * cells + 1, dtype=np.uint64) * kernels._GOLDEN_A)
+    saved = {name: getattr(kernels, name) for name in overrides}
+    for name, value in overrides.items():
+        setattr(kernels, name, value)
+    seconds, outputs = 0.0, []
+    try:
+        for args in calls:
+            start = time.perf_counter()
+            out = kernels.run_lanes(*args)
+            seconds += time.perf_counter() - start
+            outputs.append(out)
+    finally:
+        for name, value in saved.items():
+            setattr(kernels, name, value)
+    return seconds, outputs
+
+
+def first_difference(outputs: list, reference: list) -> str | None:
+    """Where `outputs` first differs from `reference` in bits, dtype or shape."""
+    names = ("times", "lost", "delivered", "refused")
+    for k, (got, want) in enumerate(zip(outputs, reference)):
+        for name, a, b in zip(names, got, want):
+            if a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes():
+                return f"call {k}, {name}: {a.dtype}{a.shape} against {b.dtype}{b.shape}"
+    return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("shape", choices=sorted(SHAPES))
+    parser.add_argument("variants", nargs="*", type=parse_variant, metavar="NAME=VALUE[,NAME=VALUE...]")
+    parser.add_argument("--reps", type=int, default=7, help="timed replays of each variant (default 7)")
+    args = parser.parse_intermixed_args(argv)
+    if args.reps < 1:
+        parser.error("--reps must be >= 1")
+    if kernels.NUMBA_ENABLED:
+        parser.error("simulate_batch runs the compiled kernel, not run_lanes; set VDTPTUNE_DISABLE_NUMBA=1")
+
+    calls = record(args.shape)
+    lanes = sum(call[-1].size * call[0] for call in calls)
+    variants = [{}] + args.variants
+    labels = ["base"] + [",".join(f"{name}={value!r}" for name, value in v.items()) for v in args.variants]
+    print(f"{args.shape}: {len(calls)} run_lanes calls, {lanes} lanes; {args.reps} interleaved reps")
+
+    _, reference = replay(calls, {})
+    times = [[] for _ in variants]
+    for rep in range(args.reps):
+        order = range(len(variants)) if rep % 2 == 0 else reversed(range(len(variants)))
+        for i in order:
+            seconds, outputs = replay(calls, variants[i])
+            where = first_difference(outputs, reference)
+            if where is not None:
+                print(f"{labels[i]}: outputs differ from base's at {where}", file=sys.stderr)
+                return 1
+            times[i].append(seconds)
+
+    base_median, base_min = statistics.median(times[0]), min(times[0])
+    width = max(len(label) for label in labels)
+    print(f"{'variant':<{width}}  {'median ms':>9}  {'min ms':>9}  median x  min x")
+    for label, ts in zip(labels, times):
+        median, fastest = statistics.median(ts), min(ts)
+        print(f"{label:<{width}}  {median * 1e3:9.2f}  {fastest * 1e3:9.2f}  "
+              f"{median / base_median:8.3f}  {fastest / base_min:5.3f}")
+    print("every variant's outputs equal base's, bit for bit and dtype for dtype")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
