@@ -12,8 +12,9 @@ installed).
 The lane kernel, `run_lanes`, is the protocol's one other implementation: the
 sessions of many replications, each row of seeds with its own configuration
 if need be, as lanes of numpy arrays, bit-identical to `run_sessions` seed by
-seed. Each loop iteration makes one attempt per lane;
-while few lanes are left, it first moves every lane over its run of clean
+seed. Each loop iteration makes one attempt per lane; while few lanes are
+left, how few worked out once per call from the channel's loss and dwell
+means (_clean_run_min), it first moves every lane over its run of clean
 attempts in one block. A step costs a fixed number of numpy calls plus a few
 microseconds for each lane that crosses a link switch: both protocols cross
 switches in one scalar loop, `_cross`, the lane kernel one lane at a time.
@@ -369,24 +370,43 @@ _GOLDEN_A, _MIX1_A, _MIX2_A = (np.array(int(c), np.uint64) for c in (_GOLDEN, _M
 _R11, _R27, _R30, _R31 = (np.array(k, np.uint64) for k in (11, 27, 30, 31))
 _ONE = np.array(1, np.int64)
 
-# Clean-run blocks: while at most _CLEAN_RUN_CELLS // _CLEAN_RUN_MIN lanes are
-# left, an iteration first moves every lane over its run of clean attempts
-# (both packets through, in time, no link switch) in one step over a
-# (lanes, b) block, b = min(_CLEAN_RUN_CELLS // lanes, requests still to go),
-# skipped while b < _CLEAN_RUN_MIN. The gate is a test on the lane count
-# alone, so iterations too wide for a block make no numpy call for it.
+# Clean-run blocks: an iteration first moves every lane over its run of clean
+# attempts (both packets through, in time, no link switch) in one step over a
+# (lanes, b) block, b = min(_CLEAN_RUN_CELLS // lanes, requests still to go).
 # Measured on two shared Xeon cores, pure backend: a block of 1024 cells costs
 # 80-95 us at any shape, about three single-attempt steps (28 us). On 20
 # urban 128-byte lanes, blocks of 512 cells took 1.35x as long and of 256
-# cells 2.2x; 2048 cells gained nothing on campaign_urban. At 200-240 lanes
-# (b = 4-5) blocks cut the time of highway lanes by 5-35 % and of urban lanes
-# by up to 20 %, so the gate admits b = 4: the 200-lane evaluations of
-# score_highway ran 8-13 % faster in the kernel than with b >= 8 (128 lanes).
-# Replayed on lockstep's calls (tools/replay_kernel.py), b >= 16 took
-# 0.83-0.85x on score_highway's but 1.16x on a desk urban campaign's, so the
-# gate stays at b = 4 until it can tell the channels apart.
+# cells 2.2x; 2048 cells gained nothing on campaign_urban.
+# How narrow a block still pays depends on the channel: a block moves a lane
+# only as far as its clean run goes, and highway lanes break theirs every few
+# exchanges, so there a block of a few attempts per lane moves the lanes
+# less far than the single-attempt steps it costs would. So run_lanes
+# works out once per call, from the loss and the dwell means, the narrowest
+# block that pays (_clean_run_min): the smallest b at which a lane's expected
+# clean advance, up_share * p * (1 - p^b) / (1 - p) attempts with
+# p = (1 - loss)^2 the chance that both packets pass and up_share the link's
+# up fraction, reaches _CLEAN_RUN_YIELD, about what a block costs in
+# single-attempt steps. The advance is at most b, so b_min >= 4. An iteration
+# runs a block only while at most _CLEAN_RUN_CELLS // b_min lanes are left, a
+# test on the lane count alone, so iterations too wide for a block make no
+# numpy call for it, and skips one whose b falls below b_min.
+# The urban presets give b_min = 4 (256 lanes), the width-only gate they had
+# before: at 200-240 lanes (b = 4-5) blocks cut the time of urban lanes by up
+# to 20 %, a gate at b >= 16 took 1.16x on a desk urban campaign's calls, and
+# no blocks 5.3x on campaign_urban's, whose 128-byte lanes live on them.
+# Highway gives b_min = 6 (170 lanes). Replayed with tools/replay_kernel.py
+# (interleaved, bit-checked, medians), the b >= 4 gate took 1.16x this one's
+# time on score_highway's 24 calls of 200 lanes (21 reps), and 0.95x and
+# 1.11x on a desk highway campaign's calls (7 and 11 reps: noise). On
+# score_highway a yield of 3.0 (highway b_min = 5, 204 lanes) took 1.155x;
+# 4.0, 5.0 and no blocks at all came within 1 % of 3.5 (15 reps). The urban
+# presets keep b_min = 4 up to a yield of 3.62 (urban_a3), so 3.5 serves both.
+# A gate on the expected length of a clean run alone,
+# up_share * p / (1 - p) >= 24, would shut highway's blocks altogether, which
+# gains as much on score_highway, but 3 highway lanes of 128-byte chunks then
+# took 0.20-0.34 s against 0.07-0.11 s (best of 3, interleaved).
 _CLEAN_RUN_CELLS = 1024
-_CLEAN_RUN_MIN = 4
+_CLEAN_RUN_YIELD = 3.5
 # Scalar tail: once at most _TAIL_LANES lanes are left and they have at most
 # _TAIL_TODO requests to go between them, run_lanes hands them to the scalar
 # loop. The lane count is tested first, in Python, so wide iterations make no
@@ -429,6 +449,28 @@ def _pass_threshold(succ_p):
     """k such that (z >> 11) < k exactly when _u01(z) < succ_p: _u01(z) is
     (z >> 11) / 2^53 without rounding, so k = ceil(succ_p * 2^53)."""
     return np.array(math.ceil(succ_p * 2.0**53), np.uint64)
+
+
+def _clean_run_min(eff_loss, up_mean, down_mean):
+    """The narrowest block that pays on this channel: the smallest b >= 1 at
+    which up_share * p * (1 - p^b) / (1 - p), a lane's expected clean advance
+    over a block of width b, reaches _CLEAN_RUN_YIELD; math.inf if no block
+    of at most _CLEAN_RUN_CELLS cells does. Read at call time, so that an
+    override of the constant takes effect."""
+    target = _CLEAN_RUN_YIELD
+    if target <= 0.0:
+        return 1
+    up_share = 1.0 if math.isinf(up_mean) else up_mean / (up_mean + down_mean)
+    p = (1.0 - eff_loss) ** 2
+    if p == 1.0:
+        b = target / up_share
+    else:
+        reach = up_share * p / (1.0 - p)  # the advance of an endless block
+        if reach <= target:
+            return math.inf
+        # reach * (1 - p^b) >= target  <=>  b >= log(1 - target / reach) / log(p)
+        b = math.log1p(-target / reach) / math.log(p)
+    return max(1, math.ceil(b)) if b <= _CLEAN_RUN_CELLS else math.inf
 
 
 def _session_seeds(seeds, n_sessions):
@@ -492,7 +534,7 @@ def _clean_run_times(t, pos, tx_req, prop_delay, flat, b):
     return np.add.accumulate(rows, axis=1, out=rows)
 
 
-def _clean_run(state, up, t_switch, t, todo, left, budget, tx_req, prop_delay, flat, off, timeout_s, k_pass):
+def _clean_run(state, up, t_switch, t, todo, left, budget, tx_req, prop_delay, flat, off, timeout_s, k_pass, b_min):
     """Advance every lane over its run of clean attempts, in place.
 
     While every attempt so far got both packets through without a switch,
@@ -502,12 +544,12 @@ def _clean_run(state, up, t_switch, t, todo, left, budget, tx_req, prop_delay, f
     and j < todo; each lane moves past its clean prefix of m attempts, so
     the columns past its last request are never read. Lanes already refused
     (no attempts left) do not move. The attempt that broke a run is left to
-    the single-attempt step. No lane moves when none has _CLEAN_RUN_MIN
-    requests to go. `budget`, `off` and `timeout_s` are per lane.
+    the single-attempt step. No lane moves when the block would be narrower
+    than b_min. `budget`, `off` and `timeout_s` are per lane.
     """
     width = t.size
     b = min(_CLEAN_RUN_CELLS // width, int(todo.max()))
-    if b < _CLEAN_RUN_MIN:
+    if b < b_min:
         return
     passed = (_mix_lanes(state[:, None] + _GAMMAS[1 : 2 * b + 1]) >> _R11) < k_pass
     times = _clean_run_times(t, off + todo, tx_req, prop_delay, flat, b)
@@ -551,9 +593,10 @@ def run_lanes(
     configuration, ..., seeds[r]) bit for bit and dtype for dtype. A lane's
     splitmix64 state lives in a uint64 array and its seed comes by counter
     (_session_seeds). An iteration runs one attempt of every lane in the
-    scalar order (_attempt). While at most _CLEAN_RUN_CELLS //
-    _CLEAN_RUN_MIN lanes are left, an iteration first moves every lane past
-    its run of clean attempts (_clean_run), and the single attempt then
+    scalar order (_attempt). While at most _CLEAN_RUN_CELLS // b_min lanes
+    are left, b_min the narrowest block that pays on this channel
+    (_clean_run_min), an iteration first moves every lane past its run of
+    clean attempts (_clean_run), and the single attempt then
     plays the one that broke the run. Lanes that finish are compacted out,
     so a long lane does not pay for the width it started with, and the last
     few stragglers finish in the scalar protocol, each resumed from its
@@ -602,6 +645,8 @@ def run_lanes(
     tx_req = np.array(header_bytes * 8.0 / bandwidth)
     prop = np.array(float(prop_delay))
     k_pass = _pass_threshold(1.0 - eff_loss)
+    b_min = _clean_run_min(eff_loss, up_mean, down_mean)
+    block_lanes = _CLEAN_RUN_CELLS // b_min
 
     times = np.empty(width)
     lost_out = np.empty(width)
@@ -613,8 +658,8 @@ def run_lanes(
     left = budget.copy()  # attempts left for the one in flight
     lost = np.zeros(width, np.int64)
     while lane.size:
-        if lane.size * _CLEAN_RUN_MIN <= _CLEAN_RUN_CELLS:
-            _clean_run(state, up, t_switch, t, todo, left, budget, tx_req, prop, flat, off, timeout_s, k_pass)
+        if lane.size <= block_lanes:
+            _clean_run(state, up, t_switch, t, todo, left, budget, tx_req, prop, flat, off, timeout_s, k_pass, b_min)
         if np.count_nonzero(np.minimum(todo, left)) < lane.size:
             done = (todo == 0) | (left == 0)
             out, to_go = lane[done], todo[done]

@@ -7,10 +7,10 @@ timeout; exhausting the attempt budget on any one request refuses the session.
 `simulate_batch` is the one entry point for replicated runs: several
 configurations, each with its own integer replication seeds. Without numba
 it hands all sessions of all replications of all configurations to the lane
-kernel in one call; with numba it runs the compiled `run_sessions` once per
-replication. Both give the same bits, and this is the one place that
-branches on the backend. `simulate_replication` is its one-configuration
-form.
+kernel, in calls of at most _LANE_CAP lanes; with numba it runs the compiled
+`run_sessions` once per replication. Both give the same bits, and this is
+the one place that branches on the backend. `simulate_replication` is its
+one-configuration form.
 """
 
 from __future__ import annotations
@@ -110,6 +110,14 @@ def _kernel_args(config, scenario: Scenario):
 
 
 _SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
+# Lanes of one run_lanes call at most: simulate_batch hands the kernel
+# consecutive slices of whole rows. Lanes are independent, so the bits do not
+# depend on the slicing, and the lane arrays of a wide tick no longer sit in
+# memory at once. The paper shape's widest tick, 600,000 lanes (3000 rows x
+# 10 replications x 20 sessions, chunks of 4-512 KiB), peaked at 92.6 MiB in
+# tracemalloc as one call and at 37.1 MiB at this cap, on urban and on
+# highway alike. No workload of the benchmark reaches the cap.
+_LANE_CAP = 40_000
 
 
 def _as_kernel_seed(seed) -> np.uint64:
@@ -120,8 +128,9 @@ def simulate_batch(configs, scenario: Scenario, seeds) -> list:
     """One Replications per configuration: `configs[i]`, a VdtpConfig or a
     quantized (chunk_bytes, attempts, timeout_s) triple, run over
     `scenario.sessions` sessions for each integer seed of the non-empty list
-    `seeds[i]`. Every session of every configuration goes to one lane-kernel
-    call; row for row the outcomes are those of separate runs.
+    `seeds[i]`. Every session of every configuration goes to the lane kernel,
+    in calls of at most _LANE_CAP lanes; row for row the outcomes are those
+    of separate runs.
     """
     if not configs or len(seeds) != len(configs):
         raise ValueError(f"need one seed list per configuration: {len(seeds)} for {len(configs)}")
@@ -136,8 +145,13 @@ def simulate_batch(configs, scenario: Scenario, seeds) -> list:
         rows = [run_sessions(scenario.sessions, *args, *scene, s) for args, s in zip(per_seed, kernel_seeds)]
         arrays = (np.stack(column) for column in zip(*rows))
     else:
-        per_row = (np.repeat(column, counts) for column in zip(*protocol))
-        arrays = run_lanes(scenario.sessions, *per_row, *scene, kernel_seeds)
+        per_row = [np.repeat(column, counts) for column in zip(*protocol)]
+        step = max(1, _LANE_CAP // scenario.sessions)
+        parts = [
+            run_lanes(scenario.sessions, *(c[i : i + step] for c in per_row), *scene, kernel_seeds[i : i + step])
+            for i in range(0, len(kernel_seeds), step)
+        ]
+        arrays = (np.concatenate(column) for column in zip(*parts))
     outcomes = iter(_outcomes(*arrays))
     return [Replications(itertools.islice(outcomes, count)) for count in counts]
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vdtptune
-from vdtptune.sim import kernels
+from vdtptune.sim import kernels, transfer
 from vdtptune.sim.kernels import run_sessions
 from vdtptune.sim.scenario import (
     Scenario,
@@ -393,6 +393,17 @@ def test_pure_draw_reduces_unmasked_states():
 # a timeout this long, and the scalar kernel counts that as in time
 _HANDSHAKE_RTT = ((64 * 8.0 / 5.5e6 + 0.002) + 64 * 8.0 / 5.5e6) + 0.002
 
+
+def _gate_lanes(preset_name):
+    """The widest call that starts with a clean-run block on a preset's channel."""
+    sc = preset(preset_name)
+    b_min = kernels._clean_run_min(sc.effective_loss(), sc.link_up_mean_s, sc.link_down_mean_s)
+    return kernels._CLEAN_RUN_CELLS // b_min
+
+
+# each channel's block gate (256 lanes on urban, 170 on highway) and one lane above it
+_GATE_WIDTHS = [(channel, _gate_lanes(channel) + k) for channel in ("urban", "highway") for k in (0, 1)]
+
 LANE_CASES = {
     "urban_expert": ("urban", None, 20),
     "highway_expert": ("highway", None, 20),
@@ -413,13 +424,15 @@ LANE_CASES = {
     "highway_128_44_3.4": ("highway", (128, 44, 3.4), 1),
     # clean-run blocks: a whole lossless transfer (43 requests, the last chunk
     # 23576 bytes) in one block capped by the requests to go; one 128-byte
-    # session, whose blocks run back to back at their widest; and widths that
-    # start exactly at the block gate (256 lanes at one replication) and one
-    # lane above it, where blocks start once refused lanes leave
+    # session, whose blocks run back to back at their widest; and, on each
+    # channel, widths that start exactly at the block gate (at one
+    # replication) and one lane above it, where blocks start once lanes leave
     "one_block": ("urban", (25000, 8, 8.0), dict(base_loss_prob=0.0, link_up_mean_s=math.inf, sessions=1)),
     "urban_128_one_session": ("urban", (128, 250, 10.0), 1),
-    "gate_256_lanes": ("highway", (1024, 3, 2.0), dict(sessions=256, file_size_bytes=32768)),
-    "gate_257_lanes": ("highway", (1024, 3, 2.0), dict(sessions=257, file_size_bytes=32768)),
+    **{
+        f"gate_{lanes}_lanes": (channel, (1024, 3, 2.0), dict(sessions=lanes, file_size_bytes=32768))
+        for channel, lanes in _GATE_WIDTHS
+    },
     # the scalar tail (TAIL_HANDOFFS says what each case hands over): a
     # straggler whose link is down, lanes refused inside the tail, one with
     # its attempts partly spent, a one-chunk file handed off before its
@@ -474,8 +487,8 @@ def test_lanes_match_run_sessions(case, reps):
 # candidates' configurations, scenario changes); every candidate gets `reps`
 # rows. The cases put a 128-byte lane next to expert lanes, rows that share a
 # chunk size but not budget or timeout, rows whose configurations coincide,
-# refused lanes that reach the scalar tail, and widths at the block gate (256
-# one-session rows) and one over it (257).
+# refused lanes that reach the scalar tail, and, on each channel, widths at
+# the block gate (one-session rows) and one over it.
 _GATE_PAIR = [(1024, 3, 2.0), (2048, 2, 1.0)]
 MIXED_LANE_CASES = {
     "chunk128_next_to_experts": ("urban", [None, (128, 250, 10.0), None, (4096, 4, 3.0)], dict(sessions=2)),
@@ -483,8 +496,10 @@ MIXED_LANE_CASES = {
     "chunks_budgets_timeouts": ("urban", [(300, 2, 1.0), (25600, 8, 8.0), (524288, 3, 0.5), (2048, 1, 4.0)], {}),
     "identical_rows": ("urban", [None, None, None], {}),
     "refused_in_tail": ("highway", [(300, 1, 1.0), (500, 2, 1.0), (1500, 3, 2.0)], dict(sessions=2, file_size_bytes=1500)),
-    "gate_256_rows": ("highway", _GATE_PAIR * 128, dict(sessions=1, file_size_bytes=32768)),
-    "gate_257_rows": ("highway", _GATE_PAIR * 128 + _GATE_PAIR[:1], dict(sessions=1, file_size_bytes=32768)),
+    **{
+        f"gate_{rows}_rows": (channel, (_GATE_PAIR * rows)[:rows], dict(sessions=1, file_size_bytes=32768))
+        for channel, rows in _GATE_WIDTHS
+    },
 }
 
 
@@ -512,6 +527,46 @@ def test_mixed_lanes_match_run_sessions_row_by_row(case, reps):
     assert all(a.shape == (len(rows), sc.sessions) for a in lanes)
     for r, (config, seed) in enumerate(zip(rows, seeds)):
         assert _rows(a[r] for a in lanes) == _rows(run_sessions(sc.sessions, *config, *scene, seed))
+
+
+def _block_widths(monkeypatch, run):
+    """Run `run()` with a spy on the clean-run blocks; returns the width of
+    each block it made. _clean_run builds a block's times only once the gate
+    has let the block through."""
+    times = kernels._clean_run_times
+    widths = []
+
+    def spy(t, *rest):
+        widths.append(t.size)
+        return times(t, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_clean_run_times", spy)
+        run()
+    return widths
+
+
+@pytest.mark.parametrize(
+    "kind, case", [("lanes", c) for c in sorted(LANE_CASES)] + [("mixed", c) for c in sorted(MIXED_LANE_CASES)]
+)
+def test_lanes_match_run_sessions_with_blocks_forced_open_or_shut(kind, case, monkeypatch):
+    """A block's outcome depends on the lanes alone, so the gate only decides
+    which iterations run one: blocks at every width (a yield of 0), no blocks
+    (an infinite yield) and the committed gate give run_sessions' bits, on
+    every case. This keeps highway's blocks covered where its gate lets
+    fewer iterations take them."""
+    if kind == "lanes":
+        sc, args = _lane_case(case)
+        rows, scene, seeds = [args[:3]] * 3, args[3:], _replication_seeds(3)
+    else:
+        sc, rows, scene, seeds = _mixed_case(case, 3)
+    want = [_rows(run_sessions(sc.sessions, *config, *scene, seed)) for config, seed in zip(rows, seeds)]
+    for target in (0.0, math.inf, kernels._CLEAN_RUN_YIELD):
+        monkeypatch.setattr(kernels, "_CLEAN_RUN_YIELD", target)
+        out = []
+        widths = _block_widths(monkeypatch, lambda: out.extend(_run_mixed(sc, rows, scene, seeds)))
+        assert [_rows(a[r] for a in out) for r in range(len(rows))] == want, target
+        assert not (widths and math.isinf(target))
 
 
 def test_mixed_tail_resumes_each_lane_with_its_own_configuration(monkeypatch):
@@ -644,6 +699,60 @@ def test_typical_urban_evaluations_reach_the_tail(monkeypatch):
     assert reached >= len(configs) * 10 // 2
 
 
+def _clean_yield(b, loss, up_mean, down_mean):
+    """A lane's expected clean advance over a block of width b, summed term by term."""
+    up_share = 1.0 if math.isinf(up_mean) else up_mean / (up_mean + down_mean)
+    p = (1.0 - loss) ** 2
+    return up_share * sum(p**j for j in range(1, b + 1))
+
+
+@pytest.mark.parametrize("target", [0.0, 1.0, 3.5, 20.0, 1e9, math.inf])
+def test_clean_run_min_is_the_narrowest_block_that_pays(target, monkeypatch):
+    """The closed form gives the narrowest width a search over every width
+    finds, on lossless, lossy and hopeless channels, up or switching; a
+    target no block of at most _CLEAN_RUN_CELLS cells reaches shuts blocks,
+    and a target of 0 opens them at every width."""
+    monkeypatch.setattr(kernels, "_CLEAN_RUN_YIELD", target)
+    widths = range(1, kernels._CLEAN_RUN_CELLS + 1)
+    for loss in (0.0, 0.004, 0.01, 0.03, 0.2, 0.95, 1.0):
+        for up_mean, down_mean in ((40.0, 2.0), (12.0, 3.0), (math.inf, 2.0), (0.006, 0.003)):
+            want = next((b for b in widths if _clean_yield(b, loss, up_mean, down_mean) >= target), math.inf)
+            assert kernels._clean_run_min(loss, up_mean, down_mean) == want, (loss, up_mean)
+
+
+def test_gate_decisions(monkeypatch):
+    """The urban presets start blocks at 256 lanes, where campaign_urban's
+    128-byte lanes live on them (5x slower without). Highway's lanes break
+    their clean runs sooner, so its gate is narrower; yet a few long highway
+    lanes still take blocks, which a gate on the expected length of a clean
+    run alone would refuse them."""
+    assert [_gate_lanes(name) for name in ("urban", "urban_a2", "urban_a3")] == [256] * 3
+    assert _gate_lanes("highway") < 256
+    for sessions in (1, 2, 3):
+        sc = dataclasses.replace(preset("highway"), sessions=sessions)
+        args = _kernel_args((128, 44, 3.4), sc)
+        assert _block_widths(monkeypatch, lambda: kernels.run_lanes(sessions, *args, _replication_seeds(1)))
+
+
+@pytest.mark.parametrize("channel", ["urban", "highway"])
+def test_blocks_start_at_the_gate_width(channel, monkeypatch):
+    """At one replication the gate cases of LANE_CASES and MIXED_LANE_CASES
+    run a block at the gate's width, and one lane above it none at that
+    width: blocks start there only once lanes leave."""
+    lanes = _gate_lanes(channel)
+    seeds = _replication_seeds(1)
+    for over in (0, 1):
+        sc, args = _lane_case(f"gate_{lanes + over}_lanes")
+        assert sc.sessions == lanes + over and sc.name == channel
+        single = _block_widths(monkeypatch, lambda: kernels.run_lanes(sc.sessions, *args, seeds))
+        sc, rows, scene, row_seeds = _mixed_case(f"gate_{lanes + over}_rows", 1)
+        assert len(rows) == lanes + over and sc.name == channel
+        mixed = _block_widths(monkeypatch, lambda: _run_mixed(sc, rows, scene, row_seeds))
+        for widths in (single, mixed):
+            assert widths and max(widths) <= lanes
+            assert over or widths[0] == lanes
+
+
 def test_counter_draws_match_mix64_steps():
     """Draw j of the splitmix64 stream from `seed` is mix(seed + j * gamma mod
     2^64), including seeds near 2^64 - 1, where the sum wraps."""
@@ -739,7 +848,7 @@ def test_clean_run_stops_before_a_reply_on_a_switch():
     lanes["t_switch"][1] = np.nextafter(times[1, 4 * 6], math.inf)
     budget = np.array([8, 9, 8, 8, 4])
     kernels._clean_run(**lanes, budget=budget, tx_req=tx_req, prop_delay=prop, flat=flat, off=off,
-                       timeout_s=timeout, k_pass=kernels._pass_threshold(1.0))
+                       timeout_s=timeout, k_pass=kernels._pass_threshold(1.0), b_min=4)
     m = [5, 6, 0, 0, 0]
     gamma = int(kernels._GOLDEN)
     assert lanes["todo"].tolist() == [50 - k for k in m]
@@ -854,6 +963,30 @@ def test_session_seeds_are_what_run_sessions_hands_the_kernel(monkeypatch):
         scalar(7, *args, kernels.U64(seed))
     monkeypatch.undo()
     assert kernels._session_seeds(seeds, 7).ravel().tolist() == seen
+
+
+@pytest.mark.skipif(kernels.NUMBA_ENABLED, reason="the compiled branch runs one replication per call")
+@pytest.mark.parametrize("case", sorted(MIXED_LANE_CASES))
+def test_batches_sliced_at_the_lane_cap_match_one_call(case, monkeypatch):
+    """simulate_batch hands the lane kernel slices of at most _LANE_CAP
+    lanes; with the cap at one replication's sessions every replication is
+    its own call, and the outcomes are the one call's, bit for bit."""
+    sc, rows, _, seeds = _mixed_case(case, 3)
+    configs, seed_lists = rows[::3], [seeds[i : i + 3].tolist() for i in range(0, len(seeds), 3)]
+    calls = []
+    run_lanes = transfer.run_lanes
+
+    def spy(n_sessions, *args):
+        calls.append(args[-1].size * n_sessions)
+        return run_lanes(n_sessions, *args)
+
+    monkeypatch.setattr(transfer, "run_lanes", spy)
+    whole = simulate_batch(configs, sc, seed_lists)
+    assert calls == [len(seeds) * sc.sessions]
+    calls.clear()
+    monkeypatch.setattr(transfer, "_LANE_CAP", sc.sessions)
+    assert simulate_batch(configs, sc, seed_lists) == whole
+    assert calls == [sc.sessions] * len(seeds)
 
 
 def test_replication_of_several_seeds():

@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 tools/replay_kernel.py score_highway _CLEAN_RUN_MIN=16 _CLEAN_RUN_MIN=100000
+    python3 tools/replay_kernel.py score_highway _CLEAN_RUN_YIELD=2.5 _CLEAN_RUN_YIELD=1e9
     python3 tools/replay_kernel.py campaign_urban _TAIL_LANES=0 --reps 15
 
 The tool runs one round of SHAPE once, recording every `run_lanes` call that
@@ -20,13 +20,17 @@ The tool runs one round of SHAPE once, recording every `run_lanes` call that
 It then replays the recorded calls through `vdtptune.sim.kernels.run_lanes`
 under each variant, the committed constants ("base") first. A variant is a
 comma-separated list of NAME=VALUE overrides of the module constants of
-`vdtptune.sim.kernels`, such as `_CLEAN_RUN_MIN=16,_TAIL_LANES=0`; VALUE is a
-Python literal, and `_GAMMAS` follows `_CLEAN_RUN_CELLS`. Each repetition
-replays every variant once, in turn, the order reversed on odd repetitions,
-and times the sum of the calls. Every replay's outputs must equal those of
-an untimed base replay made first, bit for bit and dtype for dtype; the tool
-exits 1 at the first that does not. It prints each variant's median and
-fastest round of calls, in ms and as a ratio to base's.
+`vdtptune.sim.kernels`, such as `_CLEAN_RUN_YIELD=2.5,_TAIL_LANES=0`; VALUE is
+a Python literal, and `_GAMMAS` follows `_CLEAN_RUN_CELLS`. `run_lanes` works
+out its block gate from the constants at each call, so every override takes
+effect: `_CLEAN_RUN_YIELD=0` opens blocks at every width, `_CLEAN_RUN_YIELD=1e9`
+shuts them, and `_CLEAN_RUN_YIELD=2.5` gives highway urban's gate of 256
+lanes. Each repetition replays every variant once, in turn, the order
+reversed on odd repetitions, and times the sum of the calls. Every replay's
+outputs must equal those of an untimed base replay made first, bit for bit
+and dtype for dtype; the tool exits 1 at the first that does not. It prints
+each variant's median and fastest round of calls, in ms and as a ratio to
+base's.
 
 The pure backend runs `run_lanes`; with numba installed, set
 VDTPTUNE_DISABLE_NUMBA=1. The tool changes no file under src/.
