@@ -57,11 +57,12 @@ def qos_seed(master_seed: int) -> int:
 
 
 def resolve_scenario(name_or_path) -> Scenario:
-    """A preset name, or a path to a scenario .cfg file."""
+    """A path to a scenario .cfg file, or else a preset name; a directory
+    named like a preset, such as an output directory, does not shadow it."""
     if isinstance(name_or_path, Scenario):
         return name_or_path
     text = str(name_or_path)
-    if os.path.exists(text):
+    if os.path.isfile(text):
         return load_scenario(text)
     return preset(text)
 
@@ -84,6 +85,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.max_evaluations < 1:
+            raise ValueError("max_evaluations must be >= 1")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.workers < 1:
@@ -94,8 +97,6 @@ class ExperimentConfig:
         names = [p.algorithm for p in self.algorithms]
         if len(set(names)) != len(names):
             raise ValueError("algorithm list contains duplicates")
-        for params in self.algorithms:
-            params.check_budget(self.max_evaluations)
 
     @property
     def algorithm_names(self) -> tuple:
@@ -166,7 +167,8 @@ def _run_fingerprint(scenario: Scenario, params: OptimizerParams, config: Experi
     """sha256 over the inputs a run's record depends on."""
     inputs = {
         "scenario": dataclasses.asdict(scenario),
-        "params": dataclasses.asdict(params),
+        # the removed `generations` cap stays in the hash, so checkpoints on disk still resume
+        "params": {**dataclasses.asdict(params), "generations": None},
         "max_evaluations": config.max_evaluations,
         "replications": config.replications,
         "seed": seed,

@@ -220,6 +220,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.runs < 1:
+        raise UsageError("runs must be >= 1")
     fn = get_function(args.function)
     bounds = bench_bounds(args.dims)
     params = OptimizerParams(args.algorithm)

@@ -84,7 +84,6 @@ def run_sweep(config: ExperimentConfig, grid, objective_factory=None) -> SweepRe
     combos, cells = [], []
     for g, line in enumerate(grid):
         for j, (value, params) in enumerate(zip(line.values, _validated_params(base.algorithm, line))):
-            params.check_budget(config.max_evaluations)
             combos.append((line.param, value))
             cells += [
                 (f"{base.algorithm}_grid{g}_{j}_{i}", params, run_seed(config.master_seed, i))

@@ -48,19 +48,15 @@ def run_steps(params: OptimizerParams, score, bounds: Bounds, seed: int = 0, max
     returns their k fitnesses, or a fitness.PendingFitness request for them.
 
     The search happens in the unit cube; `bounds` maps each batch to
-    physical coordinates right before it is scored. The run always spends
-    the whole budget (or the generations cap, when one is set) and returns
-    the per-evaluation best-so-far trace.
+    physical coordinates right before it is scored. The run spends exactly
+    max_evaluations, which its ObjectiveHandle enforces (and refuses below
+    1), and returns the per-evaluation best-so-far trace.
     """
-    params.check_budget(max_evaluations)
-    budget = max_evaluations
-    if params.generations is not None:
-        budget = min(budget, params.generation_size() * params.generations)
 
     def search(handle, rng):
         return _RUNNERS[params.algorithm](handle, params, rng, bounds.dim)
 
-    return _recorded_run(params.algorithm, search, score, bounds, seed, budget)
+    return _recorded_run(params.algorithm, search, score, bounds, seed, max_evaluations)
 
 
 def lockstep(runs):

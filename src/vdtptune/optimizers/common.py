@@ -102,8 +102,8 @@ class ObjectiveHandle:
         return np.array(fits)
 
 
-#: Knobs each algorithm reads besides `generations`; every other knob must
-#: keep its default, so a setting the run would ignore is refused.
+#: Knobs each algorithm reads; every other knob must keep its default, so a
+#: setting the run would ignore is refused.
 KNOBS = {
     "pso": ("population_size", "w"),
     "de": ("population_size", "cr", "mu_de"),
@@ -123,7 +123,6 @@ class OptimizerParams:
 
     algorithm: str
     population_size: int = 20
-    generations: int | None = None
     w: float = 0.5
     cr: float = 0.9
     mu_de: float = 0.1
@@ -144,7 +143,7 @@ class OptimizerParams:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; known: {ALGORITHMS}")
         object.__setattr__(self, "algorithm", alg)
         for f in fields(self):
-            if f.name not in ("algorithm", "generations", *KNOBS[alg]) and getattr(self, f.name) != f.default:
+            if f.name not in ("algorithm", *KNOBS[alg]) and getattr(self, f.name) != f.default:
                 raise ValueError(f"{alg} does not read {f.name}; its knobs are {', '.join(KNOBS[alg])}")
         if self.p_cross is None:
             object.__setattr__(self, "p_cross", 0.9 if alg == "es" else 0.8)
@@ -177,26 +176,6 @@ class OptimizerParams:
             raise ValueError("comma selection needs lambda_es > mu_es")
         if self.ga_variant not in ("generational", "steady"):
             raise ValueError("ga_variant must be 'generational' or 'steady'")
-        if self.generations is not None and self.generations < 1:
-            raise ValueError("generations must be >= 1 when set")
-
-    def generation_size(self) -> int:
-        if self.algorithm == "es":
-            return self.lambda_es
-        if self.algorithm == "sa":
-            return self.markov_chain_length
-        return self.population_size
-
-    def check_budget(self, max_evaluations: int) -> None:
-        if max_evaluations < 1:
-            raise ValueError("max_evaluations must be >= 1")
-        if self.generations is not None:
-            need = self.generation_size() * self.generations
-            if need > max_evaluations:
-                raise ValueError(
-                    f"{self.generation_size()} x {self.generations} generations "
-                    f"exceed the budget of {max_evaluations} evaluations"
-                )
 
 
 @dataclass(frozen=True, init=False)

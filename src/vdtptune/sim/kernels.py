@@ -6,8 +6,8 @@ from any point of it and can also record its event log. `session_kernel` is
 the channel's stationary start followed by that loop from the first request.
 Both are compiled with numba when available; set VDTPTUNE_DISABLE_NUMBA=1 to
 force the pure-Python path (same source, same random stream, bit-identical
-results; `python3 vdtpbench/run.py` compares the two paths when numba is
-installed).
+results; the traced run of `python3 vdtpbench/run.py --trace 1` compares
+the two paths when numba is installed).
 
 The lane kernel, `run_lanes`, is the protocol's one other implementation: the
 sessions of many replications, each row of seeds with its own configuration

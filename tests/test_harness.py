@@ -184,9 +184,8 @@ def test_experiment_config_validation():
         ExperimentConfig(algorithms=())
     with pytest.raises(ValueError):
         ExperimentConfig(algorithms=(OptimizerParams("pso"), OptimizerParams("pso")))
-    with pytest.raises(ValueError):
-        # 20 x 100 generations cannot fit a 1000-evaluation budget
-        ExperimentConfig(algorithms=(OptimizerParams("ga", generations=100),))
+    with pytest.raises(ValueError, match="max_evaluations must be >= 1"):
+        ExperimentConfig(max_evaluations=0)
 
 
 def test_experiment_config_names_in_order():
@@ -244,8 +243,9 @@ def test_load_experiment_config_errors(tmp_path):
         ("[campaign]\nalgorithms = pso\n[psoo]\nw = 0.3\n", "unknown section [psoo]"),
         ("[campaign]\nalgorithms = pso\n[pso]\nalgorithm = de\n", "[pso]: unknown key 'algorithm'"),
         ("[campaign]\nruns = many\n", "[campaign]: runs = 'many' is not a valid int"),
+        ("[campaign]\nalgorithms = ga\n[ga]\ngenerations = 3\n", "[ga]: unknown key 'generations'"),
     ],
-    ids=["campaign_key", "section", "knob_key", "value"],
+    ids=["campaign_key", "section", "knob_key", "value", "generations"],
 )
 def test_load_experiment_config_refuses_misspelt_input(tmp_path, text, named):
     path = tmp_path / "typo.cfg"
@@ -263,7 +263,7 @@ def test_load_experiment_config_algorithm_names_keep_file_knobs(tmp_path):
     assert cfg.algorithms == (OptimizerParams("pso", population_size=8, w=0.3), OptimizerParams("de"))
 
 
-def test_resolve_scenario_paths_and_presets(tmp_path):
+def test_resolve_scenario_paths_and_presets(tmp_path, monkeypatch):
     assert resolve_scenario("urban").name == "urban"
     sc = preset("highway")
     assert resolve_scenario(sc) is sc
@@ -272,6 +272,11 @@ def test_resolve_scenario_paths_and_presets(tmp_path):
     assert resolve_scenario(str(path)).name == "filebased"
     with pytest.raises(ValueError):
         resolve_scenario("atlantis")
+    # a directory named like a preset, such as an output directory, does not shadow it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "urban").mkdir()
+    assert resolve_scenario("urban") == preset("urban")
+    assert resolve_scenario("s.cfg").name == "filebased"
 
 
 # --- campaign execution -------------------------------------------------------
@@ -786,6 +791,7 @@ def test_parse_grid_happy_path():
         ("just words\n", "grid line 1"),
         ("w =\n", "grid line 1"),
         ("\n\nwarp = 1\n", "grid line 3"),
+        ("generations = 3\n", "grid line 1: unknown key 'generations'"),
         ("# only comments\n", "no parameter"),
     ],
 )
@@ -889,6 +895,8 @@ def test_cli_help_and_usage_errors(capsys):
     assert run_cli(["compare", "--algorithms", "pso"]) == 1
     err = capsys.readouterr().err
     assert "at least 2 algorithms" in err
+    assert run_cli(["bench", "--algorithm", "pso", "--runs", "0"]) == 1
+    assert "runs must be >= 1" in capsys.readouterr().err
     # each subcommand registers only the flags it reads
     simulate = ["simulate", "--chunk", "25600", "--attempts", "8", "--timeout", "8"]
     assert run_cli(simulate + ["--workers", "3"]) == 1
@@ -997,6 +1005,33 @@ def test_cli_compare_one_run(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "(signed-rank tests need at least 2 runs)" in stdout
     assert "(friedman ranking needs at least 2 runs)" in stdout
+
+
+@pytest.mark.parametrize(
+    "argv,outputs",
+    [
+        (["tune", "--algorithm", "pso", "--budget", "5", "--replications", "1", "--out", "urban"],
+         ["trace_pso_0.csv", "best_pso.json"]),
+        (["compare", "--algorithms", "pso,de", "--runs", "2", "--budget", "5", "--replications", "1",
+          "--out", "urban"], ["summary.csv", "tests.csv", "ranks.csv", "qos.csv"]),
+        (["sweep", "--algorithm", "pso", "--grid", "grid.txt", "--runs", "1", "--budget", "5",
+          "--replications", "1", "--scenario", "highway", "--out", "highway"], ["sweep.csv"]),
+    ],
+    ids=["tune", "compare", "sweep"],
+)
+def test_cli_out_named_like_the_scenario(tmp_path, monkeypatch, capsys, argv, outputs):
+    """An output directory named like the scenario preset is not read as a
+    scenario file once the search has made it: the command writes its CSVs,
+    and a second run resumes from its checkpoints to the same bytes."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid.txt").write_text("w = 0.4\n")
+    out = tmp_path / argv[argv.index("--out") + 1]
+    assert run_cli(argv) == 0, capsys.readouterr().err
+    first = {name: (out / name).read_bytes() for name in outputs}
+    saved = checkpoint_bytes(out)
+    assert run_cli(argv) == 0, capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in outputs} == first
+    assert checkpoint_bytes(out) == saved
 
 
 def test_cli_compare_reads_config_file(tmp_path, capsys):

@@ -51,7 +51,6 @@ BOUNDS3 = bench_bounds(3)
         dict(algorithm="es", mu_es=4, lambda_es=4, es_selection="comma"),
         dict(algorithm="es", es_selection="elitist"),
         dict(algorithm="ga", ga_variant="island"),
-        dict(algorithm="ga", generations=0),
         dict(algorithm="pso", mu_es=3),
         dict(algorithm="pso", p_cross=0.8),
         dict(algorithm="de", w=0.7),
@@ -76,21 +75,6 @@ def test_params_per_algorithm_probability_defaults():
     assert (ga.p_cross, ga.p_mut) == (0.8, 0.2)
     assert OptimizerParams("es", p_cross=0.5).p_cross == 0.5
     assert OptimizerParams("es", mu_es=4, lambda_es=4, es_selection="plus").lambda_es == 4
-
-
-def test_generation_size_per_algorithm():
-    assert OptimizerParams("pso", population_size=30).generation_size() == 30
-    assert OptimizerParams("es", mu_es=5, lambda_es=25).generation_size() == 25
-    assert OptimizerParams("sa", markov_chain_length=12).generation_size() == 12
-
-
-def test_check_budget_enforces_population_times_generations():
-    p = OptimizerParams("ga", population_size=20, generations=10)
-    p.check_budget(200)  # exactly fits
-    with pytest.raises(ValueError):
-        p.check_budget(199)
-    with pytest.raises(ValueError):
-        p.check_budget(0)
 
 
 # --- budget accounting -------------------------------------------------------
@@ -486,7 +470,8 @@ def _generation_params(draw):
 )
 def test_generations_match_per_child_references(params, dim, seed, levels, data):
     first = params.mu_es if params.algorithm == "es" else params.population_size
-    budget = data.draw(st.integers(first + 1, first + 4 * params.generation_size()), label="budget")
+    generation = params.lambda_es if params.algorithm == "es" else params.population_size
+    budget = data.draw(st.integers(first + 1, first + 4 * generation), label="budget")
     search, reference = {"de": (run_de, _ref_de), "ga": (run_ga, _ref_ga), "es": (run_es, _ref_es)}[params.algorithm]
     got = _scored_batches(search, params, dim, seed, budget, levels)
     want = _scored_batches(reference, params, dim, seed, budget, levels)
@@ -522,12 +507,16 @@ def test_record_takes_best_fitness_only_as_its_trace_end():
         dataclasses.replace(rec, best_fitness=rec.best_fitness * 1.5)
 
 
-@pytest.mark.parametrize("alg", ALGORITHMS)
-@pytest.mark.parametrize("budget", [20, 30])
+@pytest.mark.parametrize("alg", ALGORITHMS + ("random",))
+@pytest.mark.parametrize("budget", [1, 20, 30, 37])
 def test_run_handles_partial_generations(alg, budget):
-    rec = run(OptimizerParams(alg), sphere, BOUNDS3, seed=2, max_evaluations=budget)
+    """Every run spends exactly its budget, whole generations or not."""
+    if alg == "random":
+        rec = random_search(sphere, BOUNDS3, seed=2, max_evaluations=budget)
+    else:
+        rec = run(OptimizerParams(alg), sphere, BOUNDS3, seed=2, max_evaluations=budget)
     assert rec.evaluations == budget
-    assert len(rec.trace) == budget
+    assert [i for i, _ in rec.trace] == list(range(1, budget + 1))
 
 
 @pytest.mark.parametrize("alg", ALGORITHMS)
@@ -548,18 +537,6 @@ def test_run_improves_on_initial_sample(alg):
     first = rec.trace[0][1]
     assert rec.best_fitness < first
     assert rec.best_fitness < 1.0  # 3-d sphere over [-5, 5]^3 with 1000 evals
-
-
-def test_run_generations_cap_limits_evaluations():
-    p = OptimizerParams("ga", population_size=10, generations=3)
-    rec = run(p, sphere, BOUNDS3, seed=0, max_evaluations=1000)
-    assert rec.evaluations == 30
-
-
-def test_run_generations_cap_must_fit_budget():
-    p = OptimizerParams("ga", population_size=10, generations=5)
-    with pytest.raises(ValueError):
-        run(p, sphere, BOUNDS3, seed=0, max_evaluations=40)
 
 
 def test_run_positions_respect_bounds():

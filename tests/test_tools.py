@@ -1,5 +1,6 @@
-"""Smoke tests of the scripts under tools/."""
+"""Tests of the scripts under tools/: smoke runs, and unit tests of their functions."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -29,3 +30,50 @@ def test_replay_kernel_smoke():
     bent = replay_kernel("campaign_urban", "--reps", "1", "_R11=12")
     assert bent.returncode == 1
     assert "_R11=12: outputs differ from base's at call 0" in bent.stderr
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WALL = {"unit": "s", "better": "lower", "bound": 0.25}
+RATE = {"unit": "1/s", "better": "higher", "bound": 0.25}
+
+
+def test_bench_pairs_verdicts():
+    """A metric is worse past its bound, unresolved while the parent's runs
+    spread wider than the bound (unless the sides do not overlap), and ok
+    otherwise; the sign follows the metric's better direction."""
+    compare = load_bench_pairs().compare
+    parent = [1.0, 1.01, 0.99, 1.02, 0.98]
+    ok = compare(WALL, parent, [1.1, 1.12, 1.08, 1.11, 1.09])
+    assert (ok["verdict"], ok["worse_by"], ok["change_wins"]) == ("ok", 0.1, "0/5")
+    worse = compare(WALL, parent, [1.3, 1.31, 1.29, 1.32, 1.28])
+    assert (worse["verdict"], worse["worse_by"]) == ("worse", 0.3)
+    assert compare(RATE, parent, [0.7, 0.71, 0.69, 0.72, 0.68])["verdict"] == "worse"
+    assert compare(RATE, parent, [1.3, 1.31, 1.29, 1.32, 1.28])["verdict"] == "ok"
+    wide = [0.6, 0.8, 1.0, 1.2, 1.4]  # IQR 0.4 of a median of 1.0
+    spread = compare(WALL, wide, [0.9, 1.0, 1.1, 1.0, 0.95])
+    assert (spread["verdict"], spread["worse_by"]) == ("unresolved", 0.0)
+    assert compare(WALL, wide, [0.5, 0.55, 0.45, 0.5, 0.52])["verdict"] == "ok"
+    assert compare(RATE, wide, [1.5, 1.6, 1.7, 1.5, 1.55])["verdict"] == "ok"
+    assert compare(WALL, wide, [1.5, 1.6, 1.7, 1.5, 1.55])["verdict"] == "worse"
+
+
+def test_bench_pairs_claim():
+    """A claim is met at nine tenths of the pairs won and a median gain
+    larger than the parent's interquartile range."""
+    bench = load_bench_pairs()
+    parent = [1.0, 1.01, 0.99, 1.02, 0.98, 1.0, 1.01, 0.99, 1.02, 0.98]
+
+    def claim(change):
+        summary = {"w": {"metrics": {"wall_s": bench.compare(WALL, parent, change)}}}
+        return bench.claim(summary, "w", "wall_s")
+
+    met = claim([0.9] * 9 + [1.05])
+    assert met["met"] and met["change_wins"] == "9/10" and met["parent_iqr"] == 0.02
+    assert not claim([0.9] * 8 + [1.05, 1.05])["met"]  # 8/10 pairs
+    assert not claim([0.99] * 10)["met"]  # a gain of 0.01 inside the IQR of 0.02

@@ -20,9 +20,14 @@ The output holds, per workload and end-to-end metric of BENCHMARK.json, each
 side's runs, median and quartiles (linear-interpolation 25th/75th
 percentiles), how many pairs the change won (ties count for neither), and
 worse_by: the change's median shortfall against the parent's, as a share of
-the parent's median (negative = better). A claim (--claim workload:metric) is
-met when the change wins at least nine tenths of the pairs and its median is
-better than the parent's by more than the parent's interquartile range.
+the parent's median (negative = better), and a verdict against the metric's
+bound: `worse` when worse_by exceeds the bound; `unresolved` when the
+parent's interquartile range, as a share of its median, exceeds the bound
+(the runs spread too widely to tell), unless every change run beats every
+parent run; `ok` otherwise. The top-level `worse` lists the worse metrics as
+workload:metric. A claim (--claim workload:metric) is met when the change
+wins at least nine tenths of the pairs and its median is better than the
+parent's by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -107,6 +112,15 @@ def compare(spec: dict, parent_runs: list, change_runs: list) -> dict:
     sign = 1.0 if spec["better"] == "lower" else -1.0
     wins = sum(1 for p, c in zip(parent_runs, change_runs) if sign * (c - p) < 0)
     parent, change = quartiles(parent_runs), quartiles(change_runs)
+    worse_by = round(sign * (change["median"] - parent["median"]) / parent["median"], 4)
+    spread = (parent["q3"] - parent["q1"]) / parent["median"]
+    separated = all(sign * (c - p) < 0 for p in parent_runs for c in change_runs)
+    if worse_by > spec["bound"]:
+        verdict = "worse"
+    elif spread > spec["bound"] and not separated:
+        verdict = "unresolved"
+    else:
+        verdict = "ok"
     return {
         "unit": spec["unit"],
         "better": spec["better"],
@@ -115,7 +129,8 @@ def compare(spec: dict, parent_runs: list, change_runs: list) -> dict:
         "change": change,
         "change_wins": f"{wins}/{len(parent_runs)}",
         "ratio_change_over_parent": round(change["median"] / parent["median"], 4),
-        "worse_by": round(sign * (change["median"] - parent["median"]) / parent["median"], 4),
+        "worse_by": worse_by,
+        "verdict": verdict,
     }
 
 
@@ -209,6 +224,8 @@ def main(argv=None) -> int:
                        f"side made {TRACED_RUNS} traced runs (--trace 1) per workload, the parent first on even "
                        "runs and the change first on odd ones; a traced metric's value is the median of its runs."),
             "claim": claim(summary, *args.claim.split(":")) if args.claim else None,
+            "worse": [f"{workload}:{name}" for workload, s in summary.items()
+                      for name, m in s["metrics"].items() if m["verdict"] == "worse"],
             "workloads": summary,
             "traced": traced,
         }
