@@ -58,12 +58,15 @@ def qos_seed(master_seed: int) -> int:
 
 def resolve_scenario(name_or_path) -> Scenario:
     """A path to a scenario .cfg file, or else a preset name; a directory
-    named like a preset, such as an output directory, does not shadow it."""
+    named like a preset, such as an output directory, does not shadow it.
+    A name that ends in .cfg or holds a path separator names a file."""
     if isinstance(name_or_path, Scenario):
         return name_or_path
     text = str(name_or_path)
     if os.path.isfile(text):
         return load_scenario(text)
+    if text.endswith(".cfg") or Path(text).name != text:
+        raise ValueError(f"scenario file {text!r} not found")
     return preset(text)
 
 
@@ -89,6 +92,8 @@ class ExperimentConfig:
             raise ValueError("max_evaluations must be >= 1")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not self.algorithms:
@@ -214,22 +219,6 @@ def _cell_run(params, scenario, replications, seed, max_evaluations, objective_f
     return optimizers.run_steps(params, score, DEFAULT_BOUNDS, seed=seed, max_evaluations=max_evaluations)
 
 
-def execute_share(jobs, saves=None) -> list:
-    """Records of `jobs`, argument tuples of _cell_run, in order, all run
-    in lockstep. With `saves`, job k's record is written, as its run ends,
-    to every checkpoint path of saves[k], a (fingerprint, paths) pair, so a
-    run that has ended keeps its checkpoint whatever happens to the rest.
-    Top-level so worker processes can call it."""
-    records = [None] * len(jobs)
-    for k, rec in optimizers.lockstep([_cell_run(*job) for job in jobs]):
-        records[k] = rec
-        if saves is not None:
-            fingerprint, paths = saves[k]
-            for path in paths:
-                _save_checkpoint(path, rec, fingerprint)
-    return records
-
-
 def run_cells(config: ExperimentConfig, cells, objective_factory=None, progress=None) -> list:
     """Records of `cells`, (name, params, seed) triples, in cell order.
 
@@ -242,11 +231,13 @@ def run_cells(config: ExperimentConfig, cells, objective_factory=None, progress=
     live run to its next batch and scores the batches of all of them in one
     simulate_batch call. A run lands as it finishes, and runs that finish in
     the same tick land in cell order. With `config.workers` > 1 the pending
-    runs are dealt round-robin into one share per worker process; each
-    share runs in lockstep and lands here, in cell order, when all of it is
-    done, but its worker writes each run's checkpoints as the run finishes.
-    Either way a run that raises, or an interrupt, loses only the runs that
-    had not finished, and re-running resumes the rest.
+    runs are dealt round-robin into one share per worker process, which
+    runs `run_cells` on it with workers=1: its runs go in lockstep and each
+    writes its checkpoint as it finishes. The share lands here, in cell
+    order, when all of it is done. Landing writes every twin's checkpoint
+    that does not exist yet. Either way a run that raises, or an interrupt,
+    loses only the runs that had not finished, and re-running resumes the
+    rest.
     `objective_factory(scenario, replications, seed)` returns a batch
     objective, a function of a (k, 3) array of physical points that returns
     their k fitnesses or a fitness.PendingFitness request for them, which
@@ -267,11 +258,11 @@ def run_cells(config: ExperimentConfig, cells, objective_factory=None, progress=
     def path(k):
         return ckpt_dir / f"run_{cells[k][0]}.json"
 
-    def land(fingerprint, rec, saved=False):
+    def land(fingerprint, rec):
         for k in twins[fingerprint]:
             if records[k] is None:
                 records[k] = rec
-                if not saved:
+                if not path(k).exists():  # a share's worker wrote its own cells'
                     _save_checkpoint(path(k), rec, fingerprint)
                 if progress is not None:
                     progress(cells[k][0], rec)
@@ -287,28 +278,28 @@ def run_cells(config: ExperimentConfig, cells, objective_factory=None, progress=
         else:
             pending.append(fingerprint)
 
-    def args(fingerprint):
-        _, params, seed = cells[twins[fingerprint][0]]
-        return params, scenario, config.replications, seed, config.max_evaluations, objective_factory
-
-    jobs = [args(fingerprint) for fingerprint in pending]
+    firsts = [cells[twins[fingerprint][0]] for fingerprint in pending]
     if config.workers == 1 or len(pending) <= 1:
-        for k, rec in optimizers.lockstep([_cell_run(*job) for job in jobs]):
+        runs = [
+            _cell_run(params, scenario, config.replications, seed, config.max_evaluations, objective_factory)
+            for _, params, seed in firsts
+        ]
+        for k, rec in optimizers.lockstep(runs):
             land(pending[k], rec)
     else:
         # imported here: loading the pool machinery costs every process that never uses it
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
-        saves = [(fingerprint, [path(k) for k in twins[fingerprint]]) for fingerprint in pending]
-        shares = [range(w, len(jobs), config.workers) for w in range(min(config.workers, len(jobs)))]
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        shares = [range(w, len(pending), config.workers) for w in range(min(config.workers, len(pending)))]
+        alone = dataclasses.replace(config, workers=1)
+        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
             futures = {
-                pool.submit(execute_share, [jobs[k] for k in share], [saves[k] for k in share]): share
+                pool.submit(run_cells, alone, [firsts[k] for k in share], objective_factory): share
                 for share in shares
             }
             for fut in as_completed(futures):
                 for k, rec in zip(futures[fut], fut.result()):
-                    land(pending[k], rec, saved=True)
+                    land(pending[k], rec)
     return records
 
 

@@ -8,9 +8,11 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,10 +31,10 @@ from vdtptune.harness.benchfuncs import (
 )
 from vdtptune.harness.campaign import (
     ExperimentConfig,
+    _cell_run,
     _load_checkpoint,
     _run_fingerprint,
     _save_checkpoint,
-    execute_share,
     load_experiment_config,
     qos_seed,
     record_from_dict,
@@ -186,6 +188,8 @@ def test_experiment_config_validation():
         ExperimentConfig(algorithms=(OptimizerParams("pso"), OptimizerParams("pso")))
     with pytest.raises(ValueError, match="max_evaluations must be >= 1"):
         ExperimentConfig(max_evaluations=0)
+    with pytest.raises(ValueError, match="master_seed must be >= 0"):
+        ExperimentConfig(master_seed=-1)
 
 
 def test_experiment_config_names_in_order():
@@ -270,8 +274,12 @@ def test_resolve_scenario_paths_and_presets(tmp_path, monkeypatch):
     path = tmp_path / "s.cfg"
     path.write_text("[scenario]\nname = filebased\n")
     assert resolve_scenario(str(path)).name == "filebased"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown scenario preset 'atlantis'"):
         resolve_scenario("atlantis")
+    # a name that reads as a file is not taken for a preset
+    for name in ("nofile.cfg", str(tmp_path / "urban"), "urban/"):
+        with pytest.raises(ValueError, match=re.escape(f"scenario file {name!r} not found")):
+            resolve_scenario(name)
     # a directory named like a preset, such as an output directory, does not shadow it
     monkeypatch.chdir(tmp_path)
     (tmp_path / "urban").mkdir()
@@ -365,7 +373,7 @@ def test_campaign_refuses_checkpoints_of_another_config(tmp_path):
 def test_cli_refuses_checkpoint_without_fingerprint(tmp_path, capsys):
     ckpt_dir = tmp_path / "out" / "checkpoints"
     ckpt_dir.mkdir(parents=True)
-    (rec,) = execute_share([(OptimizerParams("pso"), preset("urban"), 1, 7, 5, cheap_factory)])
+    ((_, rec),) = lockstep([_cell_run(OptimizerParams("pso"), preset("urban"), 1, 7, 5, cheap_factory)])
     (ckpt_dir / "run_pso_0.json").write_text(json.dumps(record_to_dict(rec)))
     rc = cli.main([
         "compare", "--algorithms", "pso,ga", "--runs", "1", "--budget", "5",
@@ -494,7 +502,7 @@ def assert_same_run(got, alone, what):
 
 def test_cells_in_lockstep_match_each_cell_alone(tmp_path, monkeypatch):
     """run_cells drives its cells together; each record is the one
-    execute_share gives on the cell alone. The cells hold the five algorithms
+    _cell_run gives on the cell alone. The cells hold the five algorithms
     at stock settings, steady-state GA and plus-selection ES on make_objective,
     a twin of the first, and a cell resumed from its checkpoint."""
     config = ExperimentConfig(max_evaluations=40, replications=1, output_dir=str(tmp_path))
@@ -515,7 +523,7 @@ def test_cells_in_lockstep_match_each_cell_alone(tmp_path, monkeypatch):
     assert ran == [seed for k, (_, _, seed) in enumerate(cells[:-1]) if k != 1]
     assert records[-1] is records[0]
     for (name, params, seed), rec in zip(cells, records):
-        (alone,) = execute_share([(params, preset("urban"), 1, seed, 40)])
+        ((_, alone),) = lockstep([_cell_run(params, preset("urban"), 1, seed, 40)])
         assert_same_run(rec, alone, name)
 
 
@@ -548,7 +556,7 @@ def test_stand_in_objectives_run_inside_ticks(monkeypatch):
     together = dict(lockstep(runs))
     assert len(calls) == 21 and calls[0] == 1 + 20
     for k, (params, factory, seed) in enumerate(jobs):
-        (alone,) = execute_share([(params, preset("urban"), 1, seed, 40, factory)])
+        ((_, alone),) = lockstep([_cell_run(params, preset("urban"), 1, seed, 40, factory)])
         assert_same_run(together[k], alone, params.algorithm)
 
 
@@ -580,13 +588,14 @@ def inline_pool(monkeypatch):
     """Swaps the process pool for a stand-in that runs each share in this
     process as it is submitted, one after the other, and keeps the share's
     outcome, its records or its exception, in the future, as a worker's
-    would. Returns the (algorithm, seed) cells of each share, in the order
-    they were submitted."""
-    shares = []
+    would. Records the `max_workers` each pool asks for in `sizes`, and the
+    (algorithm, seed) cells of each share, in the order they were
+    submitted, in `shares`."""
+    seen = SimpleNamespace(sizes=[], shares=[])
 
     class InlinePool:
         def __init__(self, max_workers):
-            assert max_workers == 2
+            seen.sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -594,17 +603,17 @@ def inline_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, jobs, *rest):
-            shares.append([(params.algorithm, seed) for params, _, _, seed, *_ in jobs])
+        def submit(self, fn, config, cells, *rest):
+            seen.shares.append([(params.algorithm, seed) for _, params, seed in cells])
             future = concurrent.futures.Future()
             try:
-                future.set_result(fn(jobs, *rest))
+                future.set_result(fn(config, cells, *rest))
             except Exception as exc:
                 future.set_exception(exc)
             return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return shares
+    return seen
 
 
 def test_worker_shares_run_in_lockstep(tmp_path, monkeypatch, inline_pool):
@@ -617,7 +626,8 @@ def test_worker_shares_run_in_lockstep(tmp_path, monkeypatch, inline_pool):
     count_calls(monkeypatch, fitness, calls)
     par = run_campaign(tiny_config(tmp_path / "par", algorithms=algorithms, runs=2, max_evaluations=40, workers=2))
     seeds = [run_seed(5, i) for i in range(2)]
-    assert inline_pool == [[("pso", seeds[0]), ("sa", seeds[0])], [("pso", seeds[1]), ("sa", seeds[1])]]
+    assert inline_pool.shares == [[("pso", seeds[0]), ("sa", seeds[0])], [("pso", seeds[1]), ("sa", seeds[1])]]
+    assert inline_pool.sizes == [2]
     assert len(calls) == 2 * 21 and calls[0] == calls[21] == 20 + 1
     for a in ("pso", "sa"):
         for x, y in zip(seq.records[a], par.records[a]):
@@ -650,14 +660,28 @@ def test_parallel_cells_keep_the_runs_that_finished(tmp_path, inline_pool):
     config = tiny_config(tmp_path / "par", max_evaluations=40, workers=2)
     with pytest.raises(RuntimeError, match="scorer failed"):
         run_cells(config, cells, factory)
-    assert inline_pool == [[("pso", 0), ("sa", 0)], [("pso", 1), ("sa", 1)]]
+    assert inline_pool.shares == [[("pso", 0), ("sa", 0)], [("pso", 1), ("sa", 1)]]
     kept = checkpoint_bytes(config.output_dir)
     assert sorted(kept) == ["run_pso_0.json", "run_pso_1.json", "run_sa_0.json"]
     assert kept == {name: want[name] for name in kept}
     made = []
     run_cells(config, cells, lambda *args: made.append(args[2]) or cheap_factory(*args))
-    assert made == [1] and len(inline_pool) == 2
+    assert made == [1] and len(inline_pool.shares) == 2
     assert checkpoint_bytes(config.output_dir) == want
+
+
+def test_pool_has_one_process_per_share(tmp_path, inline_pool):
+    """With workers=4 and two pending runs, one of them a twin pair, the
+    pool asks for two processes, one per share. The twin's checkpoint is
+    written when its share lands, and the directory is the sequential one."""
+    cells = [(name, OptimizerParams(a), 0) for name, a in (("pso_0", "pso"), ("sa_0", "sa"), ("twin", "pso"))]
+    seq = tiny_config(tmp_path / "seq", max_evaluations=20)
+    run_cells(seq, cells, cheap_factory)
+    config = tiny_config(tmp_path / "par", max_evaluations=20, workers=4)
+    run_cells(config, cells, cheap_factory)
+    assert inline_pool.sizes == [2]
+    assert inline_pool.shares == [[("pso", 0)], [("sa", 0)]]
+    assert checkpoint_bytes(config.output_dir) == checkpoint_bytes(seq.output_dir)
 
 
 def test_importing_the_harness_loads_no_process_pool():
@@ -686,15 +710,8 @@ def test_campaign_constant_objective_degenerates_cleanly(tmp_path):
     assert result.friedman.statistic == pytest.approx(0.0)
 
 
-def test_execute_share_shape():
-    jobs = [(OptimizerParams("pso"), preset("urban"), 1, 42, 20, cheap_factory),
-            (OptimizerParams("sa"), preset("urban"), 1, 43, 25, cheap_factory)]
-    records = execute_share(jobs)
-    assert [(rec.algorithm, rec.seed, rec.evaluations) for rec in records] == [("pso", 42, 20), ("sa", 43, 25)]
-
-
 def test_record_dict_round_trip():
-    (rec,) = execute_share([(OptimizerParams("sa"), preset("urban"), 1, 7, 25, cheap_factory)])
+    ((_, rec),) = lockstep([_cell_run(OptimizerParams("sa"), preset("urban"), 1, 7, 25, cheap_factory)])
     back = record_from_dict(json.loads(json.dumps(record_to_dict(rec))))
     assert back.algorithm == rec.algorithm
     assert back.seed == rec.seed
@@ -861,9 +878,10 @@ def test_run_sweep_parallel_matches_sequential(tmp_path):
     par = run_sweep(sweep_config(tmp_path / "par", "pso", max_evaluations=20, workers=2), grid)
     assert par.rows == seq.rows
     assert par.rows[2] == par.rows[0]
-    for out in ("seq", "par"):  # the repeated line's checkpoints hold its twins' records
-        ckpt = tmp_path / out / "sweep" / "checkpoints"
-        assert (ckpt / "run_pso_grid1_0_1.json").read_bytes() == (ckpt / "run_pso_grid0_0_1.json").read_bytes()
+    # twins' checkpoints included, which the calling process writes as a share lands
+    ckpt = checkpoint_bytes(tmp_path / "seq" / "sweep")
+    assert checkpoint_bytes(tmp_path / "par" / "sweep") == ckpt
+    assert ckpt["run_pso_grid1_0_1.json"] == ckpt["run_pso_grid0_0_1.json"]
 
 
 # --- command line -------------------------------------------------------------
@@ -938,6 +956,13 @@ def test_cli_tune_byte_identical_reruns(tmp_path, capsys):
     refit = ["tune", "--algorithm", "de", "--seed", "11", "--budget", "21", "--replications", "1"]
     assert run_cli(refit + ["--out", str(out_a)]) == 1
     assert "run_de_0.json" in capsys.readouterr().err
+
+
+def test_cli_tune_refuses_negative_seed_before_making_out(tmp_path, capsys):
+    out = tmp_path / "t"
+    assert run_cli(["tune", "--algorithm", "pso", "--seed", "-1", "--out", str(out)]) == 1
+    assert "master_seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_simulate_reports_fitness(capsys):
@@ -1170,7 +1195,7 @@ def test_benchmark_names_resolve():
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("rec", "record"):
                 read.add(node.attr)
     assert {"evaluations", "best_fitness", "best_eval_index", "best_config", "trace"} <= read
-    (rec,) = execute_share([(OptimizerParams("pso"), preset("urban"), 1, 7, 5, cheap_factory)])
+    ((_, rec),) = lockstep([_cell_run(OptimizerParams("pso"), preset("urban"), 1, 7, 5, cheap_factory)])
     assert [attr for attr in sorted(read) if not hasattr(rec, attr)] == []
 
 
