@@ -185,7 +185,14 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _check_seed(args) -> None:
+    # tune, compare and sweep refuse a negative seed in ExperimentConfig
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+
+
 def cmd_simulate(args) -> int:
+    _check_seed(args)
     config = VdtpConfig(args.chunk, args.attempts, args.timeout)
     violations = bound_violations(config, DEFAULT_BOUNDS)
     if violations:
@@ -220,6 +227,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_seed(args)
     if args.runs < 1:
         raise UsageError("runs must be >= 1")
     fn = get_function(args.function)

@@ -17,7 +17,10 @@ left, how few worked out once per call from the channel's loss and dwell
 means (_clean_run_min), it first moves every lane over its run of clean
 attempts in one block. A step costs a fixed number of numpy calls plus a few
 microseconds for each lane that crosses a link switch: both protocols cross
-switches in one scalar loop, `_cross`, the lane kernel one lane at a time.
+switches in one scalar loop, `_cross`, the lane kernel one lane at a time,
+and `_cross` draws each switch's dwell inline, without a helper call. A loss
+draw is a test on the mixed word itself (_pass_threshold), with no shift to
+a 53-bit mantissa.
 Once at most _TAIL_LANES lanes with at most _TAIL_TODO requests to go
 between them are left, it stops iterating and finishes each of them in
 `_resume_session`, resumed from the lane's state.
@@ -129,9 +132,13 @@ def _cross(state, link_up, t_switch, arrival, up_mean, down_mean):
     protocols."""
     while t_switch <= arrival:
         link_up = not link_up
-        state, z = _mix64(state)
+        # _mix64 and _u01 written out, which spares the pure path two calls
+        state = (state + _GOLDEN) & _MASK
+        z = ((state ^ (state >> _S30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> _S27)) * _MIX2) & _MASK
+        z = z ^ (z >> _S31)
         mean_d = up_mean if link_up else down_mean
-        t_switch += -mean_d * math.log(1.0 - _u01(z))
+        t_switch += -mean_d * math.log(1.0 - (z >> _S11) * _INV53)
     return state, link_up, t_switch
 
 
@@ -355,11 +362,23 @@ def run_sessions(
 # after the other (np.add.accumulate, never a pairwise sum such as np.sum).
 # A step costs a fixed number of numpy calls whatever the width, so the
 # operands are 0-d arrays, which numpy combines with arrays faster than it
-# does scalars. Link switches are the exception: few lanes cross one in a
-# step (2.7 a scan on average in a campaign_urban round, which finds none in
-# more than half its scans), too few to repay a dozen numpy calls per round
-# of switches, so each lane that crosses goes through _cross, the scalar
-# switch loop, for a few microseconds. The fixed cost is also what a few
+# does scalars, and no pass is spent that the bits do not need:
+# - a loss draw passes when _u01(z) = (z >> 11) / 2^53 < succ_p, that is
+#   (z >> 11) < k with k = ceil(succ_p * 2^53), that is z < k * 2^11, so the
+#   test reads the mixed word with no shift (_pass_threshold; at k = 2^53,
+#   where k * 2^11 overflows, every word passes);
+# - a reply passes only if its request did, without a mask for it: a lane
+#   whose request failed takes no reply gamma and crosses no switch before
+#   the reply, so it tests the request's failed word under the same link.
+# Link switches are the exception to the fixed cost: few lanes cross one in
+# a step (2.7 a scan on average in a campaign_urban round, which finds none
+# in more than half its scans), too few to repay a dozen numpy calls per
+# round of switches, so each lane that crosses goes through _cross, the
+# scalar switch loop, for a few microseconds. _cross writes _mix64 and _u01
+# out inline: on the pure path the two calls took a sixth of a switch's
+# time (1.04 against 0.87 us a switch, timeit, two shared Xeon cores);
+# numba inlines them anyway, and the U64-typed draw constants keep the
+# compiled types. The fixed cost is also what a few
 # stragglers cannot repay, so the last of them finish in the scalar
 # protocol: a lane's state words are exactly the scalar loop's variables, so
 # _resume_session takes them over as they stand. The protocol thus lives in
@@ -446,9 +465,15 @@ def _u01_lanes(z):
 
 
 def _pass_threshold(succ_p):
-    """k such that (z >> 11) < k exactly when _u01(z) < succ_p: _u01(z) is
-    (z >> 11) / 2^53 without rounding, so k = ceil(succ_p * 2^53)."""
-    return np.array(math.ceil(succ_p * 2.0**53), np.uint64)
+    """The test, on an array of mixed words z, of _u01(z) < succ_p. _u01(z) is
+    (z >> 11) / 2^53 without rounding, so the test is (z >> 11) < k with
+    k = ceil(succ_p * 2^53), that is z < k * 2^11, with no shift. At k = 2^53
+    (succ_p 1.0, a lossless channel) k * 2^11 does not fit in 64 bits and
+    every word passes: the test is then z <= 2^64 - 1."""
+    k = math.ceil(succ_p * 2.0**53)
+    if k < 2**53:
+        return np.array(k << 11, np.uint64).__gt__
+    return np.array(2**64 - 1, np.uint64).__ge__
 
 
 def _clean_run_min(eff_loss, up_mean, down_mean):
@@ -483,11 +508,10 @@ def _session_seeds(seeds, n_sessions):
 
 def _dwells(up, u, up_mean, down_mean):
     """Exponential dwell times of the link states `up` from uniforms `u`:
-    every lane's first dwell, at the stationary start."""
-    return [
-        -(up_mean if lu else down_mean) * math.log(1.0 - x)
-        for lu, x in zip(up.tolist(), u.tolist())
-    ]
+    every lane's first dwell, at the stationary start. math.log per element,
+    as the scalar kernel takes it, then one multiplication by the means."""
+    logs = np.fromiter(map(math.log, (1.0 - u).tolist()), np.float64, u.size)
+    return np.where(up, -up_mean, -down_mean) * logs
 
 
 def _cross_switches(mask, arrival, state, up, t_switch, up_mean, down_mean):
@@ -500,19 +524,21 @@ def _cross_switches(mask, arrival, state, up, t_switch, up_mean, down_mean):
         )
 
 
-def _attempt(state, up, t_switch, req_arr, rep_arr, k_pass, up_mean, down_mean):
+def _attempt(state, up, t_switch, req_arr, rep_arr, passes, up_mean, down_mean):
     """One attempt of every lane in the scalar kernel's order: switches,
     request draw, switches, reply draw. Updates the arrays in place and
     returns which replies got through."""
     _cross_switches(t_switch <= req_arr, req_arr, state, up, t_switch, up_mean, down_mean)
     state += _GOLDEN_A
-    req_ok = (_mix_lanes(state) >> _R11) < k_pass
+    req_ok = passes(_mix_lanes(state))
     req_ok &= up
     _cross_switches(req_ok & (t_switch <= rep_arr), rep_arr, state, up, t_switch, up_mean, down_mean)
     np.add(state, _GOLDEN_A, out=state, where=req_ok)
-    rep_ok = (_mix_lanes(state) >> _R11) < k_pass
+    # a lane whose request failed neither moved its state nor crossed a
+    # switch, so it reads the request's word under the same link and fails
+    # again: rep_ok needs no `& req_ok`
+    rep_ok = passes(_mix_lanes(state))
     rep_ok &= up
-    rep_ok &= req_ok
     return rep_ok
 
 
@@ -534,7 +560,7 @@ def _clean_run_times(t, pos, tx_req, prop_delay, flat, b):
     return np.add.accumulate(rows, axis=1, out=rows)
 
 
-def _clean_run(state, up, t_switch, t, todo, left, budget, tx_req, prop_delay, flat, off, timeout_s, k_pass, b_min):
+def _clean_run(state, up, t_switch, t, todo, left, budget, tx_req, prop_delay, flat, off, timeout_s, passes, b_min):
     """Advance every lane over its run of clean attempts, in place.
 
     While every attempt so far got both packets through without a switch,
@@ -551,7 +577,7 @@ def _clean_run(state, up, t_switch, t, todo, left, budget, tx_req, prop_delay, f
     b = min(_CLEAN_RUN_CELLS // width, int(todo.max()))
     if b < b_min:
         return
-    passed = (_mix_lanes(state[:, None] + _GAMMAS[1 : 2 * b + 1]) >> _R11) < k_pass
+    passed = passes(_mix_lanes(state[:, None] + _GAMMAS[1 : 2 * b + 1]))
     times = _clean_run_times(t, off + todo, tx_req, prop_delay, flat, b)
     rep_arr = times[:, 4::4]
     # a last column that is never clean, so argmin finds every row's first
@@ -617,7 +643,7 @@ def run_lanes(
         state += _GOLDEN_A
         up = _u01_lanes(_mix_lanes(state)) < up_mean / (up_mean + down_mean)
         state += _GOLDEN_A
-        t_switch = np.array(_dwells(up, _u01_lanes(_mix_lanes(state)), up_mean, down_mean))
+        t_switch = _dwells(up, _u01_lanes(_mix_lanes(state)), up_mean, down_mean)
 
     rows = len(seeds)
     chunk, budget, timeout_s = (
@@ -644,7 +670,7 @@ def run_lanes(
     chunk, budget, timeout_s, off, n = (a.repeat(n_sessions) for a in (chunk, budget, timeout_s, off, n))
     tx_req = np.array(header_bytes * 8.0 / bandwidth)
     prop = np.array(float(prop_delay))
-    k_pass = _pass_threshold(1.0 - eff_loss)
+    passes = _pass_threshold(1.0 - eff_loss)
     b_min = _clean_run_min(eff_loss, up_mean, down_mean)
     block_lanes = _CLEAN_RUN_CELLS // b_min
 
@@ -659,7 +685,7 @@ def run_lanes(
     lost = np.zeros(width, np.int64)
     while lane.size:
         if lane.size <= block_lanes:
-            _clean_run(state, up, t_switch, t, todo, left, budget, tx_req, prop, flat, off, timeout_s, k_pass, b_min)
+            _clean_run(state, up, t_switch, t, todo, left, budget, tx_req, prop, flat, off, timeout_s, passes, b_min)
         if np.count_nonzero(np.minimum(todo, left)) < lane.size:
             done = (todo == 0) | (left == 0)
             out, to_go = lane[done], todo[done]
@@ -698,7 +724,7 @@ def run_lanes(
         req_arr += prop
         rep_arr = req_arr + flat[off + todo]
         rep_arr += prop
-        rep_ok = _attempt(state, up, t_switch, req_arr, rep_arr, k_pass, up_mean, down_mean)
+        rep_ok = _attempt(state, up, t_switch, req_arr, rep_arr, passes, up_mean, down_mean)
         lost += ~rep_ok
         win = rep_ok & (rep_arr - t <= timeout_s)
         t += timeout_s

@@ -965,6 +965,17 @@ def test_cli_tune_refuses_negative_seed_before_making_out(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--chunk", "25600", "--attempts", "8", "--timeout", "8"],
+    ["bench", "--algorithm", "pso"],
+])
+def test_cli_refuses_negative_seed_by_flag(command, capsys):
+    assert run_cli(command + ["--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "error: --seed must be >= 0, got -1" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_simulate_reports_fitness(capsys):
     rc = run_cli([
         "simulate", "--chunk", "25600", "--attempts", "8", "--timeout", "8",

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import inspect
+import itertools
 import json
 import math
 import os
@@ -330,24 +331,26 @@ _DRAW_CONSTANTS = ("_MASK", "_GOLDEN", "_MIX1", "_MIX2", "_S11", "_S27", "_S30",
 
 
 def _helpers_over(u64):
-    """The kernel's own _mix64/_u01 code, with U64 and its constants rebound to `u64`."""
+    """The kernel's own _mix64/_u01/_cross code, with U64 and its constants
+    rebound to `u64`."""
     g = dict(vars(kernels), U64=u64)
     for name in _DRAW_CONSTANTS:
         g[name] = u64(int(getattr(kernels, name)))
-    code = [getattr(f, "py_func", f).__code__ for f in (kernels._mix64, kernels._u01)]
-    # the helpers reach 64-bit words through the constants alone, so rebinding
-    # them is what makes the np.uint64 form run on uint64 operands
+    code = [getattr(f, "py_func", f).__code__ for f in (kernels._mix64, kernels._u01, kernels._cross)]
+    # the helpers, _cross's inline draw included, reach 64-bit words through
+    # the constants alone, so rebinding them is what makes the np.uint64 form
+    # run on uint64 operands
     for c in code:
         assert "U64" not in c.co_names
-        assert set(c.co_names) & set(vars(kernels)) <= {*_DRAW_CONSTANTS, "_INV53"}
+        assert set(c.co_names) & set(vars(kernels)) <= {*_DRAW_CONSTANTS, "_INV53", "math"}
     return tuple(types.FunctionType(c, g) for c in code)
 
 
 def test_uint64_and_python_int_helpers_agree():
     """The numpy-uint64 arithmetic numba compiles and the plain Python-int
     arithmetic of the pure path give the same words and the same doubles."""
-    mix_np, u01_np = _helpers_over(np.uint64)
-    mix_int, u01_int = _helpers_over(int)
+    mix_np, u01_np, _ = _helpers_over(np.uint64)
+    mix_int, u01_int, _ = _helpers_over(int)
     assert kernels.U64 is (np.uint64 if kernels.NUMBA_ENABLED else int)
     for name in _DRAW_CONSTANTS:
         assert type(getattr(kernels, name)) is type(kernels.U64(0)), name
@@ -770,16 +773,30 @@ def test_counter_draws_match_mix64_steps():
 
 
 def test_pass_threshold_splits_words_like_u01():
+    """The lane kernel's pass test on a mixed word is the scalar kernel's
+    _u01(z) < succ_p, on the words either side of every boundary: the last
+    and first word of each 2^11-word run around ceil(succ_p * 2^53) * 2^11."""
     rng = np.random.default_rng(3)
     # rng.random() gives multiples of 2^-53, on which ceil and floor agree;
     # thirds of them and small probabilities are not
     probs = [0.0, 1.0, 0.5, 0.996, 0.97, 1.0 - 0.95, 0.1, 1 / 3, 2.0**-60, 1.0 - 2.0**-53]
     for succ_p in probs + list(rng.random(200) / 3):
-        k = int(kernels._pass_threshold(succ_p))
-        for word in {w for w in (k - 1, k, k + 1) if 0 <= w < 2**53}:
-            for low_bits in (0, 2**11 - 1):
-                z = np.array([(word << 11) | low_bits], np.uint64)
-                assert bool((z >> kernels._R11)[0] < k) == (kernels._u01(kernels.U64(int(z[0]))) < succ_p)
+        k = math.ceil(succ_p * 2**53)
+        words = sorted({(w << 11) | low for w in (k - 1, k, k + 1) if 0 <= w < 2**53 for low in (0, 2**11 - 1)})
+        passed = kernels._pass_threshold(succ_p)(np.array(words, np.uint64))
+        assert passed.tolist() == [kernels._u01(kernels.U64(z)) < succ_p for z in words]
+    # the edges: nothing passes at 0, everything at 1 (where k * 2^11 = 2^64),
+    # only the top word run fails at 1 - 2^-53, only the first run passes at 2^-60
+    top = 2**64 - 1
+    edges = {
+        0.0: ([0, top], [False, False]),
+        1.0: ([0, top - 2**11, top], [True, True, True]),
+        1.0 - 2.0**-53: ([top - 2**11, top - 2**11 + 1, top], [True, False, False]),
+        2.0**-60: ([0, 2**11 - 1, 2**11, top], [True, True, False, False]),
+    }
+    for succ_p, (words, want) in edges.items():
+        assert kernels._pass_threshold(succ_p)(np.array(words, np.uint64)).tolist() == want
+        assert [kernels._u01(kernels.U64(z)) < succ_p for z in words] == want
 
 
 def test_dwells_round_like_the_scalar_kernel():
@@ -790,7 +807,7 @@ def test_dwells_round_like_the_scalar_kernel():
     u = rng.random(20_000)
     up = rng.random(20_000) < 0.8
     want = [-(12.0 if lu else 3.0) * math.log(1.0 - x) for lu, x in zip(up.tolist(), u.tolist())]
-    assert kernels._dwells(up, u, 12.0, 3.0) == want
+    assert kernels._dwells(up, u, 12.0, 3.0).tolist() == want
 
 
 def test_clean_run_times_add_in_scalar_order():
@@ -848,7 +865,7 @@ def test_clean_run_stops_before_a_reply_on_a_switch():
     lanes["t_switch"][1] = np.nextafter(times[1, 4 * 6], math.inf)
     budget = np.array([8, 9, 8, 8, 4])
     kernels._clean_run(**lanes, budget=budget, tx_req=tx_req, prop_delay=prop, flat=flat, off=off,
-                       timeout_s=timeout, k_pass=kernels._pass_threshold(1.0), b_min=4)
+                       timeout_s=timeout, passes=kernels._pass_threshold(1.0), b_min=4)
     m = [5, 6, 0, 0, 0]
     gamma = int(kernels._GOLDEN)
     assert lanes["todo"].tolist() == [50 - k for k in m]
@@ -905,6 +922,82 @@ def test_cross_keeps_state_words_above_2_63():
     assert [int(kernels._cross(kernels.U64(w), True, 1.0, 1.0, 0.5, 0.25)[0]) for w in words] == want
     assert not up.any() and (t_switch > 1.0).all()
     assert min(want) < 2**63 <= max(want)
+
+
+def test_cross_draws_each_switch_like_mix64_and_u01():
+    """_cross writes its draw out inline; crossing k switches must be k steps
+    of _mix64 and _u01, in Python ints as the pure path runs it and in
+    np.uint64 as numba compiles it, from states at and above 2^63 and next to
+    2^64 - 1, where a missing reduction modulo 2^64 would show."""
+    gamma, top = int(kernels._GOLDEN), 2**64 - 1
+    words = [2**63, 2**63 + 1, top, top - 1, top - gamma, top - gamma + 1, 2**64 - 2**11, 0, 12345]
+    up_mean, down_mean = 0.5, 0.25
+    crossed = set()
+    with np.errstate(over="ignore"):
+        for u64 in (np.uint64, int):
+            mix, u01, cross = _helpers_over(u64)
+            for w, link_up, arrival in itertools.product(words, (True, False), (0.5, 1.0, 1.6, 3.0, 8.0)):
+                s, lu, ts, k = u64(w), link_up, 1.0, 0
+                while ts <= arrival:
+                    lu = not lu
+                    s, z = mix(s)
+                    ts += -(up_mean if lu else down_mean) * math.log(1.0 - u01(z))
+                    k += 1
+                crossed.add(k)
+                got = cross(u64(w), link_up, 1.0, arrival, up_mean, down_mean)
+                assert type(got[0]) is type(s)
+                assert (int(got[0]), got[1], got[2]) == (int(s), lu, ts) and int(s) == (w + k * gamma) % 2**64
+                if u64 is kernels.U64:
+                    assert kernels._cross(u64(w), link_up, 1.0, arrival, up_mean, down_mean) == got
+    assert {0, 1, 2} <= crossed and max(crossed) >= 10
+
+
+def test_failed_requests_get_no_reply():
+    """A lane whose request fails, by its draw or by a down link, draws no
+    reply word and crosses no switch before its reply would land, so it
+    reads the request's word again under the same link: _attempt's replies
+    are the scalar kernel's without masking them by the requests. Lane 0's
+    request word sits exactly at the pass threshold; lanes 1 and 2 are down,
+    lane 2 and lane 3 (failed by its draw) with a switch due before their
+    reply. 300 more lanes mix both failures with passes."""
+    gamma = int(kernels._GOLDEN)
+    at_threshold = 2**63 + 5
+    word = int(kernels._mix64(kernels.U64(at_threshold))[1])
+    succ_p = (word >> 11) * 2.0**-53
+    assert not kernels._u01(kernels.U64(word)) < succ_p
+    rng = np.random.default_rng(26)
+    width = 304
+    seeds = [at_threshold, 2**64 - 1, 2**63, 0] + [int(s) for s in rng.integers(0, 2**64, width - 4, dtype=np.uint64)]
+    up = np.array([True, False, False, True] + (rng.random(width - 4) < 0.7).tolist())
+    req_arr = np.full(width, 1.0)
+    rep_arr = np.full(width, 2.0)
+    t_switch = np.array([math.inf, math.inf, 1.5, 1.5] + rng.uniform(0.5, 3.0, width - 4).tolist())
+    args = (req_arr, rep_arr, kernels._pass_threshold(succ_p), 0.5, 0.25)
+
+    state = np.array(seeds, np.uint64)
+    start_up, start_switch = up.copy(), t_switch.copy()
+    rep_ok = kernels._attempt(state, up, t_switch, *args)
+    req_ok, want = [], []
+    for seed, lu, ts, req, rep in zip(seeds, start_up.tolist(), start_switch.tolist(), req_arr.tolist(), rep_arr.tolist()):
+        s = kernels.U64(seed)
+        if ts <= req:
+            s, lu, ts = kernels._cross(s, lu, ts, req, 0.5, 0.25)
+        s, z = kernels._mix64(s)
+        ok = lu and kernels._u01(z) < succ_p
+        req_ok.append(ok)
+        if ok:
+            if ts <= rep:
+                s, lu, ts = kernels._cross(s, lu, ts, rep, 0.5, 0.25)
+            s, z = kernels._mix64(s)
+            ok = lu and kernels._u01(z) < succ_p
+        want.append((int(s), lu, ts, ok))
+    assert list(zip(state.tolist(), up.tolist(), t_switch.tolist(), rep_ok.tolist())) == want
+    assert (rep_ok & np.array(req_ok)).tolist() == rep_ok.tolist()
+    assert req_ok[:4] == [False] * 4
+    assert state[:4].tolist() == [(s + gamma) % 2**64 for s in seeds[:4]]
+    assert (up[:4].tolist(), t_switch[:4].tolist()) == ([True, False, False, True], [math.inf, math.inf, 1.5, 1.5])
+    failed = ~np.array(req_ok[4:])
+    assert (failed & start_up[4:]).any() and (failed & ~start_up[4:]).any() and rep_ok[4:].any()
 
 
 def _switch_calls(monkeypatch, run):

@@ -32,6 +32,26 @@ def test_replay_kernel_smoke():
     assert "_R11=12: outputs differ from base's at call 0" in bent.stderr
 
 
+def test_replay_kernel_against_another_copy(tmp_path):
+    """--against replays through another kernels.py: a copy of the module
+    itself gives base's outputs; a copy whose splitmix64 finaliser shifts by
+    one bit more does not, and the tool names that copy and exits 1."""
+    source = (ROOT / "src" / "vdtptune" / "sim" / "kernels.py").read_text()
+    same, bent = tmp_path / "same.py", tmp_path / "bent.py"
+    same.write_text(source)
+    assert "    z ^= z >> _R31\n" in source
+    bent.write_text(source.replace("    z ^= z >> _R31\n", "    z ^= z >> _R30\n"))
+    ok = replay_kernel("score_highway", "--reps", "1", "--against", str(same))
+    assert ok.returncode == 0, ok.stderr
+    rows = ok.stdout.splitlines()[2:4]
+    assert (rows[0].split()[0], rows[1].split()[:2]) == ("base", ["against", str(same)])
+    bad = replay_kernel("score_highway", "--reps", "1", "--against", str(bent))
+    assert bad.returncode == 1
+    assert f"against {bent}: outputs differ from base's at call 0" in bad.stderr
+    missing = replay_kernel("score_highway", "--against", str(tmp_path / "none.py"))
+    assert missing.returncode == 2 and "no such file" in missing.stderr
+
+
 def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)

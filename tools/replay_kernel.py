@@ -4,6 +4,7 @@ Run from the repository root:
 
     python3 tools/replay_kernel.py score_highway _CLEAN_RUN_YIELD=2.5 _CLEAN_RUN_YIELD=1e9
     python3 tools/replay_kernel.py campaign_urban _TAIL_LANES=0 --reps 15
+    python3 tools/replay_kernel.py score_highway --against ../parent/src/vdtptune/sim/kernels.py
 
 The tool runs one round of SHAPE once, recording every `run_lanes` call that
 `transfer.simulate_batch` makes. The shapes:
@@ -25,7 +26,11 @@ a Python literal, and `_GAMMAS` follows `_CLEAN_RUN_CELLS`. `run_lanes` works
 out its block gate from the constants at each call, so every override takes
 effect: `_CLEAN_RUN_YIELD=0` opens blocks at every width, `_CLEAN_RUN_YIELD=1e9`
 shuts them, and `_CLEAN_RUN_YIELD=2.5` gives highway urban's gate of 256
-lanes. Each repetition replays every variant once, in turn, the order
+lanes. `--against PATH` adds a variant that replays the calls through the
+`run_lanes` of another copy of kernels.py, loaded from PATH as a module of its
+own with its own constants, so that a change to a function, not only to a
+constant, can be timed against base; it may be given more than once. Each
+repetition replays every variant once, in turn, the order
 reversed on odd repetitions, and times the sum of the calls. Every replay's
 outputs must equal those of an untimed base replay made first, bit for bit
 and dtype for dtype; the tool exits 1 at the first that does not. It prints
@@ -41,6 +46,7 @@ from __future__ import annotations
 import argparse
 import ast
 import copy
+import importlib.util
 import statistics
 import sys
 import tempfile
@@ -121,24 +127,38 @@ def parse_variant(text: str) -> dict:
     return overrides
 
 
-def replay(calls: list, overrides: dict) -> tuple:
-    """(seconds in run_lanes, outputs) of the recorded calls with `overrides` set."""
+def load_kernels(path: str):
+    """The kernels module at `path`, loaded apart from vdtptune.sim.kernels."""
+    file = Path(path)
+    if not file.is_file():
+        raise argparse.ArgumentTypeError(f"{path}: no such file")
+    spec = importlib.util.spec_from_file_location("replayed_kernels", file)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not callable(getattr(module, "run_lanes", None)):
+        raise argparse.ArgumentTypeError(f"{path}: defines no run_lanes")
+    return module
+
+
+def replay(calls: list, overrides: dict, module=kernels) -> tuple:
+    """(seconds in run_lanes, outputs) of the recorded calls through `module`
+    with `overrides` set."""
     if "_CLEAN_RUN_CELLS" in overrides:
         cells = overrides["_CLEAN_RUN_CELLS"]
-        overrides = dict(overrides, _GAMMAS=np.arange(2 * cells + 1, dtype=np.uint64) * kernels._GOLDEN_A)
-    saved = {name: getattr(kernels, name) for name in overrides}
+        overrides = dict(overrides, _GAMMAS=np.arange(2 * cells + 1, dtype=np.uint64) * module._GOLDEN_A)
+    saved = {name: getattr(module, name) for name in overrides}
     for name, value in overrides.items():
-        setattr(kernels, name, value)
+        setattr(module, name, value)
     seconds, outputs = 0.0, []
     try:
         for args in calls:
             start = time.perf_counter()
-            out = kernels.run_lanes(*args)
+            out = module.run_lanes(*args)
             seconds += time.perf_counter() - start
             outputs.append(out)
     finally:
         for name, value in saved.items():
-            setattr(kernels, name, value)
+            setattr(module, name, value)
     return seconds, outputs
 
 
@@ -157,6 +177,8 @@ def main(argv=None) -> int:
     parser.add_argument("shape", choices=sorted(SHAPES))
     parser.add_argument("variants", nargs="*", type=parse_variant, metavar="NAME=VALUE[,NAME=VALUE...]")
     parser.add_argument("--reps", type=int, default=7, help="timed replays of each variant (default 7)")
+    parser.add_argument("--against", action="append", default=[], type=load_kernels, metavar="PATH",
+                        help="also replay through the run_lanes of the kernels.py at PATH")
     args = parser.parse_intermixed_args(argv)
     if args.reps < 1:
         parser.error("--reps must be >= 1")
@@ -165,8 +187,9 @@ def main(argv=None) -> int:
 
     calls = record(args.shape)
     lanes = sum(call[-1].size * call[0] for call in calls)
-    variants = [{}] + args.variants
+    variants = [(kernels, {})] + [(kernels, v) for v in args.variants] + [(m, {}) for m in args.against]
     labels = ["base"] + [",".join(f"{name}={value!r}" for name, value in v.items()) for v in args.variants]
+    labels += [f"against {m.__file__}" for m in args.against]
     print(f"{args.shape}: {len(calls)} run_lanes calls, {lanes} lanes; {args.reps} interleaved reps")
 
     _, reference = replay(calls, {})
@@ -174,7 +197,8 @@ def main(argv=None) -> int:
     for rep in range(args.reps):
         order = range(len(variants)) if rep % 2 == 0 else reversed(range(len(variants)))
         for i in order:
-            seconds, outputs = replay(calls, variants[i])
+            module, overrides = variants[i]
+            seconds, outputs = replay(calls, overrides, module)
             where = first_difference(outputs, reference)
             if where is not None:
                 print(f"{labels[i]}: outputs differ from base's at {where}", file=sys.stderr)
