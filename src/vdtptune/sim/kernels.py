@@ -15,7 +15,9 @@ if need be, as lanes of numpy arrays, bit-identical to `run_sessions` seed by
 seed. Each loop iteration makes one attempt per lane; while few lanes are
 left, how few worked out once per call from the channel's loss and dwell
 means (_clean_run_min), it first moves every lane over its run of clean
-attempts in one block. A step costs a fixed number of numpy calls plus a few
+attempts in one block; neither makes a test that cannot fail, such as an
+in-time test in a call whose exchanges all fit in the shortest timeout
+(_never_late). A step costs a fixed number of numpy calls plus a few
 microseconds for each lane that crosses a link switch: both protocols cross
 switches in one scalar loop, `_cross`, the lane kernel one lane at a time,
 and `_cross` draws each switch's dwell inline, without a helper call. A loss
@@ -369,7 +371,11 @@ def run_sessions(
 #   where k * 2^11 overflows, every word passes);
 # - a reply passes only if its request did, without a mask for it: a lane
 #   whose request failed takes no reply gamma and crosses no switch before
-#   the reply, so it tests the request's failed word under the same link.
+#   the reply, so it tests the request's failed word under the same link;
+# - a reply lands in time unless an exchange can outlast the call's shortest
+#   timeout (_never_late, worked out once per call), so a call where none
+#   can makes no in-time test: every campaign configuration, whose timeouts
+#   are at least 1 s and whose exchanges take at most 0.77 s.
 # Link switches are the exception to the fixed cost: few lanes cross one in
 # a step (2.7 a scan on average in a campaign_urban round, which finds none
 # in more than half its scans), too few to repay a dozen numpy calls per
@@ -392,6 +398,19 @@ _ONE = np.array(1, np.int64)
 # Clean-run blocks: an iteration first moves every lane over its run of clean
 # attempts (both packets through, in time, no link switch) in one step over a
 # (lanes, b) block, b = min(_CLEAN_RUN_CELLS // lanes, requests still to go).
+# A block pays for three per-cell tests, each only where it can fail
+# (timeit at 20 lanes x 51 attempts, best of 7, two shared Xeon cores):
+# - both packets passed, always: one compare of each pair of pass bools read
+#   as a uint16 against 0x0101 (_both_passed), 2.2 us against 3.0 us for a
+#   logical_and of the two strided halves;
+# - the reply lands before the lane's next switch, only when some lane's last
+#   reply reaches its switch, since a row's times never fall: the gate costs
+#   1.8 us, the test 4.5 us;
+# - the reply lands in time, only in a call where a reply may be late
+#   (_never_late): the test costs 7.2 us.
+# The tx_req and prop columns come from the call's template row
+# (_block_template) in one broadcast copy: _clean_run_times took 24.1 us
+# against 25.9 us with two strided writes.
 # Measured on two shared Xeon cores, pure backend: a block of 1024 cells costs
 # 80-95 us at any shape, about three single-attempt steps (28 us). On 20
 # urban 128-byte lanes, blocks of 512 cells took 1.35x as long and of 256
@@ -542,25 +561,55 @@ def _attempt(state, up, t_switch, req_arr, rep_arr, passes, up_mean, down_mean):
     return rep_ok
 
 
-def _clean_run_times(t, pos, tx_req, prop_delay, flat, b):
+def _both_passed(passed, out):
+    """Write into `out` (lanes, b) whether both packets of each attempt
+    passed, from the (lanes, 2b) pass tests of a block's request and reply
+    words, in one compare: each pair of adjacent bools reads as one uint16,
+    0x0101 when both are True whatever the byte order."""
+    np.equal(passed.view(np.uint16), 0x0101, out=out)
+
+
+def _never_late(tx_req, prop_delay, flat, n, budget, timeout_s):
+    """Whether no reply of a run_lanes call can land after its attempt's
+    timeout, from the rows' requests `n`, budgets and timeouts. No exchange
+    takes longer than tx_req + 2 prop + the longest reply transmission, and
+    no lane's clock passes (n + 1) * budget * timeout, a timeout per attempt
+    (doubled here for slack). The rounding of rep_arr - t0, four additions
+    and a subtraction at clocks that large, stays below 2^-50 of their sum,
+    so an exchange this short passes every in-time test of the call."""
+    longest = float(tx_req) + 2.0 * float(prop_delay) + float(flat.max())
+    clock = 2.0 * (int(n.max()) + 1) * int(budget.max()) * float(timeout_s.max())
+    return longest + 2.0**-50 * (clock + longest) < float(timeout_s.min())
+
+
+def _block_template(tx_req, prop_delay, b_max):
+    """The columns a block's times share on every row: tx_req at 4j + 1 and
+    prop at 4j + 2 and 4j + 4, for blocks of up to b_max attempts."""
+    template = np.empty(4 * b_max + 1)
+    template[1::4] = tx_req
+    template[2::2] = prop_delay
+    return template
+
+
+def _clean_run_times(t, pos, template, flat, b):
     """Times of b back-to-back clean attempts of every lane. Row i is the
     running sum of [t, tx_req, prop, flat[pos - j], prop, ...], so column
     4j is attempt j's start, 4j + 2 its request's arrival and 4j + 4 its
     reply's; pos is the lane's offset plus its requests to go, the entry of
-    the reply in flight in run_lanes' reply-time table. np.add.accumulate
-    adds left to right, which is the scalar kernel's order,
-    (((t0 + tx_req) + prop) + tx_rep) + prop. Columns past a lane's last
-    request read another configuration's entries, or the table's first,
-    and mean nothing."""
+    the reply in flight in run_lanes' reply-time table, and the tx_req and
+    prop columns come from the call's template row (_block_template) in one
+    broadcast copy. np.add.accumulate adds left to right, which is the
+    scalar kernel's order, (((t0 + tx_req) + prop) + tx_rep) + prop. Columns
+    past a lane's last request read another configuration's entries, or the
+    table's first, and mean nothing."""
     rows = np.empty((t.size, 4 * b + 1))
+    rows[:] = template[: 4 * b + 1]
     rows[:, 0] = t
-    rows[:, 1::4] = tx_req
-    rows[:, 2::2] = prop_delay
     rows[:, 3::4] = flat.take(pos[:, None] - np.arange(b), mode="clip")
     return np.add.accumulate(rows, axis=1, out=rows)
 
 
-def _clean_run(state, up, t_switch, t, todo, left, budget, tx_req, prop_delay, flat, off, timeout_s, passes, b_min):
+def _clean_run(state, up, t_switch, t, todo, left, budget, template, flat, off, timeout_s, passes, b_min):
     """Advance every lane over its run of clean attempts, in place.
 
     While every attempt so far got both packets through without a switch,
@@ -571,23 +620,28 @@ def _clean_run(state, up, t_switch, t, todo, left, budget, tx_req, prop_delay, f
     the columns past its last request are never read. Lanes already refused
     (no attempts left) do not move. The attempt that broke a run is left to
     the single-attempt step. No lane moves when the block would be narrower
-    than b_min. `budget`, `off` and `timeout_s` are per lane.
+    than b_min. `budget`, `off` and `timeout_s` are per lane; `timeout_s` is
+    None when no reply of the call can be late (_never_late), and the
+    timeout test is then skipped. A row's reply times never fall, so the
+    switch test runs only when some lane's last reply reaches its switch.
     """
     width = t.size
     b = min(_CLEAN_RUN_CELLS // width, int(todo.max()))
     if b < b_min:
         return
     passed = passes(_mix_lanes(state[:, None] + _GAMMAS[1 : 2 * b + 1]))
-    times = _clean_run_times(t, off + todo, tx_req, prop_delay, flat, b)
+    times = _clean_run_times(t, off + todo, template, flat, b)
     rep_arr = times[:, 4::4]
     # a last column that is never clean, so argmin finds every row's first
     # unclean attempt; the link, the requests to go and the attempts left
     # cap the prefix afterwards
     clean = np.zeros((width, b + 1), np.bool_)
     run = clean[:, :b]
-    np.logical_and(passed[:, 0::2], passed[:, 1::2], out=run)
-    run &= rep_arr < t_switch[:, None]
-    run &= rep_arr - times[:, :-1:4] <= timeout_s[:, None]
+    _both_passed(passed, run)
+    if (rep_arr[:, -1] >= t_switch).any():
+        run &= rep_arr < t_switch[:, None]
+    if timeout_s is not None:
+        run &= rep_arr - times[:, :-1:4] <= timeout_s[:, None]
     m = np.minimum(clean.argmin(axis=1), todo * (up & (left > 0)))
     t[:] = times[np.arange(width), 4 * m]
     state += _GAMMAS[2 * m]
@@ -667,12 +721,14 @@ def run_lanes(
         tx_rep[1] = (header_bytes + file_size - (n_c - 1) * c) * 8.0 / bandwidth
     pick = np.searchsorted(sizes, chunk)
     off, n = np.array(starts)[pick], np.array(counts)[pick]
-    chunk, budget, timeout_s, off, n = (a.repeat(n_sessions) for a in (chunk, budget, timeout_s, off, n))
     tx_req = np.array(header_bytes * 8.0 / bandwidth)
     prop = np.array(float(prop_delay))
+    on_time = _never_late(tx_req, prop, flat, n, budget, timeout_s)
+    chunk, budget, timeout_s, off, n = (a.repeat(n_sessions) for a in (chunk, budget, timeout_s, off, n))
     passes = _pass_threshold(1.0 - eff_loss)
     b_min = _clean_run_min(eff_loss, up_mean, down_mean)
     block_lanes = _CLEAN_RUN_CELLS // b_min
+    template = _block_template(tx_req, prop, min(_CLEAN_RUN_CELLS, max(counts) + 1))
 
     times = np.empty(width)
     lost_out = np.empty(width)
@@ -685,7 +741,8 @@ def run_lanes(
     lost = np.zeros(width, np.int64)
     while lane.size:
         if lane.size <= block_lanes:
-            _clean_run(state, up, t_switch, t, todo, left, budget, tx_req, prop, flat, off, timeout_s, passes, b_min)
+            _clean_run(state, up, t_switch, t, todo, left, budget, template, flat, off,
+                       None if on_time else timeout_s, passes, b_min)
         if np.count_nonzero(np.minimum(todo, left)) < lane.size:
             done = (todo == 0) | (left == 0)
             out, to_go = lane[done], todo[done]
@@ -726,7 +783,7 @@ def run_lanes(
         rep_arr += prop
         rep_ok = _attempt(state, up, t_switch, req_arr, rep_arr, passes, up_mean, down_mean)
         lost += ~rep_ok
-        win = rep_ok & (rep_arr - t <= timeout_s)
+        win = rep_ok if on_time else rep_ok & (rep_arr - t <= timeout_s)
         t += timeout_s
         np.copyto(t, rep_arr, where=win)
         todo -= win

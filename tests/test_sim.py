@@ -35,7 +35,7 @@ from vdtptune.sim.transfer import (
     simulate_session_events,
     write_event_trace,
 )
-from vdtptune.space import VdtpConfig
+from vdtptune.space import DEFAULT_BOUNDS, VdtpConfig
 
 
 def lossless(file_size=1_048_576, bandwidth=5.5e6, prop=0.002, header=64):
@@ -557,18 +557,23 @@ def test_lanes_match_run_sessions_with_blocks_forced_open_or_shut(kind, case, mo
     which iterations run one: blocks at every width (a yield of 0), no blocks
     (an infinite yield) and the committed gate give run_sessions' bits, on
     every case. This keeps highway's blocks covered where its gate lets
-    fewer iterations take them."""
+    fewer iterations take them. Where no reply can be late, blocks and
+    single steps skip the in-time test; with the late-reply fact forced to
+    "may be late" they take it on every call, and the bits are the same."""
     if kind == "lanes":
         sc, args = _lane_case(case)
         rows, scene, seeds = [args[:3]] * 3, args[3:], _replication_seeds(3)
     else:
         sc, rows, scene, seeds = _mixed_case(case, 3)
     want = [_rows(run_sessions(sc.sessions, *config, *scene, seed)) for config, seed in zip(rows, seeds)]
-    for target in (0.0, math.inf, kernels._CLEAN_RUN_YIELD):
-        monkeypatch.setattr(kernels, "_CLEAN_RUN_YIELD", target)
-        out = []
-        widths = _block_widths(monkeypatch, lambda: out.extend(_run_mixed(sc, rows, scene, seeds)))
-        assert [_rows(a[r] for a in out) for r in range(len(rows))] == want, target
+    for target, late in itertools.product((0.0, math.inf, kernels._CLEAN_RUN_YIELD), (False, True)):
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_CLEAN_RUN_YIELD", target)
+            if late:
+                patch.setattr(kernels, "_never_late", lambda *args: False)
+            out = []
+            widths = _block_widths(monkeypatch, lambda: out.extend(_run_mixed(sc, rows, scene, seeds)))
+        assert [_rows(a[r] for a in out) for r in range(len(rows))] == want, (target, late)
         assert not (widths and math.isinf(target))
 
 
@@ -824,7 +829,8 @@ def test_clean_run_times_add_in_scalar_order():
     # two configurations' slices of 70 entries each
     flat = np.concatenate([rng.random(70) * 10.0 ** rng.integers(-4, 0, 70) for _ in range(2)])
     off = rng.choice([0, 70], width)
-    times = kernels._clean_run_times(t, off + todo, tx_req, prop, flat, b).tolist()
+    template = kernels._block_template(tx_req, prop, b)
+    times = kernels._clean_run_times(t, off + todo, template, flat, b).tolist()
     regrouped = 0
     for row, t0, to_go, start in zip(times, t.tolist(), todo.tolist(), off.tolist()):
         for j in range(min(b, to_go)):
@@ -846,12 +852,20 @@ def test_clean_run_stops_before_a_reply_on_a_switch():
     Each lane reads its own slice of the reply table and keeps its own
     timeout: the last lane's attempts take 2 * 2.1 ms + 5 ms = 9.2 ms on its
     slice, over its 9 ms timeout, so it does not move, where the first
-    slice's 6.2 ms would have been in time."""
+    slice's 6.2 ms would have been in time.
+
+    The switch test runs only when some lane's last reply reaches its switch.
+    Two more blocks skip the timeout test, as calls that no reply can miss do:
+    in the first, only lane 3's last reply reaches its switch, landing on it,
+    and the switch test opens and stops that lane one attempt short; in the
+    second its switch is an ulp later, so no last reply reaches one, and every
+    lane moves the whole block."""
     tx_req, prop = np.array(1e-4), np.array(2e-3)
     flat = np.concatenate([np.full(60, 2e-3), np.full(60, 5e-3)])
     off = np.array([0, 0, 60, 0, 60])
     timeout = np.array([1.0, 1.0, 1.0, 1.0, 0.009])
     seeds = [7, 2**64 - 1, 12345, 99, 5]
+    gamma = int(kernels._GOLDEN)
     lanes = dict(
         state=np.array(seeds, np.uint64),
         up=np.array([True, True, False, True, True]),
@@ -860,18 +874,107 @@ def test_clean_run_stops_before_a_reply_on_a_switch():
         todo=np.full(5, 50),
         left=np.array([2, 2, 2, 0, 2]),
     )
-    times = kernels._clean_run_times(lanes["t"], off + lanes["todo"], tx_req, prop, flat, 50)
+    template = kernels._block_template(tx_req, prop, 50)
+    times = kernels._clean_run_times(lanes["t"], off + lanes["todo"], template, flat, 50)
     lanes["t_switch"][0] = times[0, 4 * 6]  # attempt 5's reply
     lanes["t_switch"][1] = np.nextafter(times[1, 4 * 6], math.inf)
     budget = np.array([8, 9, 8, 8, 4])
-    kernels._clean_run(**lanes, budget=budget, tx_req=tx_req, prop_delay=prop, flat=flat, off=off,
+    kernels._clean_run(**lanes, budget=budget, template=template, flat=flat, off=off,
                        timeout_s=timeout, passes=kernels._pass_threshold(1.0), b_min=4)
     m = [5, 6, 0, 0, 0]
-    gamma = int(kernels._GOLDEN)
     assert lanes["todo"].tolist() == [50 - k for k in m]
     assert lanes["t"].tolist() == [times[i, 4 * k] for i, k in enumerate(m)]
     assert lanes["state"].tolist() == [(s + 2 * k * gamma) % 2**64 for s, k in zip(seeds, m)]
     assert lanes["left"].tolist() == [8, 9, 2, 0, 2]
+    # the 9 ms lane may get a late reply, so its call keeps the timeout test
+    assert not kernels._never_late(1e-4, 2e-3, flat, np.full(5, 58), budget, timeout)
+
+    b = 20
+    t0 = np.linspace(0.5, 40.0, 5)
+    times = kernels._clean_run_times(t0, off + b, template, flat, b)
+    for switch, moved in ((times[3, 4 * b], b - 1), (np.nextafter(times[3, 4 * b], math.inf), b)):
+        lanes = dict(state=np.array(seeds, np.uint64), up=np.ones(5, np.bool_), t_switch=np.full(5, math.inf),
+                     t=t0.copy(), todo=np.full(5, b), left=np.full(5, 2))
+        lanes["t_switch"][3] = switch
+        assert (times[:, 4 * b] >= lanes["t_switch"]).tolist() == [False, False, False, moved < b, False]
+        kernels._clean_run(**lanes, budget=budget, template=template, flat=flat, off=off,
+                           timeout_s=None, passes=kernels._pass_threshold(1.0), b_min=4)
+        m = [b, b, b, moved, b]
+        assert lanes["todo"].tolist() == [b - k for k in m]
+        assert lanes["t"].tolist() == [times[i, 4 * k] for i, k in enumerate(m)]
+        assert lanes["state"].tolist() == [(s + 2 * k * gamma) % 2**64 for s, k in zip(seeds, m)]
+
+
+def test_both_passed_reads_pairs_like_an_and():
+    """A block reads "both packets passed" from adjacent bools as one uint16
+    compare; it must be passed[:, 0::2] & passed[:, 1::2], for each of the four
+    pair values, on random arrays, at one lane and one attempt, and when
+    written into a block's strided clean-prefix view, whose last column it
+    leaves alone."""
+    for first, second in itertools.product((False, True), repeat=2):
+        out = np.empty((1, 1), np.bool_)
+        kernels._both_passed(np.array([[first, second]]), out)
+        assert out.tolist() == [[first and second]]
+    rng = np.random.default_rng(27)
+    for width, b in ((1, 1), (1, 7), (3, 1), (20, 51), (9, 113)):
+        passed = rng.random((width, 2 * b)) < 0.7
+        clean = np.zeros((width, b + 1), np.bool_)
+        kernels._both_passed(passed, clean[:, :b])
+        assert clean[:, :b].tolist() == (passed[:, 0::2] & passed[:, 1::2]).tolist()
+        assert not clean[:, b].any()
+
+
+class _FactTaken(Exception):
+    """Raised by a spy once run_lanes has worked out its late-reply fact."""
+
+
+def _never_late_on(monkeypatch, sessions, args, seeds):
+    """What run_lanes' _never_late says on a call; the spy stops the call
+    there, before any lane moves."""
+    fact, said = kernels._never_late, []
+
+    def spy(*fact_args):
+        said.append(fact(*fact_args))
+        raise _FactTaken
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_never_late", spy)
+        with pytest.raises(_FactTaken):
+            kernels.run_lanes(sessions, *args, seeds)
+    return said.pop()
+
+
+def test_never_late_says_which_calls_may_get_a_late_reply(monkeypatch):
+    """A call may get a late reply when an exchange can outlast its shortest
+    timeout: a 512 KiB reply against 0.5 s (late_replies, and its row in
+    chunks_budgets_timeouts), and 2048-byte replies against a timeout of one
+    handshake (reply_at_timeout). An exchange exactly as long as the timeout
+    still counts as late, since the rounding slack leaves no room for it. The
+    switch storm's 41.4 ms exchanges and budgets_and_timeouts' 18.1 ms ones
+    fit in their 50 ms timeouts. Every preset's expert configuration and
+    every corner of DEFAULT_BOUNDS is never late, since no exchange takes
+    more than 0.77 s and no timeout is shorter than 1 s."""
+    one = _replication_seeds(1)
+
+    def lane_case(case):
+        sc, args = _lane_case(case)
+        return _never_late_on(monkeypatch, sc.sessions, args, one)
+
+    def mixed_case(case):
+        sc, rows, scene, seeds = _mixed_case(case, 1)
+        return _never_late_on(monkeypatch, sc.sessions, (*(list(c) for c in zip(*rows)), *scene), seeds)
+
+    assert not lane_case("late_replies") and not lane_case("reply_at_timeout")
+    assert not mixed_case("chunks_budgets_timeouts")
+    assert lane_case("switch_storm") and mixed_case("budgets_and_timeouts")
+    flat, n, budget = np.array([0.004, 0.01]), np.array([3]), np.array([2])
+    assert not kernels._never_late(0.001, 0.002, flat, n, budget, np.array([0.015]))
+    assert kernels._never_late(0.001, 0.002, flat, n, budget, np.array([0.015 + 2.0**-40]))
+    corners = list(itertools.product(*zip(DEFAULT_BOUNDS.lower, DEFAULT_BOUNDS.upper)))
+    for name in preset_names():
+        sc = preset(name)
+        for config in [human_expert_config(sc)] + [VdtpConfig(*corner) for corner in corners]:
+            assert _never_late_on(monkeypatch, sc.sessions, _kernel_args(config, sc), one), (name, config)
 
 
 def test_a_packet_arriving_on_a_switch_crosses_it():

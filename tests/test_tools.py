@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,38 @@ def test_replay_kernel_against_another_copy(tmp_path):
     assert f"against {bent}: outputs differ from base's at call 0" in bad.stderr
     missing = replay_kernel("score_highway", "--against", str(tmp_path / "none.py"))
     assert missing.returncode == 2 and "no such file" in missing.stderr
+
+
+def test_replay_kernel_top_counts_steps_blocks_and_crossings(tmp_path):
+    """--top 24 lists every one of score_highway's calls (200 lanes of one
+    chunk size each), costliest first, with every variant's single steps,
+    blocks and _cross calls in it. Counts repeat exactly: a copy of the
+    module counts what base counts. With blocks shut no call makes a block,
+    none makes fewer single steps and each crosses the same switches; base
+    makes blocks in some calls, where the shut variant takes more steps."""
+    same = tmp_path / "same.py"
+    same.write_text((ROOT / "src" / "vdtptune" / "sim" / "kernels.py").read_text())
+    out = replay_kernel("score_highway", "--reps", "1", "--top", "24", "_CLEAN_RUN_YIELD=1e9", "--against", str(same))
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    at = lines.index("costliest 24 calls by base's median; single steps, blocks and _cross calls per variant")
+    assert lines[at + 97] == "every variant's outputs equal base's, bit for bit and dtype for dtype"
+    listed, blocks, extra_steps = [], 0, 0
+    for k in range(at + 1, at + 97, 4):
+        head = re.fullmatch(r"call (\d+): lanes 200, chunk sizes 1, base \d+\.\d\d ms", lines[k])
+        assert head, lines[k]
+        listed.append(int(head[1]))
+        counts = [re.fullmatch(r"  (.+?) +steps +(\d+) +blocks +(\d+) +_cross +(\d+)", row).groups()
+                  for row in lines[k + 1 : k + 4]]
+        assert [label for label, *_ in counts] == ["base", "_CLEAN_RUN_YIELD=1000000000.0", f"against {same}"]
+        base, shut, copy = ([int(c) for c in row[1:]] for row in counts)
+        assert copy == base
+        assert shut[1] == 0 and shut[0] >= base[0] and shut[2] == base[2] > 0
+        blocks += base[1]
+        extra_steps += shut[0] - base[0]
+    assert sorted(listed) == list(range(24))
+    assert blocks > 0 and extra_steps > 0
+    assert replay_kernel("score_highway", "--top", "-1").returncode == 2
 
 
 def load_bench_pairs():

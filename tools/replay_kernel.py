@@ -5,6 +5,7 @@ Run from the repository root:
     python3 tools/replay_kernel.py score_highway _CLEAN_RUN_YIELD=2.5 _CLEAN_RUN_YIELD=1e9
     python3 tools/replay_kernel.py campaign_urban _TAIL_LANES=0 --reps 15
     python3 tools/replay_kernel.py score_highway --against ../parent/src/vdtptune/sim/kernels.py
+    python3 tools/replay_kernel.py campaign_urban _CLEAN_RUN_YIELD=1e9 --top 3
 
 The tool runs one round of SHAPE once, recording every `run_lanes` call that
 `transfer.simulate_batch` makes. The shapes:
@@ -37,6 +38,13 @@ and dtype for dtype; the tool exits 1 at the first that does not. It prints
 each variant's median and fastest round of calls, in ms and as a ratio to
 base's.
 
+`--top N` then lists the N calls that took base longest (median over the
+repetitions): each call's lanes, distinct chunk sizes and base's median ms,
+and for each variant the call's single-attempt steps, clean-run blocks and
+`_cross` calls (the scalar tail's included), counted by spies on `_attempt`,
+`_clean_run_times` and `_cross` in an untimed replay. Counts do not depend on
+the machine, so they show where a change of the kernel saves its time.
+
 The pure backend runs `run_lanes`; with numba installed, set
 VDTPTUNE_DISABLE_NUMBA=1. The tool changes no file under src/.
 """
@@ -45,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import copy
 import importlib.util
 import statistics
@@ -140,26 +149,58 @@ def load_kernels(path: str):
     return module
 
 
-def replay(calls: list, overrides: dict, module=kernels) -> tuple:
-    """(seconds in run_lanes, outputs) of the recorded calls through `module`
-    with `overrides` set."""
+@contextlib.contextmanager
+def patched(module, overrides: dict):
+    """`module` with the attributes in `overrides` set; `_GAMMAS` follows an
+    override of `_CLEAN_RUN_CELLS`."""
     if "_CLEAN_RUN_CELLS" in overrides:
         cells = overrides["_CLEAN_RUN_CELLS"]
         overrides = dict(overrides, _GAMMAS=np.arange(2 * cells + 1, dtype=np.uint64) * module._GOLDEN_A)
     saved = {name: getattr(module, name) for name in overrides}
     for name, value in overrides.items():
         setattr(module, name, value)
-    seconds, outputs = 0.0, []
     try:
-        for args in calls:
-            start = time.perf_counter()
-            out = module.run_lanes(*args)
-            seconds += time.perf_counter() - start
-            outputs.append(out)
+        yield module
     finally:
         for name, value in saved.items():
             setattr(module, name, value)
+
+
+def replay(calls: list, overrides: dict, module=kernels) -> tuple:
+    """(seconds in run_lanes per call, outputs) of the recorded calls through
+    `module` with `overrides` set."""
+    seconds, outputs = [], []
+    with patched(module, overrides):
+        for args in calls:
+            start = time.perf_counter()
+            out = module.run_lanes(*args)
+            seconds.append(time.perf_counter() - start)
+            outputs.append(out)
     return seconds, outputs
+
+
+COUNTED = ("_attempt", "_clean_run_times", "_cross")  # single steps, blocks, _cross calls
+
+
+def count(calls: list, overrides: dict, module=kernels) -> list:
+    """Per recorded call, its (single steps, blocks, _cross calls) through
+    `module` with `overrides` set."""
+    tally = dict.fromkeys(COUNTED, 0)
+
+    def spy(name, real):
+        def counted(*args):
+            tally[name] += 1
+            return real(*args)
+        return counted
+
+    spies = {name: spy(name, getattr(module, name)) for name in COUNTED}
+    counts = []
+    with patched(module, {**overrides, **spies}):
+        for args in calls:
+            tally.update(dict.fromkeys(COUNTED, 0))
+            module.run_lanes(*args)
+            counts.append(tuple(tally[name] for name in COUNTED))
+    return counts
 
 
 def first_difference(outputs: list, reference: list) -> str | None:
@@ -179,9 +220,13 @@ def main(argv=None) -> int:
     parser.add_argument("--reps", type=int, default=7, help="timed replays of each variant (default 7)")
     parser.add_argument("--against", action="append", default=[], type=load_kernels, metavar="PATH",
                         help="also replay through the run_lanes of the kernels.py at PATH")
+    parser.add_argument("--top", type=int, default=0, metavar="N",
+                        help="list the N costliest calls with each variant's steps, blocks and _cross calls")
     args = parser.parse_intermixed_args(argv)
     if args.reps < 1:
         parser.error("--reps must be >= 1")
+    if args.top < 0:
+        parser.error("--top must be >= 0")
     if kernels.NUMBA_ENABLED:
         parser.error("simulate_batch runs the compiled kernel, not run_lanes; set VDTPTUNE_DISABLE_NUMBA=1")
 
@@ -205,13 +250,26 @@ def main(argv=None) -> int:
                 return 1
             times[i].append(seconds)
 
-    base_median, base_min = statistics.median(times[0]), min(times[0])
+    totals = [[sum(seconds) for seconds in ts] for ts in times]
+    base_median, base_min = statistics.median(totals[0]), min(totals[0])
     width = max(len(label) for label in labels)
     print(f"{'variant':<{width}}  {'median ms':>9}  {'min ms':>9}  median x  min x")
-    for label, ts in zip(labels, times):
+    for label, ts in zip(labels, totals):
         median, fastest = statistics.median(ts), min(ts)
         print(f"{label:<{width}}  {median * 1e3:9.2f}  {fastest * 1e3:9.2f}  "
               f"{median / base_median:8.3f}  {fastest / base_min:5.3f}")
+    if args.top:
+        per_call = [statistics.median(call) for call in zip(*times[0])]
+        top = sorted(range(len(calls)), key=lambda k: -per_call[k])[: args.top]
+        counts = [count([calls[k] for k in top], overrides, module) for module, overrides in variants]
+        print(f"costliest {len(top)} calls by base's median; single steps, blocks and _cross calls per variant")
+        for rank, k in enumerate(top):
+            chunks = len(set(np.atleast_1d(calls[k][1]).tolist()))
+            print(f"call {k}: lanes {calls[k][-1].size * calls[k][0]}, chunk sizes {chunks}, "
+                  f"base {per_call[k] * 1e3:.2f} ms")
+            for label, variant_counts in zip(labels, counts):
+                steps, blocks, crosses = variant_counts[rank]
+                print(f"  {label:<{width}}  steps {steps:6d}  blocks {blocks:6d}  _cross {crosses:6d}")
     print("every variant's outputs equal base's, bit for bit and dtype for dtype")
     return 0
 
