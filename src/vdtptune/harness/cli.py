@@ -191,6 +191,18 @@ def _check_seed(args) -> None:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
 
 
+# Least value of each count flag; main refuses a value typed below it by the
+# flag's name, before a subcommand reads it or makes any directory.
+_FLOORS = {"budget": 1, "replications": 1, "runs": 1, "workers": 1, "dims": 1}
+
+
+def _check_floors(args) -> None:
+    for flag, least in _FLOORS.items():
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            raise UsageError(f"--{flag} must be >= {least}, got {value}")
+
+
 def cmd_simulate(args) -> int:
     _check_seed(args)
     config = VdtpConfig(args.chunk, args.attempts, args.timeout)
@@ -228,8 +240,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_bench(args) -> int:
     _check_seed(args)
-    if args.runs < 1:
-        raise UsageError("runs must be >= 1")
     fn = get_function(args.function)
     bounds = bench_bounds(args.dims)
     params = OptimizerParams(args.algorithm)
@@ -262,6 +272,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
+        _check_floors(args)
         return args.func(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

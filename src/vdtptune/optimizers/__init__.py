@@ -8,7 +8,7 @@ import numpy as np
 
 from ..fitness import resolve
 from ..space import Bounds
-from .common import ALGORITHMS, BudgetExhausted, ObjectiveHandle, OptimizerParams, RunRecord
+from .common import ALGORITHMS, BudgetExhausted, Draws, ObjectiveHandle, OptimizerParams, RunRecord
 from .de import run_de
 from .es import run_es
 from .ga import run_ga
@@ -85,9 +85,10 @@ def lockstep(runs):
 def _recorded_run(algorithm: str, search, score, bounds: Bounds, seed, budget: int):
     """Generator running search(handle, rng), itself a generator, until the
     budget is spent; it passes on the handle's requests and returns the
-    RunRecord, the one place one is built."""
+    RunRecord, the one place one is built. `rng` is the run's Generator,
+    seeded from spawn key (0,) of the run seed, drawn through Draws."""
     handle = ObjectiveHandle(score, bounds, budget)
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(0,)))
+    rng = Draws(np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(0,))))
 
     try:
         yield from search(handle, rng)

@@ -5,12 +5,14 @@ All algorithms search the unit cube [0, 1]^d and hand whole generations, as
 scores each within the evaluation budget in one call of a batch objective and
 records the best-so-far trace. Each algorithm is a generator that passes the
 handle's pending requests on to optimizers.lockstep, which runs it. Variation
-operators shared between GA, ES and SA live here.
+operators shared between GA, ES and SA live here, and Draws, through which
+every run draws its random numbers.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -21,6 +23,7 @@ from ..space import Bounds, VdtpConfig
 __all__ = [
     "ALGORITHMS",
     "BudgetExhausted",
+    "Draws",
     "ObjectiveHandle",
     "OptimizerParams",
     "RunRecord",
@@ -35,6 +38,93 @@ ALGORITHMS = ("pso", "de", "ga", "es", "sa")
 
 class BudgetExhausted(Exception):
     """Raised by ObjectiveHandle when the evaluation budget is spent."""
+
+
+_M32 = 0xFFFF_FFFF
+
+
+class Draws:
+    """A run's random draws: numpy Generator `gen`'s stream, bit for bit,
+    with its scalar draws made in Python from the PCG64 words of
+    `gen.bit_generator.random_raw()`, past numpy's wrappers.
+
+    random() is a word's top 53 bits times 2**-53. A bounded draw on
+    0..span - 1 is Lemire's method on a 32-bit half, as numpy's
+    random_bounded_uint64 makes it: the low half of a fresh word, or else
+    the high half kept from the last one (PCG64's has_uint32 and
+    uinteger), times span; the product is drawn again while its low 32
+    bits fall below (2**32 - span) % span, and its high 32 bits are the
+    draw. integers(n) is one such draw, none at n = 1.
+    choice(n, size, replace=False) is numpy's Floyd sample and
+    Fisher-Yates shuffle of it; numpy shuffles the tail of range(n)
+    instead when n > 10000 and size > n // 50, which is refused here.
+    random(shape) and uniform are the
+    Generator's own calls; they take whole words and leave the kept half
+    alone. These are the only methods, so any other Generator call fails
+    at once instead of drawing past the kept half. numpy's Generator is
+    the oracle of the tests.
+    """
+
+    __slots__ = ("_gen", "_raw", "_half")
+
+    def __init__(self, gen: np.random.Generator):
+        self._gen = gen
+        self._raw = gen.bit_generator.random_raw
+        self._half = None  # the high half of the last word split, until taken
+
+    def _below(self, span: int) -> int:
+        """A bounded draw on 0..span - 1, for 2 <= span < 2**32."""
+        while True:
+            half = self._half
+            if half is None:
+                word = self._raw()
+                self._half = word >> 32
+                m = (word & _M32) * span
+            else:
+                self._half = None
+                m = half * span
+            # the threshold is below span, so most draws skip its modulo
+            low = m & _M32
+            if low >= span or low >= (_M32 + 1 - span) % span:
+                return m >> 32
+
+    def random(self, size=None):
+        """Uniform [0, 1) floats: one as a float, or an array of `size`."""
+        if size is None:
+            return (self._raw() >> 11) * 2.0**-53
+        return self._gen.random(size)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return self._gen.uniform(low, high, size)
+
+    def integers(self, n) -> int:
+        """A uniform int in 0..n - 1, for 1 <= n < 2**32."""
+        n = operator.index(n)
+        if not 1 <= n <= _M32:
+            raise ValueError(f"Draws.integers needs 1 <= n < 2**32, got {n}")
+        return self._below(n) if n > 1 else 0
+
+    def choice(self, n, size, replace=True) -> list:
+        """`size` distinct ints of 0..n - 1, for 1 <= n < 2**32, as a list
+        (numpy returns them as an int64 array); replace=False is required."""
+        if replace:
+            raise ValueError("Draws.choice draws without replacement only; pass replace=False")
+        n, size = operator.index(n), operator.index(size)
+        if not 1 <= n <= _M32:
+            raise ValueError(f"Draws.choice needs 1 <= n < 2**32, got {n}")
+        if not 0 <= size <= n:
+            raise ValueError(f"Draws.choice needs 0 <= size <= n, got size {size} of {n}")
+        if n > 10000 and size > n // 50:
+            raise ValueError(f"Draws.choice does not make numpy's tail shuffle, which takes size {size} of {n}")
+        below = self._below
+        picks = []
+        for j in range(n - size, n):
+            t = below(j + 1) if j else 0
+            picks.append(j if t in picks else t)
+        for i in range(size - 1, 0, -1):
+            j = below(i + 1)
+            picks[i], picks[j] = picks[j], picks[i]
+        return picks
 
 
 class ObjectiveHandle:

@@ -976,6 +976,26 @@ def test_cli_refuses_negative_seed_by_flag(command, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["tune", "--algorithm", "pso"], "budget"),
+    (["compare"], "budget"),
+    (["sweep", "--algorithm", "pso", "--grid", "g.txt"], "budget"),
+    (["bench", "--algorithm", "pso"], "budget"),
+    (["simulate", "--chunk", "25600", "--attempts", "8", "--timeout", "8"], "replications"),
+    (["tune", "--algorithm", "pso"], "replications"),
+    (["compare"], "runs"),
+    (["compare"], "workers"),
+    (["bench", "--algorithm", "pso"], "dims"),
+])
+def test_cli_refuses_counts_below_one_by_flag(command, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(command + [f"--{flag}", "0"]) == 1
+    captured = capsys.readouterr()
+    assert f"error: --{flag} must be >= 1, got 0" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_simulate_reports_fitness(capsys):
     rc = run_cli([
         "simulate", "--chunk", "25600", "--attempts", "8", "--timeout", "8",

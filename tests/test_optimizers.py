@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from vdtptune.harness.benchfuncs import bench_bounds, random_search, sphere
 from vdtptune.optimizers import ALGORITHMS, OptimizerParams, lockstep, run, run_steps
 from vdtptune.optimizers.common import (
     BudgetExhausted,
+    Draws,
     ObjectiveHandle,
     blend_crossover,
     reset_one_gene,
@@ -321,6 +323,114 @@ def test_sa_initial_temperature_inverts_target():
     assert initial_temperature([1e16, 1.0, 1.0], target_accept=0.8) == (1e16 / 3) / math.log(1.5)
 
 
+# --- Draws against numpy's Generator -----------------------------------------
+#
+# Draws makes the scalar draws of a Generator from its PCG64 words; a stock
+# Generator on the same seed is its oracle, draw for draw and state for state.
+
+# 2**31 and 3 * 2**30 reject a half a quarter of the times they could
+_DRAW_NS = (1, 2, 3, 5, 20, 2**31, 3 * 2**30, 2**32 - 1)
+
+
+def _draw_calls(seed, count=80):
+    """A mixed sequence of (method, args, kwargs), the same for both sides."""
+    r = random.Random(seed)
+    calls = []
+    for _ in range(count):
+        kind = r.randrange(8)
+        n = r.randrange(1, 40)
+        if kind < 3:
+            calls.append(("integers", (r.choice(_DRAW_NS),), {}))
+        elif kind == 3:
+            calls.append(("choice", (n + 2, 3), {"replace": False}))
+        elif kind == 4:
+            size = r.choice([1, 2, n])
+            calls.append(("choice", (n + (size == 2), size), {"replace": False}))
+        elif kind == 5:
+            calls.append(("random", (), {}))
+        elif kind == 6:
+            calls.append(("random", (r.choice([1, 3, (2, 3)]),), {}))
+        else:
+            calls.append(("uniform", (-1.0, 1.0, (r.randrange(1, 4),)), {}))
+    return calls
+
+
+def _kept_half(gen):
+    """The high half a stock Generator's PCG64 keeps for its next 32-bit
+    draw, or None."""
+    state = gen.bit_generator.state
+    return state["uinteger"] if state["has_uint32"] else None
+
+
+def test_draws_match_numpy_generator():
+    rejections = 0
+    for seed in range(300):
+        stock, gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = Draws(gen)
+        words = 0
+
+        def raw(next_word=draws._raw):
+            nonlocal words
+            words += 1
+            return next_word()
+
+        def halves_taken():
+            return 2 * words - (draws._half is not None)
+
+        draws._raw = raw
+        for name, args, kwargs in _draw_calls(seed):
+            before = halves_taken()
+            got = getattr(draws, name)(*args, **kwargs)
+            want = getattr(stock, name)(*args, **kwargs)
+            assert np.array_equal(got, want), (seed, name, args, got, want)
+            if name == "integers":
+                rejections += halves_taken() - before > 1
+        assert gen.bit_generator.state["state"] == stock.bit_generator.state["state"]
+        assert draws._half == _kept_half(stock)
+    assert rejections > 0
+
+
+@pytest.mark.parametrize("n, size", [(10001, 200), (20000, 400), (3 * 2**30, 3)])
+def test_draws_choice_matches_numpy_on_large_populations(n, size):
+    """Floyd's sample up to the largest size numpy takes it for: past 10000,
+    n // 50."""
+    for seed in range(5):
+        stock, gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = Draws(gen)
+        assert draws.choice(n, size, replace=False) == stock.choice(n, size, replace=False).tolist()
+        assert draws.integers(7) == stock.integers(7)
+        assert draws._half == _kept_half(stock)
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: d.integers(0),
+    lambda d: d.integers(2**32),
+    lambda d: d.choice(0, 0, replace=False),
+    lambda d: d.choice(2**32, 1, replace=False),
+    lambda d: d.choice(3, 4, replace=False),
+    lambda d: d.choice(10001, 201, replace=False),
+    lambda d: d.choice(5, 2),
+    lambda d: d.choice(5, 2, replace=True),
+])
+def test_draws_refuse_what_numpy_would_draw_otherwise(call):
+    gen = np.random.default_rng(0)
+    draws = Draws(gen)
+    before = gen.bit_generator.state
+    with pytest.raises(ValueError):
+        call(draws)
+    assert gen.bit_generator.state == before and draws._half is None
+
+
+def test_draws_carry_no_other_generator_method():
+    draws = Draws(np.random.default_rng(0))
+    with pytest.raises(AttributeError):
+        draws.permutation(5)
+    with pytest.raises(AttributeError):
+        draws.standard_normal()
+    with pytest.raises(AttributeError):
+        draws.bit_generator = None
+
+
 # --- whole generations against per-child references --------------------------
 #
 # DE, GA and ES draw child by child but build, clip and select a generation at
@@ -422,10 +532,12 @@ def _ref_es(handle, params, rng, dim):
         parents, parent_fit = select_survivors(parents, parent_fit, off, off_fit, mu, params.es_selection)
 
 
-def _scored_batches(search, params, dim, seed, budget, levels):
-    """The unit-cube batches a run hands its scorer, and the generator's
-    state at the end. levels > 0 rounds the fitness down to multiples of
-    1 / levels, so that ties, and the rules that break them, come up often."""
+def _scored_batches(search, params, dim, seed, budget, levels, draws=False):
+    """The unit-cube batches a run hands its scorer, and at the end the
+    generator's PCG64 state words and its kept high half. The run draws
+    from a stock Generator, or through Draws when `draws` is set. levels > 0
+    rounds the fitness down to multiples of 1 / levels, so that ties, and
+    the rules that break them, come up often."""
     batches = []
 
     def score(points):
@@ -434,10 +546,12 @@ def _scored_batches(search, params, dim, seed, budget, levels):
         return np.floor(d * levels) if levels else d
 
     handle = ObjectiveHandle(score, Bounds((0.0,) * dim, (1.0,) * dim), budget)
-    rng = np.random.default_rng(seed)
+    gen = np.random.default_rng(seed)
+    rng = Draws(gen) if draws else gen
     with pytest.raises(BudgetExhausted):
         list(lockstep([search(handle, params, rng, dim)]))
-    return [(b.shape, b.tobytes()) for b in batches], rng.bit_generator.state
+    half = rng._half if draws else _kept_half(gen)
+    return [(b.shape, b.tobytes()) for b in batches], gen.bit_generator.state["state"], half
 
 
 _PROBABILITIES = st.sampled_from([0.0, 0.5, 1.0])
@@ -473,10 +587,11 @@ def test_generations_match_per_child_references(params, dim, seed, levels, data)
     generation = params.lambda_es if params.algorithm == "es" else params.population_size
     budget = data.draw(st.integers(first + 1, first + 4 * generation), label="budget")
     search, reference = {"de": (run_de, _ref_de), "ga": (run_ga, _ref_ga), "es": (run_es, _ref_es)}[params.algorithm]
-    got = _scored_batches(search, params, dim, seed, budget, levels)
     want = _scored_batches(reference, params, dim, seed, budget, levels)
-    assert got[0] == want[0]
-    assert got[1] == want[1]
+    for draws in (False, True):
+        got = _scored_batches(search, params, dim, seed, budget, levels, draws)
+        assert got[0] == want[0]
+        assert got[1:] == want[1:]
 
 
 # --- end-to-end runs ---------------------------------------------------------
