@@ -81,7 +81,8 @@ def summary_rows(result: CampaignResult):
 
 def tests_rows(result: CampaignResult):
     for (a, b), t in result.tests.items():
-        yield (a, b, t.statistic, t.p_value, t.n_effective, t.significant_at_05, t.exact, _pair_better(result, a, b))
+        # every p-value is exact; the `exact` column stays for the file's readers
+        yield (a, b, t.statistic, t.p_value, t.n_effective, t.significant_at_05, True, _pair_better(result, a, b))
 
 
 def ranks_rows(result: CampaignResult):

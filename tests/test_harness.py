@@ -16,11 +16,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import brute_force_signed_rank_p
 
 import vdtptune
 from vdtptune import fitness
 from vdtptune.fitness import make_objective
-from vdtptune.harness import campaign, cli
+from vdtptune.harness import campaign, cli, reports
 from vdtptune.harness.benchfuncs import (
     bench_bounds,
     get_function,
@@ -46,6 +47,7 @@ from vdtptune.harness.campaign import (
 )
 from vdtptune.harness.reports import (
     QOS_HEADER,
+    TESTS_HEADER,
     qos_rows,
     read_csv,
     render_qos,
@@ -698,6 +700,40 @@ def test_importing_the_harness_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def test_campaign_past_twelve_runs_writes_exact_p_values(tmp_path):
+    # paper-shape campaigns (30 runs) take the same exact count as small ones
+    algorithms = tuple(OptimizerParams(a) for a in ("pso", "ga", "sa"))
+    cfg = tiny_config(tmp_path, algorithms=algorithms, runs=13)
+    result = run_campaign(cfg, objective_factory=cheap_factory)
+    path = tmp_path / "tests.csv"
+    write_csv(path, TESTS_HEADER, reports.tests_rows(result))
+    header, rows = read_csv(path)
+    assert header == TESTS_HEADER and len(rows) == 3
+    for a, b, _, p, n_effective, significant, exact, _ in rows:
+        want = brute_force_signed_rank_p(result.fitness_samples(a), result.fitness_samples(b))
+        assert (float(p), n_effective, significant, exact) == (want, "13", str(want < 0.05).lower(), "true")
+
+
+def test_tiny_campaign_leaves_numpy_ma_unimported(tmp_path):
+    # np.median's nan check imports numpy.ma (about 1.4 MiB); summaries sort instead
+    src = os.path.dirname(os.path.dirname(vdtptune.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys\n"
+        "from vdtptune.harness.campaign import ExperimentConfig, run_campaign\n"
+        "from vdtptune.harness.reports import write_campaign_outputs\n"
+        "from vdtptune.optimizers import OptimizerParams\n"
+        "cfg = ExperimentConfig(scenario='urban', algorithms=(OptimizerParams('pso'), OptimizerParams('sa')),\n"
+        f"    runs=3, max_evaluations=10, replications=1, master_seed=5, output_dir={str(tmp_path)!r})\n"
+        "write_campaign_outputs(run_campaign(cfg), cfg.output_dir)\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    assert (tmp_path / "summary.csv").is_file()
+
+
 def test_campaign_constant_objective_degenerates_cleanly(tmp_path):
     cfg = tiny_config(tmp_path)
     result = run_campaign(cfg, objective_factory=constant_factory)
@@ -996,6 +1032,22 @@ def test_cli_refuses_counts_below_one_by_flag(command, flag, tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--chunk", "0", "--attempts", "8", "--timeout", "8"], "--chunk=0 outside [128, 524288]"),
+    (["--chunk", "25600", "--attempts", "0", "--timeout", "8"], "--attempts=0 outside [1, 250]"),
+    (["--chunk", "25600", "--attempts", "8", "--timeout", "0"], "--timeout=0 outside [1, 10]"),
+])
+def test_cli_simulate_names_the_flag_out_of_bounds(flags, message, monkeypatch, capsys):
+    def no_simulation(*args, **kw):
+        raise AssertionError("simulated an out-of-bounds configuration")
+
+    monkeypatch.setattr(cli, "evaluate", no_simulation)
+    assert run_cli(["simulate"] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_cli_simulate_reports_fitness(capsys):
     rc = run_cli([
         "simulate", "--chunk", "25600", "--attempts", "8", "--timeout", "8",
@@ -1010,7 +1062,7 @@ def test_cli_simulate_reports_fitness(capsys):
 def test_cli_simulate_rejects_out_of_bounds(capsys):
     rc = run_cli(["simulate", "--chunk", "64", "--attempts", "8", "--timeout", "8"])
     assert rc == 1
-    assert "chunk_size" in capsys.readouterr().err
+    assert "--chunk=64 outside [128, 524288]" in capsys.readouterr().err
 
 
 def test_cli_unknown_scenario_is_usage_error(capsys):
