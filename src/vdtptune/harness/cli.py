@@ -206,7 +206,7 @@ def _check_floors(args) -> None:
 def cmd_simulate(args) -> int:
     _check_seed(args)
     config = VdtpConfig(args.chunk, args.attempts, args.timeout)
-    violations = bound_violations(config, DEFAULT_BOUNDS, names=("--chunk", "--attempts", "--timeout"))
+    violations = bound_violations(config, DEFAULT_BOUNDS)
     if violations:
         raise UsageError("; ".join(violations))
     scenario = resolve_scenario(args.scenario)

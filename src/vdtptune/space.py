@@ -107,13 +107,12 @@ def quantize_for_protocol(config: VdtpConfig):
     return chunk_bytes, attempts, float(config.retransmission_time)
 
 
-def bound_violations(config: VdtpConfig, bounds: Bounds = DEFAULT_BOUNDS,
-                     names=("chunk_size", "total_attempts", "retransmission_time")):
-    """List of human-readable bound violations, each naming its axis by
-    `names`; empty when in bounds."""
+def bound_violations(config: VdtpConfig, bounds: Bounds = DEFAULT_BOUNDS):
+    """List of human-readable bound violations, each naming its axis by the
+    simulate flag that sets it; empty when in bounds."""
     x = config.as_array()
     out = []
-    for i, name in enumerate(names):
+    for i, name in enumerate(("--chunk", "--attempts", "--timeout")):
         lo, hi = bounds.lower[i], bounds.upper[i]
         if not lo <= x[i] <= hi:
             out.append(f"{name}={x[i]:g} outside [{lo:g}, {hi:g}]")

@@ -71,7 +71,7 @@ def test_quantize_preserves_timeout_exactly():
 def test_bound_violations_name_each_axis():
     msgs = bound_violations(VdtpConfig(100.0, 300.0, 0.5))
     assert len(msgs) == 3
-    assert any("chunk_size" in m for m in msgs)
-    assert any("total_attempts" in m for m in msgs)
-    assert any("retransmission_time" in m for m in msgs)
+    assert msgs == ["--chunk=100 outside [128, 524288]",
+                    "--attempts=300 outside [1, 250]",
+                    "--timeout=0.5 outside [1, 10]"]
     assert bound_violations(VdtpConfig(25600, 8, 8)) == []

@@ -169,6 +169,22 @@ def test_wilcoxon_matches_scipy_exact():
         assert ours.p_value == ref.pvalue
 
 
+def test_wilcoxon_tied_statistic_matches_scipy():
+    # integer-valued pairs: tied magnitudes, no zero differences. scipy's
+    # exact distribution refuses ties, so only the statistic is compared;
+    # the p-value's oracle on ties is the brute force above
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        n = int(rng.integers(13, 41))
+        a = rng.integers(0, 10, n).astype(float)
+        b = a + rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0], size=n)
+        ours = wilcoxon_signed_rank(a, b)
+        ref = scipy_stats.wilcoxon(a, b, method="approx")
+        assert ours.n_effective == n
+        assert ours.statistic == ref.statistic
+
+
 def test_wilcoxon_handles_tied_magnitudes():
     # |diffs| = 1,1,2,2 -> average ranks 1.5,1.5,3.5,3.5
     a = [0.0, 0.0, 0.0, 0.0]
